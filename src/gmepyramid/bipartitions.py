@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -45,12 +46,36 @@ class Bipartition:
 
     def complement(self) -> tuple[int, ...]:
         """Subsystem indices on the other side of the cut, sorted."""
-        inside = set(self.subset)
-        return tuple(i for i in range(1, self.n + 1) if i not in inside)
+        return split(self, self.n)[1]
 
     def label(self) -> str:
         """Comma-joined indices, e.g. ``\"1,3\"``; used in reports and keys."""
         return ",".join(str(i) for i in self.subset)
+
+
+def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both sides of ``cut`` in an ``n``-party system, as sorted 1-based tuples.
+
+    ``cut`` is a :class:`Bipartition` of ``n`` parties or any collection of
+    distinct indices in 1..n that leaves at least one subsystem on each side;
+    a raw collection need not be canonical, so a complement can be passed.
+    """
+    if isinstance(cut, Bipartition):
+        if cut.n != n:
+            raise ValueError(f"cut is for {cut.n} parties, state has {n}")
+        subset = cut.subset
+    else:
+        subset = tuple(sorted(int(i) for i in cut))
+        if not subset:
+            raise ValueError("cut subset is empty")
+        if len(set(subset)) != len(subset):
+            raise ValueError(f"cut indices must be distinct, got {subset}")
+        if subset[0] < 1 or subset[-1] > n:
+            raise ValueError(f"cut indices {subset} out of range 1..{n}")
+        if len(subset) >= n:
+            raise ValueError("cut must leave at least one subsystem on each side")
+    inside = set(subset)
+    return subset, tuple(i for i in range(1, n + 1) if i not in inside)
 
 
 def canonical_bipartitions(n: int) -> list[Bipartition]:

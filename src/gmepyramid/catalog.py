@@ -102,24 +102,17 @@ def phi_biseparable() -> PureState:
     )
 
 
-BENCHMARK_STATES: dict[str, PureState] = {}
-
-
 def benchmark_states() -> dict[str, PureState]:
     """The fixed benchmark suite, keyed by the identifiers used in reports."""
-    if not BENCHMARK_STATES:
-        BENCHMARK_STATES.update(
-            {
-                "GHZ4": ghz_state(4),
-                "W4": w_state(4),
-                "psi_A": psi_a(),
-                "psi_B": psi_b(),
-                "psi_C": psi_c(),
-                "psi_D": psi_d(),
-                "phi_12345": phi_biseparable(),
-            }
-        )
-    return dict(BENCHMARK_STATES)
+    return {
+        "GHZ4": ghz_state(4),
+        "W4": w_state(4),
+        "psi_A": psi_a(),
+        "psi_B": psi_b(),
+        "psi_C": psi_c(),
+        "psi_D": psi_d(),
+        "phi_12345": phi_biseparable(),
+    }
 
 
 # Published reference values (4 printed decimals). The W4 and psi_C volume

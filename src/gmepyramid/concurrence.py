@@ -19,39 +19,19 @@ from typing import Iterable
 
 import numpy as np
 
-from .bipartitions import Bipartition, canonical_bipartitions
+from .bipartitions import Bipartition, canonical_bipartitions, split
 from .states import PureState
 
 # Largest reduced dimension the dense oracle will materialize.
 DENSE_ORACLE_CAP = 4096
 
 
-def _subset_of(cut: Bipartition | Iterable[int], n: int) -> tuple[int, ...]:
-    """Sorted subsystem indices of a cut; accepts raw index collections so
-    non-canonical complements can be evaluated directly."""
-    if isinstance(cut, Bipartition):
-        if cut.n != n:
-            raise ValueError(f"cut is for {cut.n} parties, state has {n}")
-        return cut.subset
-    subset = tuple(sorted(int(i) for i in cut))
-    if not subset:
-        raise ValueError("cut subset is empty")
-    if len(set(subset)) != len(subset):
-        raise ValueError(f"cut indices must be distinct, got {subset}")
-    if subset[0] < 1 or subset[-1] > n:
-        raise ValueError(f"cut indices {subset} out of range 1..{n}")
-    if len(subset) >= n:
-        raise ValueError("cut must leave at least one subsystem on each side")
-    return subset
-
-
 def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     """Tr(rho_S^2) of the reduced state across ``cut``, clamped to [0, 1]."""
-    subset = _subset_of(cut, state.n)
-    keep = [i - 1 for i in subset]
-    rest = [i for i in range(state.n) if i + 1 not in set(subset)]
-    d_s = math.prod(state.dims[i] for i in keep)
-    m = state.amplitudes.reshape(state.dims).transpose(keep + rest).reshape(d_s, -1)
+    subset, rest = split(cut, state.n)
+    d_s = math.prod(state.dims[i - 1] for i in subset)
+    axes = [i - 1 for i in subset + rest]
+    m = state.amplitudes.reshape(state.dims).transpose(axes).reshape(d_s, -1)
     # Gram matrix of the smaller side; its squared Frobenius norm is the purity.
     g = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
     purity = float(np.real(np.vdot(g, g)))
@@ -111,8 +91,7 @@ def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> f
     Intended for verification; refuses reduced dimensions above
     ``DENSE_ORACLE_CAP``.
     """
-    subset = _subset_of(cut, state.n)
-    comp = tuple(i for i in range(1, state.n + 1) if i not in set(subset))
+    subset, comp = split(cut, state.n)
     d_s = math.prod(state.dims[i - 1] for i in subset)
     if d_s > DENSE_ORACLE_CAP:
         raise ValueError(f"reduced dimension {d_s} exceeds the dense cap {DENSE_ORACLE_CAP}")

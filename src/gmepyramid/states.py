@@ -35,10 +35,35 @@ class StateFormatError(ValueError):
     """A state file (or text) that cannot be parsed."""
 
 
+def check_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """Validated subsystem dimensions: at least 2 subsystems, each >= 2, and
+    at most ``MAX_AMPLITUDES`` amplitudes in total.
+
+    Callers run this before allocating anything of the state's size.
+    """
+    dims = tuple(int(d) for d in dims)
+    if len(dims) < 2:
+        raise ValueError("a multipartite state needs at least 2 subsystems")
+    if any(d < 2 for d in dims):
+        raise ValueError(f"subsystem dimensions must be >= 2, got {dims}")
+    total = math.prod(dims)
+    if total > MAX_AMPLITUDES:
+        raise ValueError(f"total dimension {total} exceeds the supported maximum {MAX_AMPLITUDES}")
+    return dims
+
+
 def flat_index(dims: Sequence[int], digits: Sequence[int]) -> int:
-    """Flat row-major index of the basis state with the given digits."""
+    """Flat row-major index of the basis state with the given digits.
+
+    Raises ValueError unless there is one digit per subsystem, each in
+    range for its dimension.
+    """
+    if len(digits) != len(dims):
+        raise ValueError(f"expected {len(dims)} basis digits, got {len(digits)}")
     idx = 0
     for b, d in zip(digits, dims):
+        if not 0 <= b < d:
+            raise ValueError(f"basis digit {b} out of range [0, {d}) for dims {tuple(dims)}")
         idx = idx * d + b
     return idx
 
@@ -59,16 +84,8 @@ class PureState:
     normalize: InitVar[bool] = False
 
     def __post_init__(self, normalize: bool) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) < 2:
-            raise ValueError("a multipartite state needs at least 2 subsystems")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"subsystem dimensions must be >= 2, got {dims}")
+        dims = check_dims(self.dims)
         total = math.prod(dims)
-        if total > MAX_AMPLITUDES:
-            raise ValueError(
-                f"total dimension {total} exceeds the supported maximum {MAX_AMPLITUDES}"
-            )
         amps = np.array(self.amplitudes, dtype=complex).ravel()
         if amps.size != total:
             raise ValueError(
@@ -99,11 +116,6 @@ class PureState:
 
     def amplitude(self, digits: Sequence[int]) -> complex:
         """Amplitude of one basis state, addressed by its digits."""
-        if len(digits) != self.n:
-            raise ValueError(f"expected {self.n} basis digits, got {len(digits)}")
-        for b, d in zip(digits, self.dims):
-            if not 0 <= b < d:
-                raise ValueError(f"basis digit {b} out of range for dimension {d}")
         return complex(self.amplitudes[flat_index(self.dims, digits)])
 
 
@@ -140,12 +152,10 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
                 dims = tuple(int(f) for f in fields[1:])
             except ValueError:
                 raise StateFormatError(f"line {lineno}: non-integer dimension in {line!r}") from None
-            if len(dims) < 2 or any(d < 2 for d in dims):
-                raise StateFormatError(f"line {lineno}: need at least 2 dimensions, each >= 2")
-            if math.prod(dims) > MAX_AMPLITUDES:
-                raise StateFormatError(
-                    f"line {lineno}: total dimension {math.prod(dims)} exceeds {MAX_AMPLITUDES}"
-                )
+            try:
+                dims = check_dims(dims)
+            except ValueError as exc:
+                raise StateFormatError(f"line {lineno}: {exc}") from None
             amps = np.zeros(math.prod(dims), dtype=complex)
             continue
         if fields[0] != "amp":
@@ -159,12 +169,10 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
             re, im = float(fields[-2]), float(fields[-1])
         except ValueError:
             raise StateFormatError(f"line {lineno}: malformed number in {line!r}") from None
-        for b, d in zip(digits, dims):
-            if not 0 <= b < d:
-                raise StateFormatError(
-                    f"line {lineno}: basis digit {b} out of range [0, {d}) for dims {dims}"
-                )
-        idx = flat_index(dims, digits)
+        try:
+            idx = flat_index(dims, digits)
+        except ValueError as exc:
+            raise StateFormatError(f"line {lineno}: {exc}") from None
         if idx in seen:
             raise StateFormatError(f"line {lineno}: duplicate basis tuple {tuple(digits)}")
         seen.add(idx)
@@ -192,8 +200,7 @@ def serialize_state(state: PureState) -> str:
     parse(serialize(s)) reproduces the amplitudes exactly.
     """
     lines = ["dims " + " ".join(str(d) for d in state.dims)]
-    for digits in np.ndindex(*state.dims):
-        a = state.amplitudes[flat_index(state.dims, digits)]
+    for digits, a in zip(np.ndindex(*state.dims), state.amplitudes):
         if a != 0:
             lines.append(
                 "amp "

@@ -21,11 +21,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bipartitions import canonical_bipartitions
+from .bipartitions import canonical_bipartitions, split
 from .catalog import ghz_state
 from .concurrence import dense_oracle_purity, full_spectrum, reduced_purity
 from .measures import volume
-from .states import MAX_AMPLITUDES, PureState, apply_local_unitary, permute_subsystems
+from .states import PureState, apply_local_unitary, check_dims, permute_subsystems
 
 
 def _haar_vector(total: int, rng: np.random.Generator) -> np.ndarray:
@@ -35,31 +35,23 @@ def _haar_vector(total: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_random_state(dims: Sequence[int], seed) -> PureState:
     """Haar-uniform pure state: normalized iid standard complex Gaussian amplitudes."""
-    dims = tuple(int(d) for d in dims)
-    total = math.prod(dims)
-    if total > MAX_AMPLITUDES:
-        raise ValueError(f"total dimension {total} exceeds the supported maximum {MAX_AMPLITUDES}")
-    return PureState(dims, _haar_vector(total, np.random.default_rng(seed)), normalize=True)
+    dims = check_dims(dims)
+    amps = _haar_vector(math.prod(dims), np.random.default_rng(seed))
+    return PureState(dims, amps, normalize=True)
 
 
 def random_product_state(dims: Sequence[int], cut_sites: Sequence[int], seed) -> PureState:
     """Exactly factorized state: independent Haar factors on ``cut_sites``
     and on its complement, interleaved back into subsystem order."""
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    sites = sorted(int(s) for s in cut_sites)
-    if len(set(sites)) != len(sites) or not sites:
-        raise ValueError("cut_sites must be a non-empty set of distinct indices")
-    if sites[0] < 1 or sites[-1] > n or len(sites) >= n:
-        raise ValueError("cut_sites must leave at least one subsystem on each side")
-    rest = [i for i in range(1, n + 1) if i not in set(sites)]
+    dims = check_dims(dims)
+    sites, rest = split(cut_sites, len(dims))
     seed_a, seed_b = np.random.SeedSequence(seed).spawn(2)
     vec_a = _haar_vector(math.prod(dims[i - 1] for i in sites), np.random.default_rng(seed_a))
     vec_b = _haar_vector(math.prod(dims[i - 1] for i in rest), np.random.default_rng(seed_b))
     order = sites + rest
     joint = np.outer(vec_a, vec_b).reshape([dims[i - 1] for i in order])
     # Output axis s-1 takes the input axis currently holding subsystem s.
-    joint = joint.transpose([order.index(s) for s in range(1, n + 1)])
+    joint = joint.transpose([order.index(s) for s in range(1, len(dims) + 1)])
     return PureState(dims, joint.ravel())
 
 
@@ -88,11 +80,9 @@ class TrialConfig:
     tol: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", check_dims(self.dims))
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
-        if math.prod(self.dims) > MAX_AMPLITUDES:
-            raise ValueError("total dimension exceeds the supported maximum")
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,18 @@ class TestRandom:
         assert main(args) == 2
         assert "comma-separated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ("2", "at least 2 subsystems"),
+            ("2,0", ">= 2, got (2, 0)"),
+            ("1,2,2", ">= 2, got (1, 2, 2)"),
+        ],
+    )
+    def test_dims_no_state_can_have(self, capsys, dims, message):
+        assert main(["random", "--dims", dims, "--check", "ghz-closed-form"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_incompatible_dims_usage_error(self, capsys):
         args = ["random", "--dims", "2,2,2", "--check", "n4-formula-equivalence"]
         assert main(args) == 2

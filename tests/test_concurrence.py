@@ -50,6 +50,10 @@ class TestReducedPurity:
             reduced_purity(state, (1, 1))
         with pytest.raises(ValueError, match="each side"):
             reduced_purity(state, (1, 2, 3))
+        with pytest.raises(ValueError, match="cut is for 4 parties, state has 3"):
+            reduced_purity(state, Bipartition((1,), 4))
+        with pytest.raises(ValueError, match="empty"):
+            reduced_purity(state, ())
 
 
 class TestConcurrence:

@@ -75,6 +75,18 @@ class TestParse:
         state = parse_state(text, normalize=True)
         assert state.amplitude((0, 0)) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "dims_line, message",
+        [
+            ("dims 2", "at least 2 subsystems"),
+            ("dims 2 1", ">= 2"),
+            ("dims" + " 2" * 27, "exceeds"),
+        ],
+    )
+    def test_rejects_bad_dims_line(self, dims_line, message):
+        with pytest.raises(StateFormatError, match=f"line 2: .*{message}"):
+            parse_state("# header\n" + dims_line + "\n")
+
     def test_qudit_dims(self):
         state = parse_state("dims 3 2\namp 2 1 1.0 0.0\n")
         assert state.dims == (3, 2)
@@ -118,6 +130,13 @@ class TestConstructor:
     def test_rejects_oversized_hilbert_space(self):
         with pytest.raises(ValueError, match="exceeds"):
             PureState((2,) * 27, np.zeros(4))
+
+    def test_amplitude_rejects_bad_digits(self):
+        state = ghz_state(4)
+        with pytest.raises(ValueError, match="expected 4 basis digits"):
+            state.amplitude((0, 0, 0))
+        with pytest.raises(ValueError, match="out of range"):
+            state.amplitude((0, 0, 2, 0))
 
     def test_amplitudes_are_read_only(self):
         state = ghz_state(3)

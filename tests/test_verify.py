@@ -9,6 +9,7 @@ from gmepyramid import (
     random_product_state,
     run_check,
 )
+from gmepyramid import verify
 from gmepyramid.verify import CHECK_NAMES, DEFAULT_TOLERANCES
 
 
@@ -77,6 +78,16 @@ class TestRandomProductState:
     def test_rejects_full_subset(self):
         with pytest.raises(ValueError, match="each side"):
             random_product_state((2, 2), (1, 2), seed=0)
+        with pytest.raises(ValueError, match="empty"):
+            random_product_state((2, 2), (), seed=0)
+
+    def test_refuses_oversize_before_drawing(self, monkeypatch):
+        def refuse(total, rng):
+            raise AssertionError(f"drew a {total}-entry vector before the size check")
+
+        monkeypatch.setattr(verify, "_haar_vector", refuse)
+        with pytest.raises(ValueError, match="exceeds"):
+            random_product_state((2,) * 27, (1,), seed=0)
 
 
 class TestRunCheck:
