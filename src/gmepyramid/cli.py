@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .bipartitions import canonical_bipartitions
 from .catalog import PUBLISHED_TOL, PUBLISHED_VALUES, benchmark_states
-from .measures import DEFAULT_ZERO_TOL, MeasureReport, evaluate
+from .measures import DEFAULT_ZERO_TOL, MeasureReport, check_tolerance, evaluate
 from .states import StateFormatError, load_state
 from .verify import CHECK_NAMES, TrialConfig, TrialOutcome, run_check
 
@@ -199,6 +199,13 @@ def cmd_random(args: argparse.Namespace) -> int:
     return 0 if outcome.passed else 1
 
 
+def _tolerance_arg(text: str) -> float:
+    try:
+        return check_tolerance(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmepyramid",
@@ -212,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--measure", choices=("volume", "cgme", "triangle", "all"), default="all"
     )
-    p_eval.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL, help="zero-concurrence cutoff")
+    p_eval.add_argument("--tol", type=_tolerance_arg, default=DEFAULT_ZERO_TOL, help="zero-concurrence cutoff")
     p_eval.add_argument("--normalize", action="store_true", help="rescale the input to unit norm")
     p_eval.add_argument("--json", action="store_true", help="machine-readable report")
     p_eval.set_defaults(func=cmd_eval)
@@ -224,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_paper = sub.add_parser(
         "paper", help="evaluate the built-in benchmark states against published values"
     )
-    p_paper.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL, help="zero-concurrence cutoff")
+    p_paper.add_argument("--tol", type=_tolerance_arg, default=DEFAULT_ZERO_TOL, help="zero-concurrence cutoff")
     p_paper.add_argument("--json", action="store_true")
     p_paper.set_defaults(func=cmd_paper)
 
@@ -233,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rand.add_argument("--seed", type=int, default=0)
     p_rand.add_argument("--trials", type=int, default=100)
     p_rand.add_argument("--check", required=True, choices=CHECK_NAMES)
-    p_rand.add_argument("--tol", type=float, default=None, help="override the check's tolerance")
+    p_rand.add_argument("--tol", type=_tolerance_arg, default=None, help="override the check's tolerance")
     p_rand.add_argument("--json", action="store_true")
     p_rand.set_defaults(func=cmd_random)
 

@@ -3,7 +3,10 @@
 Two independent evaluation paths are kept on purpose. The fast route
 (:func:`reduced_purity`) reshapes the amplitude tensor into a cut-by-rest
 matrix M and takes the squared Frobenius norm of the Gram matrix M M^dag,
-which equals Tr(rho_S^2) without any eigendecomposition. The naive route
+which equals Tr(rho_S^2) without any eigendecomposition. A state whose
+amplitudes all have an exactly zero imaginary part is decided real once,
+on first use, and its Gram products run on a float64 view (a real
+symmetric rank-k update) instead of complex128. The naive route
 (:func:`dense_oracle_purity`) rebuilds the reduced density matrix by
 explicit digit-stride index arithmetic, one complement basis state at a
 time, and serves as a cross-check against indexing mistakes in the fast
@@ -31,7 +34,7 @@ def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     subset, rest = split(cut, state.n)
     d_s = math.prod(state.dims[i - 1] for i in subset)
     axes = [i - 1 for i in subset + rest]
-    m = state.amplitudes.reshape(state.dims).transpose(axes).reshape(d_s, -1)
+    m = state._tensor.transpose(axes).reshape(d_s, -1)
     # Gram matrix of the smaller side; its squared Frobenius norm is the purity.
     g = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
     purity = float(np.real(np.vdot(g, g)))

@@ -66,7 +66,16 @@ class MeasureReport:
         return len(self.dims)
 
 
+def check_tolerance(value: float | str) -> float:
+    """``value`` as a float; ValueError unless it is finite and >= 0."""
+    tol = float(value)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 def _geometric_mean(values: list[float], zero_tol: float) -> float:
+    check_tolerance(zero_tol)
     # Short-circuit before taking logarithms: a single (numerically) zero
     # factor annihilates the product, and log(0) is -inf.
     if any(v <= zero_tol for v in values):
@@ -149,6 +158,7 @@ def classify(
     factorizations. All cuts positive means GME; all singleton cuts zero
     means fully separable; anything in between is biseparable.
     """
+    check_tolerance(zero_tol)
     zero_cuts = tuple(cut for cut, c in spectrum.entries.items() if c <= zero_tol)
     if not zero_cuts:
         return CLASS_GME, zero_cuts
@@ -163,8 +173,10 @@ def evaluate(
     """Full measure report for one state.
 
     The pyramid volume needs at least 3 parties and the triangle measure
-    exactly 3; fields that do not apply are None.
+    exactly 3; fields that do not apply are None. ``zero_tol`` must be
+    finite and >= 0.
     """
+    zero_tol = check_tolerance(zero_tol)
     spectrum = full_spectrum(state)
     classification, zero_cuts = classify(spectrum, zero_tol)
     notes: list[str] = []

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,7 +74,8 @@ class PureState:
     """Normalized pure state of N >= 2 subsystems.
 
     Immutable after construction: the amplitude array is copied and marked
-    read-only, so instances are safe to share across threads. Without
+    read-only, so instances are safe to share across threads (threads that
+    race to the lazily cached cut tensor compute the same value). Without
     ``normalize`` the input must already have unit norm (within 1e-9); the
     stored vector is rescaled by the exact computed norm either way, so the
     residual deviation is at machine level.
@@ -103,6 +105,13 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
+
+    @cached_property
+    def _tensor(self) -> np.ndarray:
+        """Read-only amplitudes shaped to ``dims`` for the cut products: a
+        float64 view when every imaginary part is exactly zero, else complex."""
+        amps = self.amplitudes
+        return (amps if amps.imag.any() else amps.real).reshape(self.dims)
 
     @property
     def n(self) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 from .bipartitions import canonical_bipartitions, split
 from .catalog import ghz_state
 from .concurrence import dense_oracle_purity, full_spectrum, reduced_purity
-from .measures import volume
+from .measures import check_tolerance, volume
 from .states import PureState, apply_local_unitary, check_dims, permute_subsystems
 
 
@@ -83,6 +83,8 @@ class TrialConfig:
         object.__setattr__(self, "dims", check_dims(self.dims))
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
+        if self.tol is not None:
+            object.__setattr__(self, "tol", check_tolerance(self.tol))
 
 
 @dataclass(frozen=True)

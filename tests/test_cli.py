@@ -21,6 +21,11 @@ dims 2 2 2
 amp 0 0 0 1.0 0.0
 """
 
+PRODUCT4_TEXT = """\
+dims 2 2 2 2
+amp 0 0 0 0 1.0 0.0
+"""
+
 
 @pytest.fixture
 def ghz4_file(tmp_path):
@@ -191,3 +196,26 @@ class TestRandom:
         check = doc["checks"][0]
         assert check["passed"] is True
         assert check["max_deviation"] <= 1e-9
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["eval", "paper", "random"])
+    def test_refused_as_usage_error(self, tmp_path, capsys, command, tol):
+        path = tmp_path / "prod.txt"
+        path.write_text(PRODUCT4_TEXT)
+        args = {
+            "eval": ["eval", str(path)],
+            "paper": ["paper"],
+            "random": ["random", "--dims", "2,2,2", "--check", "ghz-closed-form"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol: tolerance must be finite and >= 0" in capsys.readouterr().err
+
+    def test_zero_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "prod.txt"
+        path.write_text(PRODUCT4_TEXT)
+        assert main(["eval", str(path), "--tol", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerances"]["zero"] == 0.0

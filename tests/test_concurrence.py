@@ -22,6 +22,14 @@ from gmepyramid.catalog import phi_biseparable, psi_a
 SQRT3_OVER_2 = math.sqrt(3) / 2
 SQRT5_OVER_2 = math.sqrt(5) / 2
 
+GRAM_DIMS = [(2, 2, 2, 2), (3, 2, 2), (3, 3, 2, 2), (2,) * 6]
+
+
+def real_gaussian_state(dims, seed):
+    """Normalized iid real Gaussian amplitudes: a state on the float64 route."""
+    rng = np.random.default_rng(seed)
+    return PureState(dims, rng.standard_normal(math.prod(dims)), normalize=True)
+
 
 def zero_tensor_ghz3():
     """|0> on site 1, GHZ on sites 2..4; site 1 is slowest so kron leads with it."""
@@ -108,10 +116,14 @@ class TestDenseOracle:
         with pytest.raises(ValueError, match="dense cap"):
             dense_oracle_purity(state, tuple(range(1, 14)))
 
-    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 2), (3, 3, 2, 2), (2,) * 6])
-    def test_agrees_with_gram_path(self, dims):
+    @pytest.mark.parametrize(
+        "dims, draw",
+        [pytest.param(d, haar_random_state, id=f"dims{i}") for i, d in enumerate(GRAM_DIMS)]
+        + [pytest.param(d, real_gaussian_state, id=f"real-dims{i}") for i, d in enumerate(GRAM_DIMS)],
+    )
+    def test_agrees_with_gram_path(self, dims, draw):
         for trial in range(25):
-            state = haar_random_state(dims, seed=[21, len(dims), trial])
+            state = draw(dims, seed=[21, len(dims), trial])
             for cut in canonical_bipartitions(len(dims)):
                 gram = reduced_purity(state, cut)
                 dense = dense_oracle_purity(state, cut)
@@ -126,6 +138,18 @@ class TestInvariances:
                 direct = concurrence(state, cut)
                 mirrored = concurrence(state, cut.complement())
                 assert abs(direct - mirrored) < 1e-12
+
+    @pytest.mark.parametrize(
+        "state",
+        [ghz_state(5), w_state(4), real_gaussian_state((2, 3, 2, 2), seed=71)],
+        ids=["ghz5", "w4", "real2322"],
+    )
+    def test_real_and_complex_routes_agree(self, state):
+        phased = PureState(state.dims, np.exp(0.7j) * state.amplitudes)
+        assert state._tensor.dtype == np.float64
+        assert phased._tensor.dtype == np.complex128
+        for cut in canonical_bipartitions(state.n):
+            assert abs(concurrence(state, cut) - concurrence(phased, cut)) < 1e-14
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3)])
     def test_local_unitary_invariance_per_cut(self, dims):

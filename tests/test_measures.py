@@ -34,6 +34,22 @@ ORACLE_VOLUMES = {
     "psi_D": 0.3399838180175669,
 }
 
+REAL_PRODUCT_DIMS = (2, 3, 2, 2)
+
+
+def real_product_state(dims, sites, seed):
+    """Exact product of real Gaussian factors on ``sites`` and on the rest,
+    interleaved back into subsystem order."""
+    rng = np.random.default_rng(seed)
+    rest = tuple(i for i in range(1, len(dims) + 1) if i not in sites)
+    joint = np.multiply.outer(
+        rng.standard_normal([dims[i - 1] for i in sites]),
+        rng.standard_normal([dims[i - 1] for i in rest]),
+    )
+    order = tuple(sites) + rest
+    joint = joint.transpose([order.index(s) for s in range(1, len(dims) + 1)])
+    return PureState(dims, joint.ravel(), normalize=True)
+
 
 class TestBaseEdge:
     def test_ghz4_is_one(self):
@@ -160,6 +176,16 @@ class TestClassify:
         assert label == "GME"
         assert zero_cuts == ()
 
+    @pytest.mark.parametrize("cut", canonical_bipartitions(4), ids=lambda cut: cut.label())
+    def test_real_product_across_each_cut(self, cut):
+        state = real_product_state(REAL_PRODUCT_DIMS, cut.subset, [88, *cut.subset])
+        assert state._tensor.dtype == np.float64
+        spectrum = full_spectrum(state)
+        label, zero_cuts = classify(spectrum)
+        assert label == "biseparable"
+        assert zero_cuts == (cut,)
+        assert spectrum.entries[cut] < DEFAULT_ZERO_TOL
+
 
 class TestProperties:
     def test_permutation_invariance(self):
@@ -188,6 +214,9 @@ class TestProperties:
                 sites = sorted(int(s) + 1 for s in rng.choice(n, size=k, replace=False))
                 state = random_product_state(dims, sites, [86, n, trial])
                 assert volume(full_spectrum(state)).volume <= 1e-9
+        for cut in canonical_bipartitions(4):
+            state = real_product_state(REAL_PRODUCT_DIMS, cut.subset, [88, *cut.subset])
+            assert volume(full_spectrum(state)).volume <= 1e-9
 
     def test_positive_volume_implies_no_zero_cuts(self):
         for trial in range(25):
@@ -229,6 +258,16 @@ class TestEvaluate:
         report = evaluate(haar_random_state((3, 2, 2), seed=9))
         assert report.triangle is not None
         assert any("qubit" in note for note in report.notes)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_zero_tol(self, tol):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            evaluate(ghz_state(4), zero_tol=tol)
+        spectrum = full_spectrum(phi_biseparable())
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            volume(spectrum, zero_tol=tol)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            classify(spectrum, zero_tol=tol)
 
     def test_two_party_report_skips_volume(self):
         report = evaluate(ghz_state(2))

@@ -125,6 +125,9 @@ class TestRunCheck:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="trial count"):
             TrialConfig(dims=(2, 2), trials=0)
+        for tol in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                TrialConfig(dims=(2, 2, 2), tol=tol)
 
     def test_outcome_shape(self):
         outcome = run_check("ghz-closed-form", TrialConfig(dims=(2, 2, 2, 2), trials=1))
