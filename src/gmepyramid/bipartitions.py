@@ -6,10 +6,14 @@ is deduplicated against complements by keeping the representative that
 contains subsystem 1. The canonical list therefore has 2**(N-1) - 1
 entries, grouped smallest cardinality first and lexicographic within a
 group.
+
+The canonical list of each ``n`` is built once per process and shared: the
+cuts are frozen, and every caller gets its own list of them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
@@ -79,11 +83,20 @@ def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tu
 
 
 def canonical_bipartitions(n: int) -> list[Bipartition]:
-    """All canonical cuts of an ``n``-party system.
+    """All canonical cuts of an ``n``-party system, as a new list each call.
 
     Exactly C(n, k) cuts per size k < n/2 plus C(n, n/2)/2 at the half size
     when n is even; 2**(n-1) - 1 in total.
     """
+    return list(_canonical_cuts(n))
+
+
+# A state within MAX_AMPLITUDES has at most 26 parties, so 32 entries keep
+# every party count a process can evaluate. The list for n takes about
+# 0.7 MiB at n = 13 and doubles with each party, so all entries together
+# hold at most about twice the list of the largest n evaluated.
+@functools.lru_cache(maxsize=32)
+def _canonical_cuts(n: int) -> tuple[Bipartition, ...]:
     if n < 2:
         raise ValueError("need at least 2 parties")
     cuts = []
@@ -92,4 +105,4 @@ def canonical_bipartitions(n: int) -> list[Bipartition]:
             if 2 * k == n and comb[0] != 1:
                 continue
             cuts.append(Bipartition(comb, n))
-    return cuts
+    return tuple(cuts)

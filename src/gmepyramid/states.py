@@ -78,7 +78,8 @@ class PureState:
     race to the lazily cached cut tensor compute the same value). Without
     ``normalize`` the input must already have unit norm (within 1e-9); the
     stored vector is rescaled by the exact computed norm either way, so the
-    residual deviation is at machine level.
+    residual deviation is at machine level. Every amplitude and the norm
+    must be finite.
     """
 
     dims: tuple[int, ...]
@@ -93,7 +94,14 @@ class PureState:
             raise ValueError(
                 f"expected {total} amplitudes for dims {dims}, got {amps.size}"
             )
-        norm = float(np.linalg.norm(amps))
+        # A nan or infinite amplitude makes the norm non-finite, and so do
+        # finite amplitudes whose squares overflow; that is refused below.
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amps))
+        if not math.isfinite(norm):
+            if not np.isfinite(amps).all():
+                raise ValueError("amplitudes must be finite (no nan or inf)")
+            raise ValueError(f"state norm overflows float64 ({norm}); rescale the amplitudes")
         if norm == 0.0:
             raise ValueError("state vector is zero")
         if not normalize and abs(norm - 1.0) > _NORM_TOL:
@@ -142,8 +150,9 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
     ------
     StateFormatError
         Malformed lines, out-of-range digits, duplicate basis tuples, a
-        missing ``dims`` line, or (without ``normalize``) a norm that
-        deviates from 1 by more than 1e-9. Messages carry line numbers.
+        missing ``dims`` line, a nan or infinite amplitude or norm, or
+        (without ``normalize``) a norm that deviates from 1 by more than
+        1e-9. Messages carry line numbers.
     """
     dims: tuple[int, ...] | None = None
     amps: np.ndarray | None = None

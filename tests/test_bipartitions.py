@@ -63,6 +63,16 @@ def test_complement(n, subset, expected):
     assert Bipartition(subset, n).complement() == expected
 
 
+def test_each_call_returns_a_new_list():
+    expected = [c.subset for c in canonical_bipartitions(5)]
+    mutated = canonical_bipartitions(5)
+    mutated.reverse()
+    mutated.pop()
+    again = canonical_bipartitions(5)
+    assert again is not mutated
+    assert [c.subset for c in again] == expected
+
+
 def test_label():
     assert Bipartition((1, 3), 5).label() == "1,3"
 

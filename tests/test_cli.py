@@ -90,6 +90,24 @@ class TestEval:
         assert main(["eval", str(path)]) == 2
         assert main(["eval", str(path), "--normalize"]) == 0
 
+    @pytest.mark.parametrize("flags", [[], ["--normalize"]], ids=["plain", "normalize"])
+    @pytest.mark.parametrize(
+        "amp_lines, message",
+        [
+            ("amp 0 0 0 nan 0.0", "amplitudes must be finite"),
+            ("amp 0 0 0 inf 0.0", "amplitudes must be finite"),
+            ("amp 0 0 0 1e308 0.0\namp 1 1 1 1e308 0.0", "state norm overflows"),
+        ],
+        ids=["nan", "inf", "overflow"],
+    )
+    def test_non_finite_amplitudes_are_refused(self, tmp_path, capsys, amp_lines, message, flags):
+        path = tmp_path / "amps.txt"
+        path.write_text("dims 2 2 2\n" + amp_lines + "\n")
+        assert main(["eval", str(path), "--json", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"amps.txt: {message}" in captured.err
+
     def test_biseparable_fixture_file(self, tmp_path, capsys):
         from gmepyramid import serialize_state
         from gmepyramid.catalog import phi_biseparable

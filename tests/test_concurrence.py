@@ -17,7 +17,12 @@ from gmepyramid import (
     reduced_purity,
     w_state,
 )
+from gmepyramid.bipartitions import _canonical_cuts
 from gmepyramid.catalog import phi_biseparable, psi_a
+from gmepyramid.cli import dumps_report, report_document
+from gmepyramid.concurrence import _cut_layout
+from gmepyramid.measures import DEFAULT_ZERO_TOL, evaluate
+from gmepyramid.verify import random_product_state
 
 SQRT3_OVER_2 = math.sqrt(3) / 2
 SQRT5_OVER_2 = math.sqrt(5) / 2
@@ -62,6 +67,75 @@ class TestReducedPurity:
             reduced_purity(state, Bipartition((1,), 4))
         with pytest.raises(ValueError, match="empty"):
             reduced_purity(state, ())
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2, 2), (2,) * 5])
+    def test_every_cut_spelling_gives_the_same_purity(self, dims):
+        # Neither shape has a square half cut, so the complement's Gram
+        # product is the exact conjugate of the cut's own.
+        state = haar_random_state(dims, seed=[81, len(dims)])
+        for cut in canonical_bipartitions(len(dims)):
+            spellings = [
+                cut,
+                tuple(cut.subset),
+                list(cut.subset),
+                (i for i in cut.subset),
+                list(cut.complement()),
+            ]
+            purities = [reduced_purity(state, spelling) for spelling in spellings]
+            assert purities == [purities[0]] * len(spellings), cut.label()
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            ((1, 1), "cut indices must be distinct, got \\(1, 1\\)"),
+            ((4,), "cut indices \\(4,\\) out of range 1..3"),
+            (Bipartition((1,), 4), "cut is for 4 parties, state has 3"),
+            ((1, 2, 3), "cut must leave at least one subsystem on each side"),
+        ],
+        ids=["duplicate", "out-of-range", "wrong-n", "whole-system"],
+    )
+    def test_errors_are_not_cached(self, cut, message):
+        state = ghz_state(3)
+        _cut_layout.cache_clear()
+        texts = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{message}$") as exc:
+                reduced_purity(state, cut)
+            texts.append(str(exc.value))
+        assert texts[0] == texts[1]
+        assert _cut_layout.cache_info().currsize == 0
+
+
+class TestShapeCaches:
+    @pytest.mark.parametrize(
+        "dims",
+        [(2,) * n for n in range(3, 9)] + [(3, 2, 2), (2, 3, 2, 2), (3, 2, 2, 3, 2), (2, 2, 3, 2, 2, 3)],
+        ids=str,
+    )
+    def test_cold_and_warm_caches_render_identical_reports(self, dims):
+        n = len(dims)
+        states = [
+            haar_random_state(dims, seed=[91, n]),
+            random_product_state(dims, (1, n), seed=[92, n]),
+            real_gaussian_state(dims, seed=[93, n]),
+        ]
+
+        def render():
+            reports = [evaluate(state, f"s{i}") for i, state in enumerate(states)]
+            return dumps_report(report_document(reports, DEFAULT_ZERO_TOL))
+
+        _cut_layout.cache_clear()
+        _canonical_cuts.cache_clear()
+        cold = render()
+        assert render() == cold
+
+    def test_sizes_are_the_documented_bounds(self):
+        assert _cut_layout.cache_info().maxsize == 4096
+        assert _canonical_cuts.cache_info().maxsize == 32
+        _cut_layout.cache_clear()
+        for cut in canonical_bipartitions(14)[:5000]:
+            _cut_layout((2,) * 14, cut)
+        assert _cut_layout.cache_info().currsize == 4096
 
 
 class TestConcurrence:

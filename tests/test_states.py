@@ -87,6 +87,21 @@ class TestParse:
         with pytest.raises(StateFormatError, match=f"line 2: .*{message}"):
             parse_state("# header\n" + dims_line + "\n")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize(
+        "amp_lines, message",
+        [
+            pytest.param("amp 0 0 0 nan 0.0", "finite", id="nan"),
+            pytest.param("amp 0 0 0 0.0 nan", "finite", id="imag-nan"),
+            pytest.param("amp 0 0 0 inf 0.0", "finite", id="inf"),
+            pytest.param("amp 0 0 0 1e308 0.0\namp 1 1 1 1e308 0.0", "overflows", id="overflow"),
+        ],
+    )
+    def test_rejects_non_finite_amplitudes(self, amp_lines, message, normalize):
+        with pytest.raises(StateFormatError, match=message):
+            parse_state("dims 2 2 2\n" + amp_lines + "\n", normalize=normalize)
+
     def test_qudit_dims(self):
         state = parse_state("dims 3 2\namp 2 1 1.0 0.0\n")
         assert state.dims == (3, 2)
@@ -126,6 +141,21 @@ class TestConstructor:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="zero"):
             PureState((2, 2), np.zeros(4), normalize=True)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize(
+        "amps, message",
+        [
+            pytest.param([0.0, 0.0, 0.0, math.nan], "finite", id="nan"),
+            pytest.param([0.0, 0.0, 0.0, -math.inf], "finite", id="-inf"),
+            pytest.param([1.0, 0.0, 0.0, complex(0.0, math.inf)], "finite", id="imag-inf"),
+            pytest.param([1e308, 0.0, 0.0, 1e308], "overflows", id="overflow"),
+        ],
+    )
+    def test_rejects_non_finite(self, amps, message, normalize):
+        with pytest.raises(ValueError, match=message):
+            PureState((2, 2), np.array(amps, dtype=complex), normalize=normalize)
 
     def test_rejects_oversized_hilbert_space(self):
         with pytest.raises(ValueError, match="exceeds"):
