@@ -7,16 +7,18 @@ contains subsystem 1. The canonical list therefore has 2**(N-1) - 1
 entries, grouped smallest cardinality first and lexicographic within a
 group.
 
-The canonical list of each ``n`` is built once per process and shared: the
-cuts are frozen, and every caller gets its own list of them.
+The canonical list of each ``n`` is built once per process and shared: its
+frozen cuts hold their transpose order and label; each caller gets a new list.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
+
+from .states import MAX_AMPLITUDES
 
 
 @dataclass(frozen=True)
@@ -25,6 +27,8 @@ class Bipartition:
 
     subset: tuple[int, ...]
     n: int
+    axes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         subset = tuple(int(i) for i in self.subset)
@@ -33,7 +37,8 @@ class Bipartition:
             raise ValueError("a bipartition needs at least 2 parties")
         if not subset:
             raise ValueError("cut subset is empty")
-        if list(subset) != sorted(set(subset)):
+        inside = set(subset)
+        if list(subset) != sorted(inside):
             raise ValueError(f"cut indices must be strictly increasing, got {subset}")
         if subset[0] < 1 or subset[-1] > self.n:
             raise ValueError(f"cut indices {subset} out of range 1..{self.n}")
@@ -43,6 +48,9 @@ class Bipartition:
             )
         if 2 * len(subset) == self.n and subset[0] != 1:
             raise ValueError("half-size cuts are canonicalized to contain subsystem 1")
+        rest = [i for i in range(self.n) if i + 1 not in inside]
+        object.__setattr__(self, "axes", tuple([i - 1 for i in subset] + rest))
+        object.__setattr__(self, "_label", ",".join(map(str, subset)))
 
     @property
     def size(self) -> int:
@@ -50,11 +58,11 @@ class Bipartition:
 
     def complement(self) -> tuple[int, ...]:
         """Subsystem indices on the other side of the cut, sorted."""
-        return split(self, self.n)[1]
+        return tuple(i + 1 for i in self.axes[self.size :])
 
     def label(self) -> str:
         """Comma-joined indices, e.g. ``\"1,3\"``; used in reports and keys."""
-        return ",".join(str(i) for i in self.subset)
+        return self._label
 
 
 def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -86,19 +94,23 @@ def canonical_bipartitions(n: int) -> list[Bipartition]:
     """All canonical cuts of an ``n``-party system, as a new list each call.
 
     Exactly C(n, k) cuts per size k < n/2 plus C(n, n/2)/2 at the half size
-    when n is even; 2**(n-1) - 1 in total.
+    when n is even; 2**(n-1) - 1 in total. Refuses more parties than a state
+    within ``MAX_AMPLITUDES`` can have (26, which still means 2**25 cuts; a
+    refusal by estimated cost is the cost-model item of ROADMAP.md).
     """
     return list(_canonical_cuts(n))
 
 
 # A state within MAX_AMPLITUDES has at most 26 parties, so 32 entries keep
 # every party count a process can evaluate. The list for n takes about
-# 0.7 MiB at n = 13 and doubles with each party, so all entries together
+# 1.6 MiB at n = 13 and doubles with each party, so all entries together
 # hold at most about twice the list of the largest n evaluated.
 @functools.lru_cache(maxsize=32)
 def _canonical_cuts(n: int) -> tuple[Bipartition, ...]:
     if n < 2:
         raise ValueError("need at least 2 parties")
+    if 2**n > MAX_AMPLITUDES:  # every party has dimension >= 2
+        raise ValueError(f"{n} parties need at least 2**{n} amplitudes, above {MAX_AMPLITUDES}")
     cuts = []
     for k in range(1, n // 2 + 1):
         for comb in itertools.combinations(range(1, n + 1), k):

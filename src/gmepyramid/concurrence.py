@@ -6,11 +6,9 @@ matrix M and takes the squared Frobenius norm of the Gram matrix M M^dag,
 which equals Tr(rho_S^2) without any eigendecomposition. A state whose
 amplitudes all have an exactly zero imaginary part is decided real once,
 on first use, and its Gram products run on a float64 view (a real
-symmetric rank-k update) instead of complex128. What depends only on the
-shape (the transpose axes of a cut, the dimension of its side and which
-side is smaller) is laid out once per ``(dims, cut)`` and kept in a bounded
-cache, as is the canonical cut list of each party count; the purities
-themselves are computed afresh for every state. The naive route
+symmetric rank-k update) instead of complex128. A canonical cut carries
+its own transpose order; any other spelling of a cut is first mapped to its
+canonical cut, so every spelling gives a bit-identical purity. The naive route
 (:func:`dense_oracle_purity`) rebuilds the reduced density matrix by
 explicit digit-stride index arithmetic, one complement basis state at a
 time, and serves as a cross-check against indexing mistakes in the fast
@@ -19,7 +17,6 @@ path.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,26 +33,16 @@ DENSE_ORACLE_CAP = 4096
 
 def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     """Tr(rho_S^2) of the reduced state across ``cut``, clamped to [0, 1]."""
-    axes, d_s, left = _cut_layout(state.dims, cut if isinstance(cut, Bipartition) else tuple(cut))
-    m = state._tensor.transpose(axes).reshape(d_s, -1)
+    if not (isinstance(cut, Bipartition) and cut.n == state.n):
+        # The side with fewer parties; on a tie, the side holding subsystem 1.
+        cut = Bipartition(min(split(cut, state.n), key=lambda s: (len(s), s[0])), state.n)
+    t = state._tensor.transpose(cut.axes)
+    d_s = math.prod(t.shape[: cut.size])
+    m = t.reshape(d_s, -1)
     # Gram matrix of the smaller side; its squared Frobenius norm is the purity.
-    g = m @ m.conj().T if left else m.conj().T @ m
+    g = m @ m.conj().T if d_s * d_s <= t.size else m.conj().T @ m
     purity = float(np.real(np.vdot(g, g)))
     return min(max(purity, 0.0), 1.0)
-
-
-# 4096 entries hold all 4095 canonical cuts of one 13-party shape, or every
-# cut of the few smaller shapes a batch sweeps over; an entry takes about
-# 450 bytes at N = 13, so a full cache holds under 2 MiB.
-@functools.lru_cache(maxsize=4096)
-def _cut_layout(
-    dims: tuple[int, ...], cut: Bipartition | tuple[int, ...]
-) -> tuple[tuple[int, ...], int, bool]:
-    """Transpose axes putting ``cut``'s side first, that side's dimension, and
-    whether it is the smaller side of the cut-by-rest matrix."""
-    subset, rest = split(cut, len(dims))
-    d_s = math.prod(dims[i - 1] for i in subset)
-    return tuple(i - 1 for i in subset + rest), d_s, d_s * d_s <= math.prod(dims)
 
 
 def concurrence(state: PureState, cut: Bipartition | Iterable[int]) -> float:

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from gmepyramid import Bipartition, canonical_bipartitions
+from gmepyramid import Bipartition, bipartitions, canonical_bipartitions
+from gmepyramid.states import MAX_AMPLITUDES
 
 
 def test_n4_exact_list():
@@ -101,3 +102,24 @@ class TestValidation:
     def test_rejects_noncanonical_half_cut(self):
         with pytest.raises(ValueError, match="subsystem 1"):
             Bipartition((2, 3), 4)
+
+
+def _refuse_enumeration(*args):
+    raise AssertionError("started enumerating cuts")
+
+
+class TestPartyLimit:
+    # Bipartition is patched to raise, so a missing limit fails at the first
+    # cut instead of enumerating until memory runs out.
+    @pytest.mark.parametrize("n", [27, 40])
+    def test_refuses_more_parties_than_a_state_can_have(self, monkeypatch, n):
+        monkeypatch.setattr(bipartitions, "Bipartition", _refuse_enumeration)
+        message = f"^{n} parties need at least 2\\*\\*{n} amplitudes, above {MAX_AMPLITUDES}$"
+        with pytest.raises(ValueError, match=message):
+            canonical_bipartitions(n)
+
+    def test_admits_as_many_parties_as_a_state_can_have(self, monkeypatch):
+        assert MAX_AMPLITUDES == 2**26
+        monkeypatch.setattr(bipartitions, "Bipartition", _refuse_enumeration)
+        with pytest.raises(AssertionError, match="started enumerating"):
+            canonical_bipartitions(26)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gmepyramid import bipartitions
 from gmepyramid.cli import dumps_report, main
 
 GHZ4_TEXT = """\
@@ -130,6 +131,16 @@ class TestBipartitions:
     def test_rejects_single_party(self, capsys):
         assert main(["bipartitions", "1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_rejects_more_parties_than_a_state_can_have(self, capsys, monkeypatch):
+        def refuse_enumeration(*args):
+            raise AssertionError("started enumerating cuts")
+
+        monkeypatch.setattr(bipartitions, "Bipartition", refuse_enumeration)
+        assert main(["bipartitions", "27"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 27 parties need at least 2**27 amplitudes, above 67108864\n"
 
 
 class TestPaper:

@@ -20,7 +20,6 @@ from gmepyramid import (
 from gmepyramid.bipartitions import _canonical_cuts
 from gmepyramid.catalog import phi_biseparable, psi_a
 from gmepyramid.cli import dumps_report, report_document
-from gmepyramid.concurrence import _cut_layout
 from gmepyramid.measures import DEFAULT_ZERO_TOL, evaluate
 from gmepyramid.verify import random_product_state
 
@@ -68,10 +67,8 @@ class TestReducedPurity:
         with pytest.raises(ValueError, match="empty"):
             reduced_purity(state, ())
 
-    @pytest.mark.parametrize("dims", [(2, 3, 2, 2), (2,) * 5])
+    @pytest.mark.parametrize("dims", [(2, 3, 2, 2), (2,) * 5, (2,) * 6, (3, 3, 2, 2)])
     def test_every_cut_spelling_gives_the_same_purity(self, dims):
-        # Neither shape has a square half cut, so the complement's Gram
-        # product is the exact conjugate of the cut's own.
         state = haar_random_state(dims, seed=[81, len(dims)])
         for cut in canonical_bipartitions(len(dims)):
             spellings = [
@@ -96,14 +93,12 @@ class TestReducedPurity:
     )
     def test_errors_are_not_cached(self, cut, message):
         state = ghz_state(3)
-        _cut_layout.cache_clear()
         texts = []
         for _ in range(2):
             with pytest.raises(ValueError, match=f"^{message}$") as exc:
                 reduced_purity(state, cut)
             texts.append(str(exc.value))
         assert texts[0] == texts[1]
-        assert _cut_layout.cache_info().currsize == 0
 
 
 class TestShapeCaches:
@@ -124,18 +119,12 @@ class TestShapeCaches:
             reports = [evaluate(state, f"s{i}") for i, state in enumerate(states)]
             return dumps_report(report_document(reports, DEFAULT_ZERO_TOL))
 
-        _cut_layout.cache_clear()
         _canonical_cuts.cache_clear()
         cold = render()
         assert render() == cold
 
     def test_sizes_are_the_documented_bounds(self):
-        assert _cut_layout.cache_info().maxsize == 4096
         assert _canonical_cuts.cache_info().maxsize == 32
-        _cut_layout.cache_clear()
-        for cut in canonical_bipartitions(14)[:5000]:
-            _cut_layout((2,) * 14, cut)
-        assert _cut_layout.cache_info().currsize == 4096
 
 
 class TestConcurrence:
