@@ -206,9 +206,13 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
 
 
 def load_state(path, normalize: bool = False) -> PureState:
-    """Read a state file from disk; see :func:`parse_state`."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_state(fh.read(), normalize=normalize)
+    """Read a UTF-8 state file from disk; see :func:`parse_state`."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return parse_state(raw.decode("utf-8"), normalize=normalize)
+    except UnicodeDecodeError as exc:
+        raise StateFormatError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from None
 
 
 def serialize_state(state: PureState) -> str:

@@ -1,8 +1,12 @@
 """Seeded randomized checks of the measure pipeline's claimed properties.
 
-Every check derives each trial from an independent substream keyed by
-(seed, trial, purpose), so serial and parallel runs agree and a failing
-trial can be replayed in isolation from its reported offset.
+Each check is one row of the ``_CHECKS`` table: a function giving the
+deviation of trial ``t``, its default tolerance, the party counts it
+accepts, and an optional fixed trial count. ``run_check`` runs every check
+through one trial loop. A trial draws only from substreams keyed by
+(seed, trial, purpose), so its value does not depend on the trial count,
+and a failing trial replays alone: ``_CHECKS[name].trial(config,
+worst_trial)`` returns the reported maximum deviation.
 
 Checks cover invariance of the volume under local unitaries and subsystem
 relabeling, agreement of the two purity paths, vanishing volume on product
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,6 +87,8 @@ class TrialConfig:
         object.__setattr__(self, "dims", check_dims(self.dims))
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.tol is not None:
             object.__setattr__(self, "tol", check_tolerance(self.tol))
 
@@ -99,99 +105,80 @@ class TrialOutcome:
     worst_trial: int
 
 
-DEFAULT_TOLERANCES = {
-    "lu-invariance": 1e-9,
-    "permutation-invariance": 1e-10,
-    "oracle-agreement": 1e-12,
-    "biseparable-nullity": 1e-9,
-    "ghz-closed-form": 1e-9,
-    "n4-formula-equivalence": 1e-12,
-}
+# Trial helpers look their callees up as module globals at call time, so a
+# tracer that swaps those globals sees every call.
+def _haar_trial(config: TrialConfig, t: int) -> PureState:
+    return haar_random_state(config.dims, [config.seed, t, 0])
 
 
-def _check_lu_invariance(config: TrialConfig) -> list[float]:
-    if len(config.dims) < 3:
-        raise ValueError("lu-invariance needs at least 3 parties (volume is undefined below)")
-    devs = []
-    for t in range(config.trials):
-        state = haar_random_state(config.dims, [config.seed, t, 0])
-        before = volume(full_spectrum(state)).volume
-        for site in range(1, state.n + 1):
-            u = random_local_unitary(state.dims[site - 1], [config.seed, t, site])
-            state = apply_local_unitary(state, site, u)
-        after = volume(full_spectrum(state)).volume
-        devs.append(abs(after - before))
-    return devs
+def _volume(state: PureState) -> float:
+    return volume(full_spectrum(state)).volume
 
 
-def _check_permutation_invariance(config: TrialConfig) -> list[float]:
-    if len(config.dims) < 3:
-        raise ValueError("permutation-invariance needs at least 3 parties")
-    devs = []
-    for t in range(config.trials):
-        state = haar_random_state(config.dims, [config.seed, t, 0])
-        rng = np.random.default_rng([config.seed, t, 1])
-        perm = [int(p) + 1 for p in rng.permutation(state.n)]
-        before = volume(full_spectrum(state)).volume
-        after = volume(full_spectrum(permute_subsystems(state, perm))).volume
-        devs.append(abs(after - before))
-    return devs
+def _lu_invariance(config: TrialConfig, t: int) -> float:
+    state = _haar_trial(config, t)
+    before = _volume(state)
+    for site in range(1, state.n + 1):
+        u = random_local_unitary(state.dims[site - 1], [config.seed, t, site])
+        state = apply_local_unitary(state, site, u)
+    return abs(_volume(state) - before)
 
 
-def _check_oracle_agreement(config: TrialConfig) -> list[float]:
-    devs = []
-    cuts = canonical_bipartitions(len(config.dims))
-    for t in range(config.trials):
-        state = haar_random_state(config.dims, [config.seed, t, 0])
-        devs.append(
-            max(abs(reduced_purity(state, cut) - dense_oracle_purity(state, cut)) for cut in cuts)
-        )
-    return devs
+def _permutation_invariance(config: TrialConfig, t: int) -> float:
+    state = _haar_trial(config, t)
+    rng = np.random.default_rng([config.seed, t, 1])
+    perm = [int(p) + 1 for p in rng.permutation(state.n)]
+    return abs(_volume(permute_subsystems(state, perm)) - _volume(state))
 
 
-def _check_biseparable_nullity(config: TrialConfig) -> list[float]:
+def _oracle_agreement(config: TrialConfig, t: int) -> float:
+    state = _haar_trial(config, t)
+    return max(
+        abs(reduced_purity(state, cut) - dense_oracle_purity(state, cut))
+        for cut in canonical_bipartitions(state.n)
+    )
+
+
+def _biseparable_nullity(config: TrialConfig, t: int) -> float:
     n = len(config.dims)
-    if n < 3:
-        raise ValueError("biseparable-nullity needs at least 3 parties")
-    devs = []
-    for t in range(config.trials):
-        rng = np.random.default_rng([config.seed, t, 0])
-        k = int(rng.integers(1, n // 2 + 1))
-        sites = sorted(int(s) + 1 for s in rng.choice(n, size=k, replace=False))
-        state = random_product_state(config.dims, sites, [config.seed, t, 1])
-        devs.append(volume(full_spectrum(state)).volume)
-    return devs
+    rng = np.random.default_rng([config.seed, t, 0])
+    k = int(rng.integers(1, n // 2 + 1))
+    sites = sorted(int(s) + 1 for s in rng.choice(n, size=k, replace=False))
+    return _volume(random_product_state(config.dims, sites, [config.seed, t, 1]))
 
 
-def _check_ghz_closed_form(config: TrialConfig) -> list[float]:
-    devs = []
-    for n in range(4, 9):
-        computed = volume(full_spectrum(ghz_state(n))).volume
-        closed = n / (12.0 * math.tan(math.pi / n))
-        devs.append(abs(computed - closed))
-    return devs
+def _ghz_closed_form(config: TrialConfig, t: int) -> float:
+    n = 4 + t
+    return abs(_volume(ghz_state(n)) - n / (12.0 * math.tan(math.pi / n)))
 
 
-def _check_n4_formula_equivalence(config: TrialConfig) -> list[float]:
-    if len(config.dims) != 4:
-        raise ValueError("n4-formula-equivalence requires exactly 4 parties")
-    devs = []
-    for t in range(config.trials):
-        state = haar_random_state(config.dims, [config.seed, t, 0])
-        geometry = volume(full_spectrum(state))
-        direct = geometry.base_edge**2 * geometry.height / 3.0
-        devs.append(abs(geometry.volume - direct))
-    return devs
+def _n4_formula_equivalence(config: TrialConfig, t: int) -> float:
+    geometry = volume(full_spectrum(_haar_trial(config, t)))
+    return abs(geometry.volume - geometry.base_edge**2 * geometry.height / 3.0)
 
 
-_CHECKS: dict[str, Callable[[TrialConfig], list[float]]] = {
-    "lu-invariance": _check_lu_invariance,
-    "permutation-invariance": _check_permutation_invariance,
-    "oracle-agreement": _check_oracle_agreement,
-    "biseparable-nullity": _check_biseparable_nullity,
-    "ghz-closed-form": _check_ghz_closed_form,
-    "n4-formula-equivalence": _check_n4_formula_equivalence,
+class _Check(NamedTuple):
+    """Deviation of trial ``t``, default tolerance, party rule (at least
+    ``parties``, or exactly when ``exact``) and an optional fixed trial count."""
+
+    trial: Callable[[TrialConfig, int], float]
+    tolerance: float
+    parties: int = 2
+    exact: bool = False
+    trials: int | None = None
+
+
+_CHECKS = {
+    "lu-invariance": _Check(_lu_invariance, 1e-9, parties=3),
+    "permutation-invariance": _Check(_permutation_invariance, 1e-10, parties=3),
+    "oracle-agreement": _Check(_oracle_agreement, 1e-12),
+    "biseparable-nullity": _Check(_biseparable_nullity, 1e-9, parties=3),
+    # GHZ on N = 4..8 qubits whatever the configured dims.
+    "ghz-closed-form": _Check(_ghz_closed_form, 1e-9, trials=5),
+    "n4-formula-equivalence": _Check(_n4_formula_equivalence, 1e-12, parties=4, exact=True),
 }
+
+DEFAULT_TOLERANCES = {name: check.tolerance for name, check in _CHECKS.items()}
 
 CHECK_NAMES = tuple(sorted(_CHECKS))
 
@@ -206,9 +193,13 @@ def run_check(name: str, config: TrialConfig) -> TrialOutcome:
         check = _CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}") from None
-    devs = check(config)
+    n = len(config.dims)
+    if (n != check.parties) if check.exact else (n < check.parties):
+        rule = "exactly" if check.exact else "at least"
+        raise ValueError(f"{name} needs {rule} {check.parties} parties, got {n}")
+    devs = [check.trial(config, t) for t in range(check.trials or config.trials)]
     worst = max(range(len(devs)), key=devs.__getitem__)
-    tolerance = config.tol if config.tol is not None else DEFAULT_TOLERANCES[name]
+    tolerance = config.tol if config.tol is not None else check.tolerance
     return TrialOutcome(
         check=name,
         trials=len(devs),

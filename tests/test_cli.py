@@ -73,6 +73,14 @@ class TestEval:
     def test_missing_file(self, capsys):
         assert main(["eval", "/nonexistent/state.txt"]) == 2
 
+    def test_non_utf8_file_is_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"dims 2 2\n\xff\n")
+        assert main(["eval", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: byte 9: not UTF-8 (invalid start byte)\n"
+
     def test_two_parties_rejected_for_volume(self, tmp_path, capsys):
         path = tmp_path / "bell.txt"
         path.write_text(BELL_TEXT)
@@ -216,6 +224,14 @@ class TestRandom:
         args = ["random", "--dims", "2,2,2", "--check", "n4-formula-equivalence"]
         assert main(args) == 2
         assert "4 parties" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", ["ghz-closed-form", "lu-invariance"])
+    def test_negative_seed_is_usage_error(self, capsys, check):
+        args = ["random", "--dims", "2,2,2,2", "--seed", "-1", "--check", check]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be >= 0, got -1" in captured.err
 
     def test_json_outcome(self, capsys):
         args = ["random", "--dims", "2,2,2,2", "--seed", "1", "--trials", "5",

@@ -90,6 +90,17 @@ class TestRandomProductState:
             random_product_state((2,) * 27, (1,), seed=0)
 
 
+# Per check: its party rule as the error states it, and party counts it refuses.
+PARTY_RULES = {
+    "lu-invariance": ("at least 3", [2]),
+    "permutation-invariance": ("at least 3", [2]),
+    "oracle-agreement": (None, []),
+    "biseparable-nullity": ("at least 3", [2]),
+    "ghz-closed-form": (None, []),
+    "n4-formula-equivalence": ("exactly 4", [3, 5]),
+}
+
+
 class TestRunCheck:
     @pytest.mark.parametrize("name", CHECK_NAMES)
     def test_every_check_passes_at_default_tolerance(self, name):
@@ -110,6 +121,34 @@ class TestRunCheck:
         with pytest.raises(ValueError, match="4 parties"):
             run_check("n4-formula-equivalence", TrialConfig(dims=(2, 2, 2), trials=5))
 
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_party_rule(self, name):
+        rule, refused = PARTY_RULES[name]
+        for n in refused:
+            with pytest.raises(ValueError, match=f"^{name} needs {rule} parties, got {n}$"):
+                run_check(name, TrialConfig(dims=(2,) * n, trials=2))
+        if not refused:
+            assert run_check(name, TrialConfig(dims=(2, 2), trials=2)).passed
+
+    @pytest.mark.parametrize(
+        "name, dims",
+        [
+            (name, dims)
+            for name in CHECK_NAMES
+            for dims in [(2, 2, 2, 2), (3, 2, 2)]
+            if name != "n4-formula-equivalence" or len(dims) == 4
+        ],
+    )
+    def test_worst_trial_replays_alone(self, name, dims):
+        trial = verify._CHECKS[name].trial
+        ten = TrialConfig(dims=dims, trials=10, seed=1)
+        outcome = run_check(name, ten)
+        assert trial(ten, outcome.worst_trial) == outcome.max_deviation
+        five = TrialConfig(dims=dims, trials=5, seed=1)
+        prefix = [trial(ten, t) for t in range(5)]
+        assert [trial(five, t) for t in range(5)] == prefix
+        assert run_check(name, five).max_deviation == max(prefix)
+
     def test_tolerance_override_can_fail(self):
         config = TrialConfig(dims=(2, 2, 2, 2), trials=10, seed=3, tol=1e-30)
         outcome = run_check("oracle-agreement", config)
@@ -125,6 +164,8 @@ class TestRunCheck:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="trial count"):
             TrialConfig(dims=(2, 2), trials=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrialConfig(dims=(2, 2, 2), seed=-1)
         for tol in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite and >= 0"):
                 TrialConfig(dims=(2, 2, 2), tol=tol)
