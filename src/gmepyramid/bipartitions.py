@@ -7,18 +7,19 @@ contains subsystem 1. The canonical list therefore has 2**(N-1) - 1
 entries, grouped smallest cardinality first and lexicographic within a
 group.
 
-The canonical list of each ``n`` is built once per process and shared: its
-frozen cuts hold their transpose order and label; each caller gets a new list.
+The canonical tuple of each ``n`` is built once per process and shared by
+every caller; its frozen cuts hold their transpose order and label.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .states import MAX_AMPLITUDES
+from .states import MAX_AMPLITUDES, MAX_PARTIES, as_index
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class Bipartition:
     _label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        subset = tuple(int(i) for i in self.subset)
+        subset = tuple(as_index(i, "cut index") for i in self.subset)
         object.__setattr__(self, "subset", subset)
         if self.n < 2:
             raise ValueError("a bipartition needs at least 2 parties")
@@ -77,7 +78,7 @@ def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tu
             raise ValueError(f"cut is for {cut.n} parties, state has {n}")
         subset = cut.subset
     else:
-        subset = tuple(sorted(int(i) for i in cut))
+        subset = tuple(sorted(as_index(i, "cut index") for i in cut))
         if not subset:
             raise ValueError("cut subset is empty")
         if len(set(subset)) != len(subset):
@@ -90,26 +91,19 @@ def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tu
     return subset, tuple(i for i in range(1, n + 1) if i not in inside)
 
 
-def canonical_bipartitions(n: int) -> list[Bipartition]:
-    """All canonical cuts of an ``n``-party system, as a new list each call.
+@functools.cache
+def canonical_bipartitions(n: int) -> tuple[Bipartition, ...]:
+    """All canonical cuts of an ``n``-party system, one shared tuple per ``n``.
 
     Exactly C(n, k) cuts per size k < n/2 plus C(n, n/2)/2 at the half size
     when n is even; 2**(n-1) - 1 in total. Refuses more parties than a state
-    within ``MAX_AMPLITUDES`` can have (26, which still means 2**25 cuts; a
-    refusal by estimated cost is the cost-model item of ROADMAP.md).
+    can have (``MAX_PARTIES``, 26, which still means 2**25 cuts; a refusal by
+    estimated cost is the cost-model item of ROADMAP.md); refusals are not cached.
     """
-    return list(_canonical_cuts(n))
-
-
-# A state within MAX_AMPLITUDES has at most 26 parties, so 32 entries keep
-# every party count a process can evaluate. The list for n takes about
-# 1.6 MiB at n = 13 and doubles with each party, so all entries together
-# hold at most about twice the list of the largest n evaluated.
-@functools.lru_cache(maxsize=32)
-def _canonical_cuts(n: int) -> tuple[Bipartition, ...]:
+    n = operator.index(n)
     if n < 2:
         raise ValueError("need at least 2 parties")
-    if 2**n > MAX_AMPLITUDES:  # every party has dimension >= 2
+    if n > MAX_PARTIES:
         raise ValueError(f"{n} parties need at least 2**{n} amplitudes, above {MAX_AMPLITUDES}")
     cuts = []
     for k in range(1, n // 2 + 1):

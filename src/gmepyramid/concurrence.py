@@ -4,8 +4,8 @@ Two independent evaluation paths are kept on purpose. The fast route
 (:func:`reduced_purity`) reshapes the amplitude tensor into a cut-by-rest
 matrix M and takes the squared Frobenius norm of the Gram matrix M M^dag,
 which equals Tr(rho_S^2) without any eigendecomposition. A state whose
-amplitudes all have an exactly zero imaginary part is decided real once,
-on first use, and its Gram products run on a float64 view (a real
+amplitudes all have an exactly zero imaginary part is decided real when
+it is constructed, and its Gram products run on a float64 view (a real
 symmetric rank-k update) instead of complex128. A canonical cut carries
 its own transpose order; any other spelling of a cut is first mapped to its
 canonical cut, so every spelling gives a bit-identical purity. The naive route

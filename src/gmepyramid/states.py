@@ -19,14 +19,15 @@ basis states are zero; repeating a basis tuple is an error.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
-from functools import cached_property
+import operator
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 # Fail fast beyond desk scale rather than thrash memory.
 MAX_AMPLITUDES = 2**26
+MAX_PARTIES = MAX_AMPLITUDES.bit_length() - 1  # every dimension is >= 2
 
 _NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-10
@@ -36,15 +37,25 @@ class StateFormatError(ValueError):
     """A state file (or text) that cannot be parsed."""
 
 
+def as_index(value, what: str) -> int:
+    """``value`` as an int (numpy integers too); a float is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def check_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    """Validated subsystem dimensions: at least 2 subsystems, each >= 2, and
-    at most ``MAX_AMPLITUDES`` amplitudes in total.
+    """Validated subsystem dimensions: 2 to ``MAX_PARTIES`` subsystems, each
+    >= 2, and at most ``MAX_AMPLITUDES`` amplitudes in total.
 
     Callers run this before allocating anything of the state's size.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
         raise ValueError("a multipartite state needs at least 2 subsystems")
+    if len(dims) > MAX_PARTIES:
+        raise ValueError(f"subsystem count {len(dims)} exceeds the supported maximum {MAX_PARTIES}")
     if any(d < 2 for d in dims):
         raise ValueError(f"subsystem dimensions must be >= 2, got {dims}")
     total = math.prod(dims)
@@ -74,8 +85,7 @@ class PureState:
     """Normalized pure state of N >= 2 subsystems.
 
     Immutable after construction: the amplitude array is copied and marked
-    read-only, so instances are safe to share across threads (threads that
-    race to the lazily cached cut tensor compute the same value). Without
+    read-only, so instances are safe to share across threads. Without
     ``normalize`` the input must already have unit norm (within 1e-9); the
     stored vector is rescaled by the exact computed norm either way, so the
     residual deviation is at machine level. Every amplitude and the norm
@@ -85,6 +95,8 @@ class PureState:
     dims: tuple[int, ...]
     amplitudes: np.ndarray
     normalize: InitVar[bool] = False
+    # Amplitudes shaped to dims for the cut products; float64 if all imaginary parts are 0.0.
+    _tensor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, normalize: bool) -> None:
         dims = check_dims(self.dims)
@@ -113,13 +125,7 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
-
-    @cached_property
-    def _tensor(self) -> np.ndarray:
-        """Read-only amplitudes shaped to ``dims`` for the cut products: a
-        float64 view when every imaginary part is exactly zero, else complex."""
-        amps = self.amplitudes
-        return (amps if amps.imag.any() else amps.real).reshape(self.dims)
+        object.__setattr__(self, "_tensor", (amps if amps.imag.any() else amps.real).reshape(dims))
 
     @property
     def n(self) -> int:
@@ -133,6 +139,7 @@ class PureState:
 
     def amplitude(self, digits: Sequence[int]) -> complex:
         """Amplitude of one basis state, addressed by its digits."""
+        digits = [as_index(b, "basis digit") for b in digits]
         return complex(self.amplitudes[flat_index(self.dims, digits)])
 
 
@@ -162,40 +169,35 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        if dims is None:
-            if fields[0] != "dims":
-                raise StateFormatError(f"line {lineno}: expected 'dims ...' first, got {fields[0]!r}")
-            try:
-                dims = tuple(int(f) for f in fields[1:])
-            except ValueError:
-                raise StateFormatError(f"line {lineno}: non-integer dimension in {line!r}") from None
-            try:
+        try:
+            fields = line.split()
+            if dims is None:
+                if fields[0] != "dims":
+                    raise ValueError(f"expected 'dims ...' first, got {fields[0]!r}")
+                try:
+                    dims = tuple(int(f) for f in fields[1:])
+                except ValueError:
+                    raise ValueError(f"non-integer dimension in {line!r}") from None
                 dims = check_dims(dims)
-            except ValueError as exc:
-                raise StateFormatError(f"line {lineno}: {exc}") from None
-            amps = np.zeros(math.prod(dims), dtype=complex)
-            continue
-        if fields[0] != "amp":
-            raise StateFormatError(f"line {lineno}: expected 'amp ...', got {fields[0]!r}")
-        if len(fields) != 1 + len(dims) + 2:
-            raise StateFormatError(
-                f"line {lineno}: expected {len(dims)} digits plus re/im, got {len(fields) - 1} fields"
-            )
-        try:
-            digits = [int(f) for f in fields[1 : 1 + len(dims)]]
-            re, im = float(fields[-2]), float(fields[-1])
-        except ValueError:
-            raise StateFormatError(f"line {lineno}: malformed number in {line!r}") from None
-        try:
+                amps = np.zeros(math.prod(dims), dtype=complex)
+                continue
+            if fields[0] != "amp":
+                raise ValueError(f"expected 'amp ...', got {fields[0]!r}")
+            if len(fields) != 1 + len(dims) + 2:
+                raise ValueError(f"expected {len(dims)} digits plus re/im, got {len(fields) - 1} fields")
+            try:
+                digits = [int(f) for f in fields[1 : 1 + len(dims)]]
+                re, im = float(fields[-2]), float(fields[-1])
+            except ValueError:
+                raise ValueError(f"malformed number in {line!r}") from None
             idx = flat_index(dims, digits)
+            if idx in seen:
+                raise ValueError(f"duplicate basis tuple {tuple(digits)}")
+            seen.add(idx)
+            assert amps is not None
+            amps[idx] = complex(re, im)
         except ValueError as exc:
             raise StateFormatError(f"line {lineno}: {exc}") from None
-        if idx in seen:
-            raise StateFormatError(f"line {lineno}: duplicate basis tuple {tuple(digits)}")
-        seen.add(idx)
-        assert amps is not None
-        amps[idx] = complex(re, im)
 
     if dims is None:
         raise StateFormatError("no 'dims' line found")
@@ -206,13 +208,15 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
 
 
 def load_state(path, normalize: bool = False) -> PureState:
-    """Read a UTF-8 state file from disk; see :func:`parse_state`."""
+    """Read a UTF-8 state file from disk, with or without a leading byte-order
+    mark; see :func:`parse_state`."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return parse_state(raw.decode("utf-8"), normalize=normalize)
+        return parse_state(raw.decode("utf-8-sig"), normalize=normalize)
     except UnicodeDecodeError as exc:
-        raise StateFormatError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from None
+        offset = exc.start + len(raw) - len(exc.object)  # past a stripped mark
+        raise StateFormatError(f"byte {offset}: not UTF-8 ({exc.reason})") from None
 
 
 def serialize_state(state: PureState) -> str:
@@ -254,7 +258,7 @@ def permute_subsystems(state: PureState, perm: Iterable[int]) -> PureState:
     ``perm`` is a bijection on 1..N; the amplitude of the result at digits
     (b_perm[1], ..., b_perm[N]) equals the original amplitude at (b_1, ..., b_N).
     """
-    order = tuple(int(p) for p in perm)
+    order = tuple(as_index(p, "permutation entry") for p in perm)
     if sorted(order) != list(range(1, state.n + 1)):
         raise ValueError(f"{order} is not a permutation of 1..{state.n}")
     axes = [p - 1 for p in order]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gmepyramid import Bipartition, bipartitions, canonical_bipartitions
@@ -64,14 +65,10 @@ def test_complement(n, subset, expected):
     assert Bipartition(subset, n).complement() == expected
 
 
-def test_each_call_returns_a_new_list():
-    expected = [c.subset for c in canonical_bipartitions(5)]
-    mutated = canonical_bipartitions(5)
-    mutated.reverse()
-    mutated.pop()
-    again = canonical_bipartitions(5)
-    assert again is not mutated
-    assert [c.subset for c in again] == expected
+def test_every_call_returns_the_shared_tuple():
+    cuts = canonical_bipartitions(5)
+    assert isinstance(cuts, tuple)
+    assert canonical_bipartitions(5) is cuts
 
 
 def test_label():
@@ -111,7 +108,11 @@ def _refuse_enumeration(*args):
 class TestPartyLimit:
     # Bipartition is patched to raise, so a missing limit fails at the first
     # cut instead of enumerating until memory runs out.
-    @pytest.mark.parametrize("n", [27, 40])
+    # numpy integers included: 2**n wraps to 0 for np.int64(64).
+    @pytest.mark.parametrize(
+        "n",
+        [27, 40, pytest.param(np.int64(64), id="int64-64"), pytest.param(np.int32(40), id="int32-40")],
+    )
     def test_refuses_more_parties_than_a_state_can_have(self, monkeypatch, n):
         monkeypatch.setattr(bipartitions, "Bipartition", _refuse_enumeration)
         message = f"^{n} parties need at least 2\\*\\*{n} amplitudes, above {MAX_AMPLITUDES}$"

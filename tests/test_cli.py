@@ -81,6 +81,15 @@ class TestEval:
         assert captured.out == ""
         assert captured.err == f"error: {path}: byte 9: not UTF-8 (invalid start byte)\n"
 
+    def test_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "ghz4.txt"
+        path.write_text(GHZ4_TEXT)
+        assert main(["eval", str(path), "--json"]) == 0
+        plain = capsys.readouterr().out
+        path.write_bytes(b"\xef\xbb\xbf" + GHZ4_TEXT.encode())
+        assert main(["eval", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_two_parties_rejected_for_volume(self, tmp_path, capsys):
         path = tmp_path / "bell.txt"
         path.write_text(BELL_TEXT)

@@ -17,7 +17,6 @@ from gmepyramid import (
     reduced_purity,
     w_state,
 )
-from gmepyramid.bipartitions import _canonical_cuts
 from gmepyramid.catalog import phi_biseparable, psi_a
 from gmepyramid.cli import dumps_report, report_document
 from gmepyramid.measures import DEFAULT_ZERO_TOL, evaluate
@@ -119,12 +118,18 @@ class TestShapeCaches:
             reports = [evaluate(state, f"s{i}") for i, state in enumerate(states)]
             return dumps_report(report_document(reports, DEFAULT_ZERO_TOL))
 
-        _canonical_cuts.cache_clear()
+        canonical_bipartitions.cache_clear()
         cold = render()
         assert render() == cold
 
     def test_sizes_are_the_documented_bounds(self):
-        assert _canonical_cuts.cache_info().maxsize == 32
+        # Only admitted party counts get a table; refusals are not cached.
+        canonical_bipartitions(4)
+        size = canonical_bipartitions.cache_info().currsize
+        for n in (1, 27, np.int64(64)):
+            with pytest.raises(ValueError, match="parties"):
+                canonical_bipartitions(n)
+        assert canonical_bipartitions.cache_info().currsize == size
 
 
 class TestConcurrence:

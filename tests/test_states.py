@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gmepyramid import (
+    Bipartition,
     PureState,
     StateFormatError,
     apply_local_unitary,
@@ -12,9 +13,12 @@ from gmepyramid import (
     parse_state,
     permute_subsystems,
     random_local_unitary,
+    reduced_purity,
     serialize_state,
+    w_state,
 )
 from gmepyramid.states import flat_index
+from gmepyramid.verify import random_product_state
 
 GHZ4_TEXT = """\
 # four-qubit GHZ
@@ -81,11 +85,21 @@ class TestParse:
             ("dims 2", "at least 2 subsystems"),
             ("dims 2 1", ">= 2"),
             ("dims" + " 2" * 27, "exceeds"),
+            # Refused by count, before the product of 20000 dims is formed.
+            pytest.param("dims" + " 2" * 20000, "exceeds the supported maximum 26$", id="20000-twos"),
         ],
     )
     def test_rejects_bad_dims_line(self, dims_line, message):
         with pytest.raises(StateFormatError, match=f"line 2: .*{message}"):
             parse_state("# header\n" + dims_line + "\n")
+
+    def test_party_count_is_refused_before_any_product(self, monkeypatch):
+        def refuse_product(*args):
+            raise AssertionError("multiplied the dims")
+
+        monkeypatch.setattr(math, "prod", refuse_product)
+        with pytest.raises(StateFormatError, match="^line 1: subsystem count 27 exceeds"):
+            parse_state("dims" + " 2" * 27 + "\n")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("normalize", [False, True])
@@ -106,6 +120,30 @@ class TestParse:
         state = parse_state("dims 3 2\namp 2 1 1.0 0.0\n")
         assert state.dims == (3, 2)
         assert state.amplitude((2, 1)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(lambda: Bipartition((1.5,), 4), "1.5", id="bipartition"),
+        pytest.param(lambda: reduced_purity(w_state(3), (1.9,)), "1.9", id="reduced-purity"),
+        pytest.param(lambda: permute_subsystems(w_state(3), (1.5, 2, 3)), "1.5", id="permute"),
+        pytest.param(lambda: random_product_state((2, 2, 2), (1.7,), 5), "1.7", id="product-sites"),
+        pytest.param(lambda: w_state(3).amplitude((0.5, 0, 0)), "0.5", id="amplitude"),
+    ],
+)
+def test_non_integral_index_is_refused(call, value):
+    with pytest.raises(ValueError, match=f"must be an integer, got {value}$"):
+        call()
+
+
+def test_integer_numpy_indices_are_accepted():
+    state = w_state(3)
+    one, three = np.int64(1), np.int32(3)
+    assert reduced_purity(state, (one,)) == reduced_purity(state, (1,))
+    assert Bipartition((one,), 3) == Bipartition((1,), 3)
+    permuted = permute_subsystems(state, (one, np.int64(2), three))
+    assert permuted.amplitude((0, 0, one)) == state.amplitude((0, 0, 1))
 
 
 class TestRoundTrip:
