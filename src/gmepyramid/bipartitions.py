@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -34,6 +33,7 @@ class Bipartition:
     def __post_init__(self) -> None:
         subset = tuple(as_index(i, "cut index") for i in self.subset)
         object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "n", as_index(self.n, "party count"))
         if self.n < 2:
             raise ValueError("a bipartition needs at least 2 parties")
         if not subset:
@@ -91,20 +91,26 @@ def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tu
     return subset, tuple(i for i in range(1, n + 1) if i not in inside)
 
 
-@functools.cache
 def canonical_bipartitions(n: int) -> tuple[Bipartition, ...]:
-    """All canonical cuts of an ``n``-party system, one shared tuple per ``n``.
+    """All canonical cuts of an ``n``-party system, one shared tuple per
+    party count, however the integer is spelled (``np.int64(5)`` gets the
+    tuple of ``5``).
 
     Exactly C(n, k) cuts per size k < n/2 plus C(n, n/2)/2 at the half size
     when n is even; 2**(n-1) - 1 in total. Refuses more parties than a state
     can have (``MAX_PARTIES``, 26, which still means 2**25 cuts; a refusal by
     estimated cost is the cost-model item of ROADMAP.md); refusals are not cached.
     """
-    n = operator.index(n)
+    n = as_index(n, "party count")
     if n < 2:
         raise ValueError("need at least 2 parties")
     if n > MAX_PARTIES:
         raise ValueError(f"{n} parties need at least 2**{n} amplitudes, above {MAX_AMPLITUDES}")
+    return _cut_table(n)
+
+
+@functools.cache
+def _cut_table(n: int) -> tuple[Bipartition, ...]:
     cuts = []
     for k in range(1, n // 2 + 1):
         for comb in itertools.combinations(range(1, n + 1), k):
@@ -112,3 +118,8 @@ def canonical_bipartitions(n: int) -> tuple[Bipartition, ...]:
                 continue
             cuts.append(Bipartition(comb, n))
     return tuple(cuts)
+
+
+# The one table cache, inspected and cleared through the public name.
+canonical_bipartitions.cache_info = _cut_table.cache_info
+canonical_bipartitions.cache_clear = _cut_table.cache_clear

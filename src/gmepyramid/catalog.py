@@ -1,6 +1,9 @@
 """Built-in reference states and their published benchmark values.
 
-The four-qubit benchmark family psi_A..psi_D and the biseparable five-qubit
+Each built-in state is written as kets, ``{bit string: amplitude}`` with
+subsystem 1 as the leftmost bit, exactly as its docstring reads; ``_kets``
+checks the qubit count before it allocates the 2**n amplitudes. The
+four-qubit benchmark family psi_A..psi_D and the biseparable five-qubit
 state phi_12345 are pinned here with exact coefficients so the ``paper``
 CLI command works offline. psi_D's large coefficient is the radical
 sqrt((5 sqrt(113) + 51) / 32), engineered so that its minimum cut
@@ -13,93 +16,57 @@ import math
 
 import numpy as np
 
-from .states import PureState, flat_index
+from .states import PureState, as_index, check_dims, flat_index
 
 
-def _from_entries(dims: tuple[int, ...], entries: list[tuple[tuple[int, ...], complex]]) -> PureState:
-    amps = np.zeros(math.prod(dims), dtype=complex)
-    for digits, value in entries:
-        amps[flat_index(dims, digits)] = value
-    return PureState(dims, amps, normalize=True)
+def _kets(n: int, amplitudes: dict[str, complex]) -> PureState:
+    """The n-qubit state sum_b amplitudes[b] |b>, normalized; n is checked
+    before the 2**n amplitudes are allocated."""
+    dims = check_dims((2,) * n)
+    vector = np.zeros(2**n, dtype=complex)
+    for bits, value in amplitudes.items():
+        vector[flat_index(dims, [int(b) for b in bits])] = value
+    return PureState(dims, vector, normalize=True)
 
 
 def ghz_state(n: int) -> PureState:
     """n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2)."""
-    if n < 2:
-        raise ValueError("GHZ needs at least 2 qubits")
-    return _from_entries((2,) * n, [((0,) * n, 1.0), ((1,) * n, 1.0)])
+    n = as_index(n, "qubit count")
+    return _kets(n, {"0" * n: 1.0, "1" * n: 1.0})
 
 
 def w_state(n: int) -> PureState:
     """n-qubit W state: equal superposition of the single-excitation basis states."""
-    if n < 2:
-        raise ValueError("W needs at least 2 qubits")
-    entries = []
-    for i in range(n):
-        digits = [0] * n
-        digits[i] = 1
-        entries.append((tuple(digits), 1.0))
-    return _from_entries((2,) * n, entries)
+    n = as_index(n, "qubit count")
+    return _kets(n, {"0" * i + "1" + "0" * (n - 1 - i): 1.0 for i in range(n)})
 
 
 def psi_a() -> PureState:
     """(|0000> + |1011> + |1101> + |1110>)/2."""
-    return _from_entries(
-        (2, 2, 2, 2),
-        [((0, 0, 0, 0), 1.0), ((1, 0, 1, 1), 1.0), ((1, 1, 0, 1), 1.0), ((1, 1, 1, 0), 1.0)],
-    )
+    return _kets(4, {"0000": 1.0, "1011": 1.0, "1101": 1.0, "1110": 1.0})
 
 
 def psi_b() -> PureState:
     """(|0000> + |0101> + |1000> + |1110>)/2."""
-    return _from_entries(
-        (2, 2, 2, 2),
-        [((0, 0, 0, 0), 1.0), ((0, 1, 0, 1), 1.0), ((1, 0, 0, 0), 1.0), ((1, 1, 1, 0), 1.0)],
-    )
+    return _kets(4, {"0000": 1.0, "0101": 1.0, "1000": 1.0, "1110": 1.0})
 
 
 def psi_c() -> PureState:
     """(|0000> + |1111> + |0011> + |0101> + |0110>)/sqrt(5)."""
-    return _from_entries(
-        (2, 2, 2, 2),
-        [
-            ((0, 0, 0, 0), 1.0),
-            ((1, 1, 1, 1), 1.0),
-            ((0, 0, 1, 1), 1.0),
-            ((0, 1, 0, 1), 1.0),
-            ((0, 1, 1, 0), 1.0),
-        ],
-    )
+    return _kets(4, {"0000": 1.0, "1111": 1.0, "0011": 1.0, "0101": 1.0, "0110": 1.0})
 
 
 def psi_d() -> PureState:
     """t(|0000> + |0101> + |1010> + |1111>) + i|0001> + |0110> - i|1011>, normalized."""
     t = math.sqrt((5.0 * math.sqrt(113.0) + 51.0) / 32.0)
-    return _from_entries(
-        (2, 2, 2, 2),
-        [
-            ((0, 0, 0, 0), t),
-            ((0, 1, 0, 1), t),
-            ((1, 0, 1, 0), t),
-            ((1, 1, 1, 1), t),
-            ((0, 0, 0, 1), 1j),
-            ((0, 1, 1, 0), 1.0),
-            ((1, 0, 1, 1), -1j),
-        ],
+    return _kets(
+        4, {"0000": t, "0101": t, "1010": t, "1111": t, "0001": 1j, "0110": 1.0, "1011": -1j}
     )
 
 
 def phi_biseparable() -> PureState:
     """(|00000> + |01010> + |10100> + |11110>)/2; factorizes as (13)(245)."""
-    return _from_entries(
-        (2, 2, 2, 2, 2),
-        [
-            ((0, 0, 0, 0, 0), 1.0),
-            ((0, 1, 0, 1, 0), 1.0),
-            ((1, 0, 1, 0, 0), 1.0),
-            ((1, 1, 1, 1, 0), 1.0),
-        ],
-    )
+    return _kets(5, {"00000": 1.0, "01010": 1.0, "10100": 1.0, "11110": 1.0})
 
 
 def benchmark_states() -> dict[str, PureState]:

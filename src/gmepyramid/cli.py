@@ -11,6 +11,7 @@ output prints 4 decimals; ``--json`` carries full precision.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -58,17 +59,7 @@ def report_document(
     if paper_rows is not None:
         doc["paper_rows"] = paper_rows
     if checks is not None:
-        doc["checks"] = [
-            {
-                "check": c.check,
-                "trials": c.trials,
-                "max_deviation": c.max_deviation,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-                "worst_trial": c.worst_trial,
-            }
-            for c in checks
-        ]
+        doc["checks"] = [dataclasses.asdict(outcome) for outcome in checks]
     return doc
 
 
@@ -148,9 +139,8 @@ def cmd_paper(args: argparse.Namespace) -> int:
     for state_id, state in benchmark_states().items():
         report = evaluate(state, state_id=state_id, zero_tol=args.tol)
         reports.append(report)
-        computed = {"volume": report.volume, "c_gme": report.c_gme}
         for quantity, expected in PUBLISHED_VALUES[state_id].items():
-            value = computed[quantity]
+            value = getattr(report, quantity)
             deviation = abs(value - expected)
             rows.append(
                 {

@@ -51,7 +51,7 @@ def check_dims(dims: Iterable[int]) -> tuple[int, ...]:
 
     Callers run this before allocating anything of the state's size.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(as_index(d, "subsystem dimension") for d in dims)
     if len(dims) < 2:
         raise ValueError("a multipartite state needs at least 2 subsystems")
     if len(dims) > MAX_PARTIES:
@@ -226,18 +226,17 @@ def serialize_state(state: PureState) -> str:
     parse(serialize(s)) reproduces the amplitudes exactly.
     """
     lines = ["dims " + " ".join(str(d) for d in state.dims)]
-    for digits, a in zip(np.ndindex(*state.dims), state.amplitudes):
-        if a != 0:
-            lines.append(
-                "amp "
-                + " ".join(str(b) for b in digits)
-                + f" {float(a.real)!r} {float(a.imag)!r}"
-            )
+    nonzero = np.flatnonzero(state.amplitudes)
+    digits = zip(*(axis.tolist() for axis in np.unravel_index(nonzero, state.dims)))
+    values = state.amplitudes[nonzero]
+    for basis, re, im in zip(digits, values.real.tolist(), values.imag.tolist()):
+        lines.append("amp " + " ".join(map(str, basis)) + f" {re!r} {im!r}")
     return "\n".join(lines) + "\n"
 
 
 def apply_local_unitary(state: PureState, site: int, u: np.ndarray) -> PureState:
     """Apply a unitary on one subsystem (1-based ``site``)."""
+    site = as_index(site, "site")
     if not 1 <= site <= state.n:
         raise ValueError(f"site {site} out of range 1..{state.n}")
     d = state.dims[site - 1]

@@ -29,7 +29,7 @@ from .bipartitions import canonical_bipartitions, split
 from .catalog import ghz_state
 from .concurrence import dense_oracle_purity, full_spectrum, reduced_purity
 from .measures import check_tolerance, volume
-from .states import PureState, apply_local_unitary, check_dims, permute_subsystems
+from .states import PureState, apply_local_unitary, as_index, check_dims, permute_subsystems
 
 
 def _haar_vector(total: int, rng: np.random.Generator) -> np.ndarray:
@@ -65,7 +65,7 @@ def random_local_unitary(d: int, seed) -> np.ndarray:
     QR of a complex Ginibre matrix; folding the phases of R's diagonal into
     Q removes the sign ambiguity and makes the distribution Haar.
     """
-    if d < 2:
+    if as_index(d, "dimension") < 2:
         raise ValueError("dimension must be at least 2")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
@@ -85,6 +85,8 @@ class TrialConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", check_dims(self.dims))
+        object.__setattr__(self, "trials", as_index(self.trials, "trial count"))
+        object.__setattr__(self, "seed", as_index(self.seed, "seed"))
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
         if self.seed < 0:

@@ -71,6 +71,15 @@ def test_every_call_returns_the_shared_tuple():
     assert canonical_bipartitions(5) is cuts
 
 
+@pytest.mark.parametrize("spelling", [np.int64, np.int32])
+def test_every_integer_spelling_shares_the_tuple(spelling):
+    assert canonical_bipartitions(spelling(5)) is canonical_bipartitions(5)
+    size = canonical_bipartitions.cache_info().currsize
+    with pytest.raises(ValueError, match="^party count must be an integer, got 5.0$"):
+        canonical_bipartitions(5.0)
+    assert canonical_bipartitions.cache_info().currsize == size
+
+
 def test_label():
     assert Bipartition((1, 3), 5).label() == "1,3"
 

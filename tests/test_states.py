@@ -8,6 +8,7 @@ from gmepyramid import (
     PureState,
     StateFormatError,
     apply_local_unitary,
+    canonical_bipartitions,
     ghz_state,
     haar_random_state,
     parse_state,
@@ -18,7 +19,7 @@ from gmepyramid import (
     w_state,
 )
 from gmepyramid.states import flat_index
-from gmepyramid.verify import random_product_state
+from gmepyramid.verify import TrialConfig, random_product_state
 
 GHZ4_TEXT = """\
 # four-qubit GHZ
@@ -130,6 +131,19 @@ class TestParse:
         pytest.param(lambda: permute_subsystems(w_state(3), (1.5, 2, 3)), "1.5", id="permute"),
         pytest.param(lambda: random_product_state((2, 2, 2), (1.7,), 5), "1.7", id="product-sites"),
         pytest.param(lambda: w_state(3).amplitude((0.5, 0, 0)), "0.5", id="amplitude"),
+        pytest.param(lambda: PureState((2.5, 2.0), [1, 0, 0, 0]), "2.5", id="state-dims"),
+        pytest.param(lambda: PureState((2, 2.0), [1, 0, 0, 0]), "2.0", id="integral-float-dims"),
+        pytest.param(lambda: haar_random_state((2.7, 2), seed=1), "2.7", id="haar-dims"),
+        pytest.param(lambda: TrialConfig((2.5, 2, 2)), "2.5", id="config-dims"),
+        pytest.param(lambda: TrialConfig((2, 2, 2), trials=2.5), "2.5", id="config-trials"),
+        pytest.param(lambda: TrialConfig((2, 2, 2), seed=1.5), "1.5", id="config-seed"),
+        pytest.param(
+            lambda: apply_local_unitary(ghz_state(3), 1.5, np.eye(2)), "1.5", id="unitary-site"
+        ),
+        pytest.param(lambda: random_local_unitary(2.5, 1), "2.5", id="unitary-dimension"),
+        pytest.param(lambda: Bipartition((1,), 4.5), "4.5", id="bipartition-parties"),
+        pytest.param(lambda: canonical_bipartitions(4.0), "4.0", id="canonical-parties"),
+        pytest.param(lambda: ghz_state(3.0), "3.0", id="ghz-qubits"),
     ],
 )
 def test_non_integral_index_is_refused(call, value):
@@ -144,6 +158,26 @@ def test_integer_numpy_indices_are_accepted():
     assert Bipartition((one,), 3) == Bipartition((1,), 3)
     permuted = permute_subsystems(state, (one, np.int64(2), three))
     assert permuted.amplitude((0, 0, one)) == state.amplitude((0, 0, 1))
+    two = np.int64(2)
+    assert PureState((two, np.int32(3)), np.eye(6)[0]).dims == (2, 3)
+    assert TrialConfig((two, two, two), trials=three, seed=one) == TrialConfig((2, 2, 2), 3, 1)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        pytest.param(27, "subsystem count 27 exceeds the supported maximum 26", id="27-qubits"),
+        pytest.param(1, "a multipartite state needs at least 2 subsystems", id="1-qubit"),
+    ],
+)
+@pytest.mark.parametrize("build", [ghz_state, w_state])
+def test_catalog_checks_qubit_count_before_allocating(monkeypatch, build, n, message):
+    def refuse_allocation(*args, **kwargs):
+        raise AssertionError("allocated the amplitudes")
+
+    monkeypatch.setattr(np, "zeros", refuse_allocation)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(n)
 
 
 class TestRoundTrip:
@@ -157,6 +191,12 @@ class TestRoundTrip:
     def test_serializer_omits_zeros(self):
         text = serialize_state(parse_state(GHZ4_TEXT))
         assert text.count("amp ") == 2
+
+    def test_serialized_text_is_pinned(self):
+        amps = np.zeros(6, dtype=complex)
+        amps[[2, 3, 4]] = 0.5j, -0.5, 0.5 + 0.5j
+        expected = "dims 2 3\namp 0 2 0.0 0.5\namp 1 0 -0.5 0.0\namp 1 1 0.5 0.5\n"
+        assert serialize_state(PureState((2, 3), amps)) == expected
 
 
 class TestConstructor:
