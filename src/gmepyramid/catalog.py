@@ -2,7 +2,8 @@
 
 Each built-in state is written as kets, ``{bit string: amplitude}`` with
 subsystem 1 as the leftmost bit, exactly as its docstring reads; ``_kets``
-checks the qubit count before it allocates the 2**n amplitudes. The
+checks the qubit count before it allocates the 2**n amplitudes, and
+``ghz_state`` and ``w_state`` check it before they build their n-bit kets. The
 four-qubit benchmark family psi_A..psi_D and the biseparable five-qubit
 state phi_12345 are pinned here with exact coefficients so the ``paper``
 CLI command works offline. psi_D's large coefficient is the radical
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from .states import PureState, as_index, check_dims, flat_index
+from .states import PureState, as_index, check_dims, check_subsystem_count, flat_index
 
 
 def _kets(n: int, amplitudes: dict[str, complex]) -> PureState:
@@ -31,13 +32,13 @@ def _kets(n: int, amplitudes: dict[str, complex]) -> PureState:
 
 def ghz_state(n: int) -> PureState:
     """n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2)."""
-    n = as_index(n, "qubit count")
+    n = check_subsystem_count(as_index(n, "qubit count"))
     return _kets(n, {"0" * n: 1.0, "1" * n: 1.0})
 
 
 def w_state(n: int) -> PureState:
     """n-qubit W state: equal superposition of the single-excitation basis states."""
-    n = as_index(n, "qubit count")
+    n = check_subsystem_count(as_index(n, "qubit count"))
     return _kets(n, {"0" * i + "1" + "0" * (n - 1 - i): 1.0 for i in range(n)})
 
 

@@ -9,15 +9,16 @@ it is constructed, and its Gram products run on a float64 view (a real
 symmetric rank-k update) instead of complex128. A canonical cut carries
 its own transpose order; any other spelling of a cut is first mapped to its
 canonical cut, so every spelling gives a bit-identical purity. The naive route
-(:func:`dense_oracle_purity`) rebuilds the reduced density matrix by
-explicit digit-stride index arithmetic, one complement basis state at a
-time, and serves as a cross-check against indexing mistakes in the fast
-path.
+(:func:`dense_oracle_purity`) rebuilds the reduced density matrix of the
+given side from flat indices built by explicit digit-stride arithmetic: it
+gathers the cut-by-rest amplitude matrix A in one step (one transient copy
+of the state), forms rho_S = A A^dag and takes Tr(rho_S^2). It never
+reshapes or transposes the state tensor, and serves as a cross-check
+against indexing mistakes in the fast path.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -92,9 +93,12 @@ def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
 def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     """Purity via explicit reconstruction of the reduced density matrix.
 
-    Flat indices are assembled digit by digit from strides, independent of
-    the reshape/transpose machinery of :func:`reduced_purity`, and rho_S is
-    accumulated as a sum of outer products over complement basis states.
+    Flat indices are assembled from digit grids and site strides,
+    independent of the reshape/transpose machinery of
+    :func:`reduced_purity`: the d_S x d_rest amplitude matrix A of the
+    given side is gathered from the flat vector in one indexing step, and
+    rho_S = A A^dag is one product whose Tr(rho_S^2) is returned. The
+    gather holds one transient copy of the state plus its index array.
     Intended for verification; refuses reduced dimensions above
     ``DENSE_ORACLE_CAP``.
     """
@@ -110,14 +114,11 @@ def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> f
         acc *= state.dims[i]
 
     def offsets(sites: tuple[int, ...]) -> np.ndarray:
-        out = []
-        for digits in itertools.product(*(range(state.dims[i - 1]) for i in sites)):
-            out.append(sum(b * strides[i - 1] for b, i in zip(digits, sites)))
-        return np.array(out, dtype=np.intp)
+        # One column per digit tuple, in row-major order: the first site varies slowest.
+        digits = np.indices([state.dims[i - 1] for i in sites], dtype=np.intp)
+        site_strides = np.array([strides[i - 1] for i in sites], dtype=np.intp)
+        return site_strides @ digits.reshape(len(sites), -1)
 
-    sub_off = offsets(subset)
-    rho = np.zeros((d_s, d_s), dtype=complex)
-    for comp_off in offsets(comp):
-        col = state.amplitudes[sub_off + comp_off]
-        rho += np.outer(col, col.conj())
+    a = state.amplitudes[offsets(subset)[:, None] + offsets(comp)]
+    rho = a @ a.conj().T
     return float(np.real(np.trace(rho @ rho)))

@@ -45,6 +45,19 @@ def as_index(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def check_subsystem_count(n: int) -> int:
+    """``n`` if a state may have that many subsystems (2 to ``MAX_PARTIES``).
+
+    Costs O(1), so a caller can refuse a count before it builds anything
+    of size ``n``.
+    """
+    if n < 2:
+        raise ValueError("a multipartite state needs at least 2 subsystems")
+    if n > MAX_PARTIES:
+        raise ValueError(f"subsystem count {n} exceeds the supported maximum {MAX_PARTIES}")
+    return n
+
+
 def check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     """Validated subsystem dimensions: 2 to ``MAX_PARTIES`` subsystems, each
     >= 2, and at most ``MAX_AMPLITUDES`` amplitudes in total.
@@ -52,10 +65,7 @@ def check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     Callers run this before allocating anything of the state's size.
     """
     dims = tuple(as_index(d, "subsystem dimension") for d in dims)
-    if len(dims) < 2:
-        raise ValueError("a multipartite state needs at least 2 subsystems")
-    if len(dims) > MAX_PARTIES:
-        raise ValueError(f"subsystem count {len(dims)} exceeds the supported maximum {MAX_PARTIES}")
+    check_subsystem_count(len(dims))
     if any(d < 2 for d in dims):
         raise ValueError(f"subsystem dimensions must be >= 2, got {dims}")
     total = math.prod(dims)
@@ -243,6 +253,9 @@ def apply_local_unitary(state: PureState, site: int, u: np.ndarray) -> PureState
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
         raise ValueError(f"unitary shape {u.shape} does not match subsystem dimension {d}")
+    # A nan entry would pass the defect test below (nan > tol is False).
+    if not np.isfinite(u).all():
+        raise ValueError("matrix entries must be finite (no nan or inf)")
     defect = float(np.max(np.abs(u @ u.conj().T - np.eye(d))))
     if defect > _UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3g})")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from gmepyramid import (
     reduced_purity,
     w_state,
 )
+from gmepyramid.bipartitions import split
 from gmepyramid.catalog import phi_biseparable, psi_a
 from gmepyramid.cli import dumps_report, report_document
 from gmepyramid.measures import DEFAULT_ZERO_TOL, evaluate
@@ -32,6 +34,27 @@ def real_gaussian_state(dims, seed):
     """Normalized iid real Gaussian amplitudes: a state on the float64 route."""
     rng = np.random.default_rng(seed)
     return PureState(dims, rng.standard_normal(math.prod(dims)), normalize=True)
+
+
+def loop_oracle_purity(state, cut):
+    """Reference for the dense oracle: offsets from itertools digit tuples,
+    and rho_S summed as one outer product per complement basis state."""
+    subset, comp = split(cut, state.n)
+    strides = [math.prod(state.dims[i + 1 :]) for i in range(state.n)]
+
+    def offsets(sites):
+        digit_tuples = itertools.product(*(range(state.dims[i - 1]) for i in sites))
+        return np.array(
+            [sum(b * strides[i - 1] for b, i in zip(digits, sites)) for digits in digit_tuples],
+            dtype=np.intp,
+        )
+
+    sub_off = offsets(subset)
+    rho = np.zeros((sub_off.size, sub_off.size), dtype=complex)
+    for comp_off in offsets(comp):
+        col = state.amplitudes[sub_off + comp_off]
+        rho += np.outer(col, col.conj())
+    return float(np.real(np.trace(rho @ rho)))
 
 
 def zero_tensor_ghz3():
@@ -181,8 +204,21 @@ class TestDenseOracle:
         amps = np.zeros(2**14)
         amps[0] = 1.0
         state = PureState((2,) * 14, amps)
-        with pytest.raises(ValueError, match="dense cap"):
+        with pytest.raises(ValueError, match="^reduced dimension 8192 exceeds the dense cap 4096$"):
             dense_oracle_purity(state, tuple(range(1, 14)))
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 2, 2), (3, 2, 2, 3), (4, 2, 3), (2, 3, 3, 2, 2), (2,) * 6], ids=str
+    )
+    def test_agrees_with_the_loop_reference(self, dims):
+        n = len(dims)
+        states = [haar_random_state(dims, seed=[23, n, trial]) for trial in range(5)]
+        states.append(real_gaussian_state(dims, seed=[24, n]))
+        for state in states:
+            for cut in canonical_bipartitions(n):
+                for spelling in (cut, cut.complement()):
+                    reference = loop_oracle_purity(state, spelling)
+                    assert abs(dense_oracle_purity(state, spelling) - reference) < 1e-15, spelling
 
     @pytest.mark.parametrize(
         "dims, draw",

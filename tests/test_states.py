@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,19 @@ def test_catalog_checks_qubit_count_before_allocating(monkeypatch, build, n, mes
         build(n)
 
 
+@pytest.mark.parametrize("build, n", [(w_state, 20000), (ghz_state, 10**7)], ids=["w", "ghz"])
+def test_catalog_refuses_a_huge_qubit_count_in_constant_memory(build, n):
+    tracemalloc.start()
+    try:
+        message = f"^subsystem count {n} exceeds the supported maximum 26$"
+        with pytest.raises(ValueError, match=message):
+            build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (3, 3, 2)])
     def test_parse_serialize_parse_is_exact(self, dims):
@@ -275,6 +289,13 @@ class TestLocalUnitary:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             apply_local_unitary(ghz_state(3), 2, np.eye(3))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_entries(self, entry):
+        u = np.eye(2, dtype=complex)
+        u[1, 1] = entry
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite \(no nan or inf\)$"):
+            apply_local_unitary(ghz_state(3), 1, u)
 
     def test_rejects_bad_site(self):
         with pytest.raises(ValueError, match="site"):
