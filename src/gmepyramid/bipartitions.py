@@ -1,14 +1,11 @@
-"""Canonical bipartitions of an N-party system.
+"""Canonical bipartitions of an N-party system: the only statement of the cut rules.
 
-A cut S | rest is stored by its smaller side. Every subset with
-1 <= |S| <= floor(N/2) appears once; when N is even, the half-size class
-is deduplicated against complements by keeping the representative that
-contains subsystem 1. The canonical list therefore has 2**(N-1) - 1
-entries, grouped smallest cardinality first and lexicographic within a
-group.
-
-The canonical tuple of each ``n`` is built once per process and shared by
-every caller; its frozen cuts hold their transpose order and label.
+A cut S | rest is stored by its smaller side; when N is even, the half-size
+class keeps the side that contains subsystem 1 (:func:`canonical_cut` maps
+any spelling to it). :func:`iter_bipartitions` yields the 2**(N-1) - 1
+canonical cuts smallest cardinality first, lexicographic within a group;
+``canonical_bipartitions`` builds them once per process as one shared tuple.
+Party counts go through ``states.check_subsystem_count`` before any O(N) work.
 """
 
 from __future__ import annotations
@@ -16,14 +13,15 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .states import MAX_AMPLITUDES, MAX_PARTIES, as_index
+from .states import as_index, check_subsystem_count
 
 
 @dataclass(frozen=True)
 class Bipartition:
-    """One cut of an ``n``-party system: ``subset`` versus the rest."""
+    """One canonical cut of ``n`` parties, ``subset`` versus the rest; frozen,
+    it holds its transpose order and label."""
 
     subset: tuple[int, ...]
     n: int
@@ -31,25 +29,22 @@ class Bipartition:
     _label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        n = check_subsystem_count(as_index(self.n, "party count"))
         subset = tuple(as_index(i, "cut index") for i in self.subset)
         object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "n", as_index(self.n, "party count"))
-        if self.n < 2:
-            raise ValueError("a bipartition needs at least 2 parties")
+        object.__setattr__(self, "n", n)
         if not subset:
             raise ValueError("cut subset is empty")
         inside = set(subset)
         if list(subset) != sorted(inside):
             raise ValueError(f"cut indices must be strictly increasing, got {subset}")
-        if subset[0] < 1 or subset[-1] > self.n:
-            raise ValueError(f"cut indices {subset} out of range 1..{self.n}")
-        if len(subset) > self.n // 2:
-            raise ValueError(
-                f"canonical cuts store the smaller side: |S|={len(subset)} > {self.n}//2"
-            )
-        if 2 * len(subset) == self.n and subset[0] != 1:
+        if subset[0] < 1 or subset[-1] > n:
+            raise ValueError(f"cut indices {subset} out of range 1..{n}")
+        if len(subset) > n // 2:
+            raise ValueError(f"canonical cuts store the smaller side: |S|={len(subset)} > {n}//2")
+        if 2 * len(subset) == n and subset[0] != 1:
             raise ValueError("half-size cuts are canonicalized to contain subsystem 1")
-        rest = [i for i in range(self.n) if i + 1 not in inside]
+        rest = [i for i in range(n) if i + 1 not in inside]
         object.__setattr__(self, "axes", tuple([i - 1 for i in subset] + rest))
         object.__setattr__(self, "_label", ",".join(map(str, subset)))
 
@@ -73,6 +68,7 @@ def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tu
     distinct indices in 1..n that leaves at least one subsystem on each side;
     a raw collection need not be canonical, so a complement can be passed.
     """
+    n = check_subsystem_count(as_index(n, "party count"))
     if isinstance(cut, Bipartition):
         if cut.n != n:
             raise ValueError(f"cut is for {cut.n} parties, state has {n}")
@@ -91,33 +87,38 @@ def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tu
     return subset, tuple(i for i in range(1, n + 1) if i not in inside)
 
 
-def canonical_bipartitions(n: int) -> tuple[Bipartition, ...]:
-    """All canonical cuts of an ``n``-party system, one shared tuple per
-    party count, however the integer is spelled (``np.int64(5)`` gets the
-    tuple of ``5``).
+def canonical_cut(cut: Bipartition | Iterable[int], n: int) -> Bipartition:
+    """Any spelling of ``cut`` (see :func:`split`) as its canonical cut: the side
+    with fewer parties or, on a tie, the side holding subsystem 1, the lesser tuple."""
+    if isinstance(cut, Bipartition) and cut.n == n:
+        return cut
+    return Bipartition(min(split(cut, n), key=lambda side: (len(side), side)), n)
 
-    Exactly C(n, k) cuts per size k < n/2 plus C(n, n/2)/2 at the half size
-    when n is even; 2**(n-1) - 1 in total. Refuses more parties than a state
-    can have (``MAX_PARTIES``, 26, which still means 2**25 cuts; a refusal by
-    estimated cost is the cost-model item of ROADMAP.md); refusals are not cached.
+
+def iter_bipartitions(n: int) -> Iterator[Bipartition]:
+    """The canonical cuts of ``n`` parties, lazily; ``n`` is checked at the call."""
+    n = check_subsystem_count(as_index(n, "party count"))
+    return (
+        Bipartition(comb, n)
+        for k in range(1, n // 2 + 1)
+        for comb in itertools.combinations(range(1, n + 1), k)
+        if 2 * k < n or comb[0] == 1
+    )
+
+
+def canonical_bipartitions(n: int) -> tuple[Bipartition, ...]:
+    """:func:`iter_bipartitions` as one tuple shared per party count, however
+    the integer is spelled (``np.int64(5)`` gets the tuple of ``5``): C(n, k)
+    cuts per size k < n/2, plus C(n, n/2)/2 at the half size. Up to 26 parties
+    (``MAX_PARTIES``, still 2**25 cuts; a refusal by estimated cost is the
+    cost-model item of ROADMAP.md). Refusals are not cached.
     """
-    n = as_index(n, "party count")
-    if n < 2:
-        raise ValueError("need at least 2 parties")
-    if n > MAX_PARTIES:
-        raise ValueError(f"{n} parties need at least 2**{n} amplitudes, above {MAX_AMPLITUDES}")
-    return _cut_table(n)
+    return _cut_table(as_index(n, "party count"))
 
 
 @functools.cache
 def _cut_table(n: int) -> tuple[Bipartition, ...]:
-    cuts = []
-    for k in range(1, n // 2 + 1):
-        for comb in itertools.combinations(range(1, n + 1), k):
-            if 2 * k == n and comb[0] != 1:
-                continue
-            cuts.append(Bipartition(comb, n))
-    return tuple(cuts)
+    return tuple(iter_bipartitions(n))
 
 
 # The one table cache, inspected and cleared through the public name.

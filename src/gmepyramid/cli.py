@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``eval`` computes the measures of a state file, ``bipartitions``
-lists the canonical cuts, ``paper`` evaluates the built-in benchmark states
+streams the canonical cuts, ``paper`` evaluates the built-in benchmark states
 against their published reference values, and ``random`` runs one of the
 seeded property checks. Exit status is 0 only when everything requested
 succeeded; parse failures and failed checks are nonzero. Human-readable
@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import __version__
-from .bipartitions import canonical_bipartitions
+from .bipartitions import iter_bipartitions
 from .catalog import PUBLISHED_TOL, PUBLISHED_VALUES, benchmark_states
 from .measures import DEFAULT_ZERO_TOL, MeasureReport, check_tolerance, evaluate
 from .states import StateFormatError, load_state
@@ -122,7 +122,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_bipartitions(args: argparse.Namespace) -> int:
     try:
-        cuts = canonical_bipartitions(args.n)
+        cuts = iter_bipartitions(args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,17 +4,17 @@ Two independent evaluation paths are kept on purpose. The fast route
 (:func:`reduced_purity`) reshapes the amplitude tensor into a cut-by-rest
 matrix M and takes the squared Frobenius norm of the Gram matrix M M^dag,
 which equals Tr(rho_S^2) without any eigendecomposition. A state whose
-amplitudes all have an exactly zero imaginary part is decided real when
-it is constructed, and its Gram products run on a float64 view (a real
-symmetric rank-k update) instead of complex128. A canonical cut carries
-its own transpose order; any other spelling of a cut is first mapped to its
-canonical cut, so every spelling gives a bit-identical purity. The naive route
-(:func:`dense_oracle_purity`) rebuilds the reduced density matrix of the
-given side from flat indices built by explicit digit-stride arithmetic: it
-gathers the cut-by-rest amplitude matrix A in one step (one transient copy
-of the state), forms rho_S = A A^dag and takes Tr(rho_S^2). It never
-reshapes or transposes the state tensor, and serves as a cross-check
-against indexing mistakes in the fast path.
+amplitudes all have an exactly zero imaginary part is decided real when it
+is constructed, and its Gram products run on a float64 view (a real
+symmetric rank-k update) instead of complex128. Every spelling of a cut is
+mapped by ``bipartitions.canonical_cut`` to one canonical cut, which
+carries its transpose order, so all spellings give a bit-identical purity.
+The naive route (:func:`dense_oracle_purity`) rebuilds the reduced density
+matrix of the given side from flat indices built by explicit digit-stride
+arithmetic: it gathers the cut-by-rest amplitude matrix A in one step (one
+transient copy of the state), forms rho_S = A A^dag and takes Tr(rho_S^2).
+It never reshapes or transposes the state tensor, and serves as a
+cross-check against indexing mistakes in the fast path.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bipartitions import Bipartition, canonical_bipartitions, split
+from .bipartitions import Bipartition, canonical_bipartitions, canonical_cut, split
 from .states import PureState
 
 # Largest reduced dimension the dense oracle will materialize.
@@ -34,9 +34,7 @@ DENSE_ORACLE_CAP = 4096
 
 def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     """Tr(rho_S^2) of the reduced state across ``cut``, clamped to [0, 1]."""
-    if not (isinstance(cut, Bipartition) and cut.n == state.n):
-        # The side with fewer parties; on a tie, the side holding subsystem 1.
-        cut = Bipartition(min(split(cut, state.n), key=lambda s: (len(s), s[0])), state.n)
+    cut = canonical_cut(cut, state.n)
     t = state._tensor.transpose(cut.axes)
     d_s = math.prod(t.shape[: cut.size])
     m = t.reshape(d_s, -1)
@@ -56,7 +54,7 @@ class ConcurrenceSpectrum:
     """Concurrence of every canonical bipartition of one state.
 
     ``entries`` is ordered smallest cut first, lexicographic within a size
-    group, and always holds 2**(n-1) - 1 values.
+    group, and always holds 2**(n-1) - 1 values, each keyed by a cut of n parties.
     """
 
     dims: tuple[int, ...]
@@ -66,6 +64,9 @@ class ConcurrenceSpectrum:
         expected = 2 ** (self.n - 1) - 1
         if len(self.entries) != expected:
             raise ValueError(f"expected {expected} canonical cuts, got {len(self.entries)}")
+        for cut in self.entries:
+            if cut.n != self.n:
+                raise ValueError(f"cut {cut.label()} is for {cut.n} parties, spectrum has {self.n}")
 
     @property
     def n(self) -> int:

@@ -80,7 +80,7 @@ def _geometric_mean(values: list[float], zero_tol: float) -> float:
     # factor annihilates the product, and log(0) is -inf.
     if any(v <= zero_tol for v in values):
         return 0.0
-    return math.exp(math.fsum(math.log(v) for v in values) / len(values))
+    return math.exp(math.fsum(math.log(v) for v in values) / max(len(values), 1))
 
 
 def base_edge(spectrum: ConcurrenceSpectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
@@ -92,13 +92,11 @@ def height(spectrum: ConcurrenceSpectrum, zero_tol: float = DEFAULT_ZERO_TOL) ->
     """Geometric mean of all multi-party-cut concurrences.
 
     The 2**(N-1) - N - 1 canonical cuts of size 2..floor(N/2) enter with
-    equal weight. Three parties have no such cuts and get height 1 by
-    definition; two parties are rejected.
+    equal weight. Three parties have no such cuts and get height 1, the
+    geometric mean of no values; two parties are rejected.
     """
     if spectrum.n == 2:
         raise ValueError("a 2-party system has no multi-party cuts")
-    if spectrum.n == 3:
-        return 1.0
     return _geometric_mean(spectrum.multis(), zero_tol)
 
 
@@ -106,7 +104,7 @@ def base_area(n: int, edge: float) -> float:
     """Area of the regular n-gon with the given side length: (n e^2/4) cot(pi/n)."""
     if n < 3:
         raise ValueError("a polygon needs at least 3 vertices")
-    if edge < 0:
+    if not edge >= 0:
         raise ValueError("edge length must be nonnegative")
     return n * edge * edge / (4.0 * math.tan(math.pi / n))
 

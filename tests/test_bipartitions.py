@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gmepyramid import Bipartition, bipartitions, canonical_bipartitions
-from gmepyramid.states import MAX_AMPLITUDES
+from gmepyramid.bipartitions import canonical_cut, iter_bipartitions
+from gmepyramid.states import MAX_AMPLITUDES, MAX_PARTIES
 
 
 def test_n4_exact_list():
@@ -109,6 +111,61 @@ class TestValidation:
         with pytest.raises(ValueError, match="subsystem 1"):
             Bipartition((2, 3), 4)
 
+    def test_rejects_an_empty_subset(self):
+        with pytest.raises(ValueError, match="^cut subset is empty$"):
+            Bipartition((), 4)
+
+    def test_rejects_a_single_party(self):
+        with pytest.raises(ValueError, match="^a multipartite state needs at least 2 subsystems$"):
+            Bipartition((1,), 1)
+
+
+class TestCanonicalCut:
+    @pytest.mark.parametrize(
+        "n, spelling, subset",
+        [
+            (5, (2, 3, 4, 5), (1,)),
+            (5, [5, 2], (2, 5)),
+            (5, (1, 3, 4), (2, 5)),
+            (4, (2, 3), (1, 4)),
+            (4, (3, 1), (1, 3)),
+            (6, (4, 5, 6), (1, 2, 3)),
+        ],
+    )
+    def test_picks_the_smaller_side_or_the_side_with_subsystem_1(self, n, spelling, subset):
+        assert canonical_cut(spelling, n) == Bipartition(subset, n)
+
+    def test_a_canonical_cut_is_returned_as_it_is(self):
+        cut = canonical_bipartitions(6)[-1]
+        assert canonical_cut(cut, 6) is cut
+        with pytest.raises(ValueError, match="^cut is for 6 parties, state has 5$"):
+            canonical_cut(cut, 5)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_spelling_maps_into_the_canonical_list(self, n):
+        for cut in canonical_bipartitions(n):
+            assert canonical_cut(cut.complement(), n) == cut
+            assert canonical_cut(list(reversed(cut.subset)), n) == cut
+
+
+class TestIterBipartitions:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_yields_the_canonical_tuple_in_order(self, n):
+        assert tuple(iter_bipartitions(n)) == canonical_bipartitions(n)
+
+    def test_is_lazy_and_leaves_the_cache_alone(self):
+        size = canonical_bipartitions.cache_info().currsize
+        cuts = iter_bipartitions(26)
+        assert next(cuts) == Bipartition((1,), 26)
+        assert next(cuts) == Bipartition((2,), 26)
+        assert canonical_bipartitions.cache_info().currsize == size
+
+    @pytest.mark.parametrize("n", [1, 27])
+    def test_checks_the_count_when_called(self, monkeypatch, n):
+        monkeypatch.setattr(bipartitions, "Bipartition", _refuse_enumeration)
+        with pytest.raises(ValueError, match="subsystem"):
+            iter_bipartitions(n)
+
 
 def _refuse_enumeration(*args):
     raise AssertionError("started enumerating cuts")
@@ -124,9 +181,23 @@ class TestPartyLimit:
     )
     def test_refuses_more_parties_than_a_state_can_have(self, monkeypatch, n):
         monkeypatch.setattr(bipartitions, "Bipartition", _refuse_enumeration)
-        message = f"^{n} parties need at least 2\\*\\*{n} amplitudes, above {MAX_AMPLITUDES}$"
+        message = f"^subsystem count {n} exceeds the supported maximum {MAX_PARTIES}$"
         with pytest.raises(ValueError, match=message):
             canonical_bipartitions(n)
+
+    # Counts a missing bound would still survive (tens of MiB for 10**6 parties).
+    @pytest.mark.parametrize("n", [10**6, pytest.param(np.int64(10**6), id="int64-10**6")], ids=str)
+    @pytest.mark.parametrize("build", [Bipartition, canonical_cut], ids=["Bipartition", "canonical_cut"])
+    def test_refuses_a_huge_count_in_constant_memory(self, build, n):
+        message = f"^subsystem count {n} exceeds the supported maximum {MAX_PARTIES}$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                build((1,), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 2**20
 
     def test_admits_as_many_parties_as_a_state_can_have(self, monkeypatch):
         assert MAX_AMPLITUDES == 2**26

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gmepyramid import bipartitions
+from gmepyramid import bipartitions, canonical_bipartitions
 from gmepyramid.cli import dumps_report, main
 
 GHZ4_TEXT = """\
@@ -15,6 +15,12 @@ BELL_TEXT = """\
 dims 2 2
 amp 0 0 0.7071067811865476 0.0
 amp 1 1 0.7071067811865476 0.0
+"""
+
+GHZ3_TEXT = """\
+dims 2 2 2
+amp 0 0 0 0.7071067811865476 0.0
+amp 1 1 1 0.7071067811865476 0.0
 """
 
 PRODUCT3_TEXT = """\
@@ -138,6 +144,49 @@ class TestEval:
         assert "volume: 0.0000" in out
         assert "1,3" in out.split("zero cuts:")[1]
 
+    @pytest.mark.parametrize(
+        "text, measure, out",
+        [(GHZ4_TEXT, "volume", "0.3333\n"), (GHZ3_TEXT, "triangle", "1.0000\n")],
+        ids=["volume", "triangle"],
+    )
+    def test_single_measure_values(self, tmp_path, capsys, text, measure, out):
+        path = tmp_path / "state.txt"
+        path.write_text(text)
+        assert main(["eval", str(path), "--measure", measure]) == 0
+        assert capsys.readouterr() == (out, "")
+
+    def test_triangle_needs_three_parties(self, ghz4_file, capsys):
+        assert main(["eval", ghz4_file, "--measure", "triangle"]) == 2
+        assert capsys.readouterr() == ("", "error: the triangle measure needs exactly 3 parties\n")
+
+    def test_qutrit_triangle_gets_a_note(self, tmp_path, capsys):
+        path = tmp_path / "qutrit.txt"
+        path.write_text(GHZ3_TEXT.replace("dims 2 2 2", "dims 3 2 2"))
+        assert main(["eval", str(path)]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
+        assert notes == [
+            "note: triangle measure applied beyond qubit subsystems; "
+            "the formula was defined for three-qubit states"
+        ]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "dims" + " 3" * 17 + "\n",
+                "line 1: total dimension 129140163 exceeds the supported maximum 67108864",
+            ),
+            ("dims 2 2.5\n", "line 1: non-integer dimension in 'dims 2 2.5'"),
+            ("dims 2 2\nampl 0 0 1.0 0.0\n", "line 2: expected 'amp ...', got 'ampl'"),
+        ],
+        ids=["seventeen-qutrits", "non-integer-dimension", "unknown-keyword"],
+    )
+    def test_format_refusals(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["eval", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
 
 class TestBipartitions:
     def test_n4_grouped_output(self, capsys):
@@ -149,6 +198,15 @@ class TestBipartitions:
         assert main(["bipartitions", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_streams_without_filling_the_cut_cache(self, capsys):
+        size = canonical_bipartitions.cache_info().currsize
+        assert main(["bipartitions", "16"]) == 0
+        assert canonical_bipartitions.cache_info().currsize == size
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("#")] == [f"# k={k}" for k in range(1, 9)]
+        assert len(lines) == 2**15 - 1 + 8
+        assert lines[-1] == "1,10,11,12,13,14,15,16"
+
     def test_rejects_more_parties_than_a_state_can_have(self, capsys, monkeypatch):
         def refuse_enumeration(*args):
             raise AssertionError("started enumerating cuts")
@@ -157,7 +215,7 @@ class TestBipartitions:
         assert main(["bipartitions", "27"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: 27 parties need at least 2**27 amplitudes, above 67108864\n"
+        assert captured.err == "error: subsystem count 27 exceeds the supported maximum 26\n"
 
 
 class TestPaper:

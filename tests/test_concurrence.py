@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -149,8 +150,13 @@ class TestShapeCaches:
         # Only admitted party counts get a table; refusals are not cached.
         canonical_bipartitions(4)
         size = canonical_bipartitions.cache_info().currsize
-        for n in (1, 27, np.int64(64)):
-            with pytest.raises(ValueError, match="parties"):
+        refusals = {
+            1: "a multipartite state needs at least 2 subsystems",
+            27: "subsystem count 27 exceeds the supported maximum 26",
+            np.int64(64): "subsystem count 64 exceeds the supported maximum 26",
+        }
+        for n, message in refusals.items():
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 canonical_bipartitions(n)
         assert canonical_bipartitions.cache_info().currsize == size
 
@@ -296,3 +302,18 @@ def test_spectrum_rejects_wrong_cut_count():
     cuts = canonical_bipartitions(4)
     with pytest.raises(ValueError, match="expected 7"):
         ConcurrenceSpectrum((2, 2, 2, 2), {cuts[0]: 1.0})
+
+
+def test_spectrum_rejects_cuts_of_another_party_count(monkeypatch):
+    from gmepyramid import ConcurrenceSpectrum
+
+    concurrence_module = importlib.import_module("gmepyramid.concurrence")
+    foreign = {cut: 0.5 for cut in canonical_bipartitions(5)[:3]}
+
+    def refuse_enumeration(n):
+        raise AssertionError("enumerated the cuts")
+
+    # The check reads each cut's party count; it does not enumerate the cuts.
+    monkeypatch.setattr(concurrence_module, "canonical_bipartitions", refuse_enumeration)
+    with pytest.raises(ValueError, match="^cut 1 is for 5 parties, spectrum has 3$"):
+        ConcurrenceSpectrum((2, 2, 2), foreign)

@@ -80,6 +80,11 @@ class TestHeight:
         with pytest.raises(ValueError, match="2-party"):
             height(full_spectrum(ghz_state(2)))
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_refuses_a_negative_tolerance(self, n):
+        with pytest.raises(ValueError, match="^tolerance must be finite and >= 0, got -1.0$"):
+            height(full_spectrum(ghz_state(n)), zero_tol=-1.0)
+
 
 class TestBaseArea:
     def test_square(self):
@@ -94,6 +99,11 @@ class TestBaseArea:
     def test_rejects_digon(self):
         with pytest.raises(ValueError):
             base_area(2, 1.0)
+
+    @pytest.mark.parametrize("edge", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_rejects_an_edge_that_is_not_nonnegative(self, edge):
+        with pytest.raises(ValueError, match="^edge length must be nonnegative$"):
+            base_area(5, edge)
 
 
 class TestVolume:
