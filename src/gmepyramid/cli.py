@@ -14,10 +14,11 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 
 from . import __version__
-from .bipartitions import iter_bipartitions
+from .bipartitions import Bipartition, iter_bipartitions
 from .catalog import PUBLISHED_TOL, PUBLISHED_VALUES, benchmark_states
 from .measures import DEFAULT_ZERO_TOL, MeasureReport, check_tolerance, evaluate
 from .states import StateFormatError, load_state
@@ -38,7 +39,7 @@ def _state_json(report: MeasureReport) -> dict:
         "c_gme": report.c_gme,
         "triangle": report.triangle,
         "classification": report.classification,
-        "concurrences": {cut.label(): value for cut, value in report.concurrences.items()},
+        "concurrences": dict(zip(map(Bipartition.label, report.cuts), report.values)),
         "zero_cuts": [cut.label() for cut in report.zero_cuts],
         "notes": list(report.notes),
     }
@@ -63,9 +64,44 @@ def report_document(
     return doc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _render(value, indent: str) -> str:
+    if isinstance(value, float):
+        return float.__repr__(value) if -math.inf < value < math.inf else json.dumps(value)
+    if isinstance(value, str):
+        return _encode_str(value)
+    if type(value) is int:  # bool and other int subclasses go to json.dumps
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [f"{_encode_str(k)}: {_render(v, inner)}" for k, v in sorted(value.items())]
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        body = (",\n" + inner).join([_render(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    return json.dumps(value)
+
+
 def dumps_report(doc: dict) -> str:
-    """Canonical JSON rendering: parsing and re-dumping is byte-identical."""
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """Canonical JSON rendering, byte-identical to ``json.dumps(doc, indent=2,
+    sort_keys=True)`` for every document whose keys are strings (every report
+    is), so parsing and re-dumping is byte-identical too.
+
+    One recursive join: keys and strings go through json's C string encoder,
+    finite floats and plain ints through their ``__repr__`` and every other
+    scalar through ``json.dumps``; ``indent`` alone would select json's
+    pure-Python encoder.
+    """
+    return _render(doc, "")
 
 
 def _print_report(report: MeasureReport) -> None:
@@ -77,7 +113,7 @@ def _print_report(report: MeasureReport) -> None:
     if report.triangle is not None:
         print(f"triangle: {_fmt(report.triangle)}")
     print("concurrences:")
-    for cut, value in report.concurrences.items():
+    for cut, value in zip(report.cuts, report.values):
         print(f"  {cut.label():<12} {value:.4f}")
     if report.zero_cuts:
         print("zero cuts: " + "; ".join(cut.label() for cut in report.zero_cuts))

@@ -15,6 +15,13 @@ arithmetic: it gathers the cut-by-rest amplitude matrix A in one step (one
 transient copy of the state), forms rho_S = A A^dag and takes Tr(rho_S^2).
 It never reshapes or transposes the state tensor, and serves as a
 cross-check against indexing mistakes in the fast path.
+
+:func:`full_spectrum` holds a state's spectrum as one row: the shared
+``canonical_bipartitions`` tuple and a tuple of concurrences in the same
+order, one :func:`reduced_purity` call per cut. Because the cuts are
+grouped by size, the one-versus-rest values are the slice ``values[:n]``
+and the multi-party values ``values[n:]``; a cut-keyed dict is built only
+when ``entries`` is read.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     m = t.reshape(d_s, -1)
     # Gram matrix of the smaller side; its squared Frobenius norm is the purity.
     g = m @ m.conj().T if d_s * d_s <= t.size else m.conj().T @ m
-    purity = float(np.real(np.vdot(g, g)))
+    purity = float(np.vdot(g, g).real)
     return min(max(purity, 0.0), 1.0)
 
 
@@ -51,44 +58,64 @@ def concurrence(state: PureState, cut: Bipartition | Iterable[int]) -> float:
 
 @dataclass(frozen=True)
 class ConcurrenceSpectrum:
-    """Concurrence of every canonical bipartition of one state.
+    """Concurrence of every canonical bipartition of one state, as one row.
 
-    ``entries`` is ordered smallest cut first, lexicographic within a size
-    group, and always holds 2**(n-1) - 1 values, each keyed by a cut of n parties.
+    ``cuts`` holds the 2**(n-1) - 1 canonical cuts of n parties, strictly
+    increasing in (size, subset): smallest cut first, lexicographic within a
+    size group. ``values[i]`` is the concurrence across ``cuts[i]``, so the
+    n one-versus-rest values lead the row in subsystem order.
     """
 
     dims: tuple[int, ...]
-    entries: dict[Bipartition, float]
+    cuts: tuple[Bipartition, ...]
+    values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        expected = 2 ** (self.n - 1) - 1
-        if len(self.entries) != expected:
-            raise ValueError(f"expected {expected} canonical cuts, got {len(self.entries)}")
-        for cut in self.entries:
-            if cut.n != self.n:
-                raise ValueError(f"cut {cut.label()} is for {cut.n} parties, spectrum has {self.n}")
+        n = self.n
+        expected = 2 ** (n - 1) - 1
+        if len(self.cuts) != expected:
+            raise ValueError(f"expected {expected} canonical cuts, got {len(self.cuts)}")
+        if len(self.values) != expected:
+            raise ValueError(f"expected {expected} values, got {len(self.values)}")
+        previous: tuple = (0, ())
+        for cut in self.cuts:
+            if cut.n != n:
+                raise ValueError(f"cut {cut.label()} is for {cut.n} parties, spectrum has {n}")
+            key = (len(cut.subset), cut.subset)
+            if key <= previous:
+                raise ValueError(
+                    "cuts must be strictly increasing in (size, subset); "
+                    f"{cut.label()} is out of order"
+                )
+            previous = key
 
     @property
     def n(self) -> int:
         return len(self.dims)
 
-    def singletons(self) -> list[float]:
-        """One-versus-rest concurrences, in subsystem order."""
-        return [c for cut, c in self.entries.items() if cut.size == 1]
+    @property
+    def entries(self) -> dict[Bipartition, float]:
+        """The row as a cut -> concurrence mapping, in canonical order."""
+        return dict(zip(self.cuts, self.values))
 
-    def multis(self) -> list[float]:
+    def singletons(self) -> tuple[float, ...]:
+        """One-versus-rest concurrences, in subsystem order."""
+        return self.values[: self.n]
+
+    def multis(self) -> tuple[float, ...]:
         """Concurrences of all cuts with two or more subsystems."""
-        return [c for cut, c in self.entries.items() if cut.size >= 2]
+        return self.values[self.n :]
 
 
 def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
-    """Evaluate every canonical cut of ``state``.
+    """Evaluate every canonical cut of ``state``, one purity per cut.
 
     Cuts are independent pure computations; the result does not depend on
     evaluation order.
     """
-    entries = {cut: concurrence(state, cut) for cut in canonical_bipartitions(state.n)}
-    return ConcurrenceSpectrum(state.dims, entries)
+    cuts = canonical_bipartitions(state.n)
+    values = tuple([math.sqrt(2.0 * (1.0 - reduced_purity(state, cut))) for cut in cuts])
+    return ConcurrenceSpectrum(state.dims, cuts, values)
 
 
 def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:

@@ -13,6 +13,12 @@ the state is genuinely multipartite entangled, and for N = 4 coincides
 with a^2 h / 3. Tripartite states additionally get the squared-concurrence
 triangle measure, and the minimum cut concurrence (C_GME) is provided as a
 comparator.
+
+Every measure reads the spectrum's row directly: ``a`` from the slice
+``singletons()`` (the first N values), ``h`` from ``multis()`` (the rest),
+C_GME and the zero cuts from the whole row. A report carries the same
+shared cut tuple and value tuple; ``MeasureReport.concurrences`` is a
+cut-keyed view built only when it is read.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ class MeasureReport:
     c_gme: float
     triangle: float | None
     classification: str
-    concurrences: dict[Bipartition, float]
+    cuts: tuple[Bipartition, ...]
+    values: tuple[float, ...]
     zero_cuts: tuple[Bipartition, ...]
     zero_tol: float
     notes: tuple[str, ...] = field(default_factory=tuple)
@@ -64,6 +71,11 @@ class MeasureReport:
     @property
     def n(self) -> int:
         return len(self.dims)
+
+    @property
+    def concurrences(self) -> dict[Bipartition, float]:
+        """The spectrum row as a cut -> concurrence mapping, in canonical order."""
+        return dict(zip(self.cuts, self.values))
 
 
 def check_tolerance(value: float | str) -> float:
@@ -74,13 +86,13 @@ def check_tolerance(value: float | str) -> float:
     return tol
 
 
-def _geometric_mean(values: list[float], zero_tol: float) -> float:
+def _geometric_mean(values: tuple[float, ...], zero_tol: float) -> float:
     check_tolerance(zero_tol)
     # Short-circuit before taking logarithms: a single (numerically) zero
     # factor annihilates the product, and log(0) is -inf.
     if any(v <= zero_tol for v in values):
         return 0.0
-    return math.exp(math.fsum(math.log(v) for v in values) / max(len(values), 1))
+    return math.exp(math.fsum(map(math.log, values)) / max(len(values), 1))
 
 
 def base_edge(spectrum: ConcurrenceSpectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
@@ -106,6 +118,8 @@ def base_area(n: int, edge: float) -> float:
         raise ValueError("a polygon needs at least 3 vertices")
     if not edge >= 0:
         raise ValueError("edge length must be nonnegative")
+    if edge == math.inf:
+        raise ValueError("edge length must be finite")
     return n * edge * edge / (4.0 * math.tan(math.pi / n))
 
 
@@ -143,7 +157,7 @@ def triangle_measure(spectrum: ConcurrenceSpectrum) -> float:
 
 def c_gme(spectrum: ConcurrenceSpectrum) -> float:
     """Minimum concurrence over all canonical bipartitions."""
-    return min(spectrum.entries.values())
+    return min(spectrum.values)
 
 
 def classify(
@@ -157,7 +171,7 @@ def classify(
     means fully separable; anything in between is biseparable.
     """
     check_tolerance(zero_tol)
-    zero_cuts = tuple(cut for cut, c in spectrum.entries.items() if c <= zero_tol)
+    zero_cuts = tuple(cut for cut, c in zip(spectrum.cuts, spectrum.values) if c <= zero_tol)
     if not zero_cuts:
         return CLASS_GME, zero_cuts
     if all(c <= zero_tol for c in spectrum.singletons()):
@@ -194,7 +208,8 @@ def evaluate(
         c_gme=c_gme(spectrum),
         triangle=tri,
         classification=classification,
-        concurrences=dict(spectrum.entries),
+        cuts=spectrum.cuts,
+        values=spectrum.values,
         zero_cuts=zero_cuts,
         zero_tol=zero_tol,
         notes=tuple(notes),

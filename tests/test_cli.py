@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from gmepyramid import bipartitions, canonical_bipartitions
+from gmepyramid import CHECK_NAMES, benchmark_states, bipartitions, canonical_bipartitions, cli
 from gmepyramid.cli import dumps_report, main
+from gmepyramid.states import serialize_state
 
 GHZ4_TEXT = """\
 dims 2 2 2 2
@@ -331,3 +332,71 @@ class TestTolerance:
         path.write_text(PRODUCT4_TEXT)
         assert main(["eval", str(path), "--tol", "0", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["tolerances"]["zero"] == 0.0
+
+
+def _reference_dump(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+class TestRenderer:
+    """``dumps_report`` renders exactly what ``json.dumps(indent=2, sort_keys=True)`` does."""
+
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        """Every document the CLI hands to ``dumps_report``, as (doc, text) pairs."""
+        seen = []
+
+        def record(doc):
+            text = dumps_report(doc)
+            seen.append((doc, text))
+            return text
+
+        monkeypatch.setattr(cli, "dumps_report", record)
+        return seen
+
+    def test_eval_documents_of_the_built_in_states(self, tmp_path, capsys, rendered):
+        for state_id, state in benchmark_states().items():
+            path = tmp_path / f"{state_id}.txt"
+            path.write_text(serialize_state(state))
+            assert main(["eval", str(path), "--json"]) == 0
+        assert len(rendered) == 7
+        for doc, text in rendered:
+            assert text == _reference_dump(doc)
+        assert capsys.readouterr().out == "".join(text + "\n" for _, text in rendered)
+
+    def test_paper_document(self, capsys, rendered):
+        assert main(["paper", "--json"]) == 0
+        (doc, text), = rendered
+        assert len(doc["states"]) == 7 and doc["paper_rows"]
+        assert text == _reference_dump(doc)
+
+    @pytest.mark.parametrize("check", CHECK_NAMES)
+    def test_random_document_of_each_check(self, capsys, rendered, check):
+        args = ["random", "--dims", "2,2,2,2", "--seed", "3", "--trials", "2", "--check", check]
+        assert main(args + ["--json"]) == 0
+        (doc, text), = rendered
+        assert doc["checks"][0]["check"] == check
+        assert text == _reference_dump(doc)
+
+    def test_synthetic_document(self):
+        doc = {
+            "id": "caf\u00e9 \u03c8 \U0001d49c",
+            "quoted": 'say "hi" \\ back\n\ttab\x00',
+            "empty list": [],
+            "empty dict": {},
+            "nested": [[1, [2.5, []]], [{}], [{"b": None, "a": [True, False]}]],
+            "ints": [0, -7, 2**70],
+            "bools": {"t": True, "f": False},
+            "none": None,
+            "floats": [-0.0, 5e-324, 1e300, 0.1, -2.5e-17, 1.0],
+            "non-finite": [float("nan"), float("inf"), float("-inf")],
+            "tuple": (1, "two", 3.0),
+        }
+        text = dumps_report(doc)
+        assert text == _reference_dump(doc)
+        assert "NaN,\n" in text and "Infinity,\n" in text and "-Infinity\n" in text
+        assert dumps_report({}) == "{}" and dumps_report([]) == "[]"
+
+    def test_refuses_what_json_refuses(self):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            dumps_report({"x": [object()]})

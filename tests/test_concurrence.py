@@ -301,14 +301,14 @@ def test_spectrum_rejects_wrong_cut_count():
 
     cuts = canonical_bipartitions(4)
     with pytest.raises(ValueError, match="expected 7"):
-        ConcurrenceSpectrum((2, 2, 2, 2), {cuts[0]: 1.0})
+        ConcurrenceSpectrum((2, 2, 2, 2), cuts[:1], (1.0,))
 
 
 def test_spectrum_rejects_cuts_of_another_party_count(monkeypatch):
     from gmepyramid import ConcurrenceSpectrum
 
     concurrence_module = importlib.import_module("gmepyramid.concurrence")
-    foreign = {cut: 0.5 for cut in canonical_bipartitions(5)[:3]}
+    foreign = canonical_bipartitions(5)[:3]
 
     def refuse_enumeration(n):
         raise AssertionError("enumerated the cuts")
@@ -316,4 +316,39 @@ def test_spectrum_rejects_cuts_of_another_party_count(monkeypatch):
     # The check reads each cut's party count; it does not enumerate the cuts.
     monkeypatch.setattr(concurrence_module, "canonical_bipartitions", refuse_enumeration)
     with pytest.raises(ValueError, match="^cut 1 is for 5 parties, spectrum has 3$"):
-        ConcurrenceSpectrum((2, 2, 2), foreign)
+        ConcurrenceSpectrum((2, 2, 2), foreign, (0.5,) * 3)
+
+
+def test_spectrum_rejects_cuts_out_of_canonical_order(monkeypatch):
+    from gmepyramid import ConcurrenceSpectrum
+
+    concurrence_module = importlib.import_module("gmepyramid.concurrence")
+    cuts = canonical_bipartitions(4)
+
+    def refuse_enumeration(n):
+        raise AssertionError("enumerated the cuts")
+
+    # Reversed, singletons() would read subsystems 4, 3, 2, 1 off the row.
+    monkeypatch.setattr(concurrence_module, "canonical_bipartitions", refuse_enumeration)
+    order = r"^cuts must be strictly increasing in \(size, subset\); "
+    with pytest.raises(ValueError, match=order + "1,3 is out of order$"):
+        ConcurrenceSpectrum((2, 2, 2, 2), cuts[::-1], (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7))
+    with pytest.raises(ValueError, match=order + "1 is out of order$"):
+        ConcurrenceSpectrum((2, 2, 2, 2), (cuts[0], *cuts[:6]), (0.5,) * 7)
+
+
+def test_spectrum_rejects_a_value_count_unlike_the_cut_count():
+    from gmepyramid import ConcurrenceSpectrum
+
+    with pytest.raises(ValueError, match="^expected 7 values, got 6$"):
+        ConcurrenceSpectrum((2, 2, 2, 2), canonical_bipartitions(4), (0.5,) * 6)
+
+
+def test_spectrum_row_slices_in_canonical_order():
+    spectrum = full_spectrum(haar_random_state((2, 3, 2, 2, 2), seed=[91]))
+    assert spectrum.cuts is canonical_bipartitions(5)
+    assert spectrum.singletons() == spectrum.values[:5]
+    assert spectrum.multis() == spectrum.values[5:]
+    assert [cut.size for cut in spectrum.cuts[:5]] == [1] * 5
+    assert list(spectrum.entries) == list(spectrum.cuts)
+    assert list(spectrum.entries.values()) == list(spectrum.values)

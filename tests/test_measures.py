@@ -1,4 +1,6 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -104,6 +106,12 @@ class TestBaseArea:
     def test_rejects_an_edge_that_is_not_nonnegative(self, edge):
         with pytest.raises(ValueError, match="^edge length must be nonnegative$"):
             base_area(5, edge)
+
+    def test_rejects_an_infinite_edge(self):
+        with pytest.raises(ValueError, match="^edge length must be finite$"):
+            base_area(4, float("inf"))
+        with pytest.raises(ValueError, match="^edge length must be nonnegative$"):
+            base_area(4, float("-inf"))
 
 
 class TestVolume:
@@ -284,3 +292,26 @@ class TestEvaluate:
         assert report.volume is None
         assert report.triangle is None
         assert report.c_gme == pytest.approx(1.0, abs=1e-12)
+
+
+def test_evaluate_enumerates_once_and_takes_one_purity_per_cut(monkeypatch):
+    """The call pattern a span tracer counts: it swaps the function in every
+    gmepyramid module that holds a reference to it, as bench/spans.py does."""
+    calls: Counter = Counter()
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "gmepyramid"]
+    targets = (("bipartitions", "canonical_bipartitions"), ("concurrence", "reduced_purity"))
+    for owner, attr in targets:
+        # The package exports a function named ``concurrence``; look the module up.
+        original = getattr(sys.modules[f"gmepyramid.{owner}"], attr)
+
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        for m in modules:
+            for key in [k for k, v in vars(m).items() if v is original]:
+                monkeypatch.setattr(m, key, counted)
+
+    report = evaluate(haar_random_state((2, 3, 2, 2, 2, 2), seed=[95]))
+    assert calls == {"canonical_bipartitions": 1, "reduced_purity": 31}
+    assert len(report.concurrences) == 31
