@@ -4,7 +4,10 @@ A cut S | rest is stored by its smaller side; when N is even, the half-size
 class keeps the side that contains subsystem 1 (:func:`canonical_cut` maps
 any spelling to it). :func:`iter_bipartitions` yields the 2**(N-1) - 1
 canonical cuts smallest cardinality first, lexicographic within a group;
-``canonical_bipartitions`` builds them once per process as one shared tuple.
+``canonical_bipartitions`` builds them once per process as one shared tuple
+and, in the same pass, the forest that :func:`cut_forest` returns: each cut
+below the top size linked to a cut one party larger, for the partial traces
+of ``concurrence.full_spectrum``.
 Party counts go through ``states.check_subsystem_count`` before any O(N) work.
 """
 
@@ -12,8 +15,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .states import as_index, check_subsystem_count
 
@@ -113,12 +119,65 @@ def canonical_bipartitions(n: int) -> tuple[Bipartition, ...]:
     (``MAX_PARTIES``, still 2**25 cuts; a refusal by estimated cost is the
     cost-model item of ROADMAP.md). Refusals are not cached.
     """
-    return _cut_table(as_index(n, "party count"))
+    return _cut_table(as_index(n, "party count"))[0]
+
+
+class CutForest(NamedTuple):
+    """Every canonical cut T below the top size ``n // 2``, hung under the
+    canonical cut P = T + {x} one party larger, as index arrays into
+    :func:`canonical_bipartitions`.
+
+    x is the largest site outside T, except that at even ``n`` a half-size
+    parent must hold subsystem 1, so x = 1 when T lacks it. The children of
+    cut ``i`` are ``kids[first[i]:first[i + 1]]`` in increasing order;
+    ``traced[c]`` is the position of x in the subset of child ``c``'s
+    parent. The cuts below the top size lead the canonical order, so
+    ``len(traced)`` is the index of the first top-size cut, and the top-size
+    cuts are the roots.
+    """
+
+    first: array
+    kids: array
+    traced: array
+
+
+def cut_forest(n: int) -> CutForest:
+    """The :class:`CutForest` of ``n`` parties, built with and cached beside
+    the :func:`canonical_bipartitions` tuple (neither enumerates it again)."""
+    return _cut_table(as_index(n, "party count"))[1]
+
+
+def _forest(n: int, count: int) -> CutForest:
+    # Cut masks hold site s at bit n - s, so descending mask order within a
+    # size group is the lexicographic order of iter_bipartitions.
+    top = n // 2
+    masks = np.arange(1 << n, dtype=np.int32)  # n <= MAX_PARTIES = 26
+    sizes = np.zeros(1 << n, dtype=np.int8)
+    for bit in range(n):
+        sizes += (masks >> bit) & 1
+    groups = [np.flatnonzero(sizes == k)[::-1] for k in range(1, top + 1)]
+    if n % 2 == 0:  # half-size cuts hold subsystem 1: the leading half of the group
+        groups[-1] = groups[-1][: groups[-1].size // 2]
+    order = np.concatenate(groups)
+    rank = np.empty(1 << n, dtype=np.int32)
+    rank[order] = np.arange(count)
+    below = order[: count - groups[-1].size]
+    outside = ~below & (below + 1)  # lowest clear bit: the largest site outside
+    if n % 2 == 0:
+        one = 1 << (n - 1)
+        outside[(sizes[below] == top - 1) & (below < one)] = one
+    parents = below | outside
+    parent = rank[parents]
+    kids = np.argsort(parent, kind="stable")
+    first = np.searchsorted(parent, np.arange(count + 1), sorter=kids)
+    traced = sizes[parents & -(outside << 1)]  # parent's sites before x
+    return CutForest(*(array("l", a.tolist()) for a in (first, kids, traced)))
 
 
 @functools.cache
-def _cut_table(n: int) -> tuple[Bipartition, ...]:
-    return tuple(iter_bipartitions(n))
+def _cut_table(n: int) -> tuple[tuple[Bipartition, ...], CutForest]:
+    cuts = tuple(iter_bipartitions(n))
+    return cuts, _forest(n, len(cuts))
 
 
 # The one table cache, inspected and cleared through the public name.

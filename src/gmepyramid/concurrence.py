@@ -18,10 +18,22 @@ cross-check against indexing mistakes in the fast path.
 
 :func:`full_spectrum` holds a state's spectrum as one row: the shared
 ``canonical_bipartitions`` tuple and a tuple of concurrences in the same
-order, one :func:`reduced_purity` call per cut. Because the cuts are
-grouped by size, the one-versus-rest values are the slice ``values[:n]``
-and the multi-party values ``values[n:]``; a cut-keyed dict is built only
-when ``entries`` is read.
+order. Because the cuts are grouped by size, the one-versus-rest values are
+the slice ``values[:n]`` and the multi-party values ``values[n:]``; a
+cut-keyed dict is built only when ``entries`` is read.
+
+It walks the cut forest (``bipartitions.cut_forest``): every cut T below
+the top size n // 2 hangs under a canonical cut P = T + {x} one party
+larger, and rho_T = Tr_x rho_P. A top-size root with children pays one
+transpose and one Gram product, rho_P = M M^dag of its own side; every cut
+below it gets its rho by tracing one site out of its parent's, a sum of
+d_x slices of the parent's rho, and its purity as ||rho_T||_F^2. A root
+without children goes through :func:`reduced_purity`, which keeps the
+cheaper Gram orientation; at n <= 3 every cut is such a root. No rho larger
+than the state is formed: a root whose own side has d_S^2 > d_S d_rest
+(lopsided dims such as (2, 2, 2, 64, 64)) goes through
+:func:`reduced_purity` too, and its children become roots in turn. Real
+states stay on float64 throughout.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bipartitions import Bipartition, canonical_bipartitions, canonical_cut, split
+from .bipartitions import Bipartition, canonical_bipartitions, canonical_cut, cut_forest, split
 from .states import PureState
 
 # Largest reduced dimension the dense oracle will materialize.
@@ -108,14 +120,45 @@ class ConcurrenceSpectrum:
 
 
 def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
-    """Evaluate every canonical cut of ``state``, one purity per cut.
+    """Evaluate every canonical cut of ``state``: one Gram product per root of
+    the cut forest that has children, one partial trace per cut below it,
+    and one :func:`reduced_purity` call per other root.
 
-    Cuts are independent pure computations; the result does not depend on
-    evaluation order.
+    Each value depends only on the state and its cut's path in the forest,
+    not on the order in which the cuts are visited.
     """
     cuts = canonical_bipartitions(state.n)
-    values = tuple([math.sqrt(2.0 * (1.0 - reduced_purity(state, cut))) for cut in cuts])
-    return ConcurrenceSpectrum(state.dims, cuts, values)
+    first, kids, traced = cut_forest(state.n)
+    tensor = state._tensor
+    values = [0.0] * len(cuts)
+
+    def descend(i: int, rho: np.ndarray) -> None:
+        # rho is the reduced state of cut i as a tensor: its sites, then their copies.
+        values[i] = math.sqrt(2.0 * (1.0 - min(max(np.vdot(rho, rho).real, 0.0), 1.0)))
+        size = rho.ndim // 2
+        for j in range(first[i], first[i + 1]):
+            c = kids[j]
+            descend(c, rho.trace(0, traced[c], size + traced[c]))
+
+    roots = list(range(len(traced), len(cuts)))
+    for i in roots:
+        cut = cuts[i]
+        lo, hi = first[i], first[i + 1]
+        if lo < hi:
+            t = tensor.transpose(cut.axes)
+            shape = t.shape[: cut.size]
+            d_s = math.prod(shape)
+            if d_s * d_s <= t.size:
+                m = t.reshape(d_s, -1)
+                rho = m @ m.conj().T
+                del m  # the transposed copy goes before the walk and the next root
+                descend(i, rho.reshape(shape + shape))
+                del rho
+                continue
+            # Its own side's rho would outgrow the state: the children join the roots.
+            roots.extend(kids[lo:hi])
+        values[i] = math.sqrt(2.0 * (1.0 - reduced_purity(state, cut)))
+    return ConcurrenceSpectrum(state.dims, cuts, tuple(values))
 
 
 def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:

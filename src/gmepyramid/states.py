@@ -90,11 +90,22 @@ def flat_index(dims: Sequence[int], digits: Sequence[int]) -> int:
     return idx
 
 
+class _Owned:
+    """A freshly built complex128 vector that :class:`PureState` takes over
+    instead of copying; no other reference to it may remain."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized pure state of N >= 2 subsystems.
 
-    Immutable after construction: the amplitude array is copied and marked
+    Immutable after construction: the amplitude array is copied (the parser
+    and the Haar sampler hand over their fresh vector instead) and marked
     read-only, so instances are safe to share across threads. Without
     ``normalize`` the input must already have unit norm (within 1e-9); the
     stored vector is rescaled by the exact computed norm either way, so the
@@ -111,7 +122,10 @@ class PureState:
     def __post_init__(self, normalize: bool) -> None:
         dims = check_dims(self.dims)
         total = math.prod(dims)
-        amps = np.array(self.amplitudes, dtype=complex).ravel()
+        if isinstance(self.amplitudes, _Owned):
+            amps = np.asarray(self.amplitudes.array, dtype=complex).ravel()
+        else:
+            amps = np.array(self.amplitudes, dtype=complex).ravel()
         if amps.size != total:
             raise ValueError(
                 f"expected {total} amplitudes for dims {dims}, got {amps.size}"
@@ -212,7 +226,7 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
     if dims is None:
         raise StateFormatError("no 'dims' line found")
     try:
-        return PureState(dims, amps, normalize=normalize)
+        return PureState(dims, _Owned(amps), normalize=normalize)
     except ValueError as exc:
         raise StateFormatError(str(exc)) from None
 

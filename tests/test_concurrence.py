@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,18 @@ SQRT3_OVER_2 = math.sqrt(3) / 2
 SQRT5_OVER_2 = math.sqrt(5) / 2
 
 GRAM_DIMS = [(2, 2, 2, 2), (3, 2, 2), (3, 3, 2, 2), (2,) * 6]
+
+# Deep qubit forests, a qutrit under every tree, and lopsided dims; in
+# (2, 2, 2, 6, 6) the root {4,5} would need a rho larger than the state, so
+# its child {4} becomes a root.
+TREE_DIMS = GRAM_DIMS + [
+    (2,) * 8,
+    (2,) * 9,
+    (2,) * 10,
+    (3, 2, 2, 2, 2, 2, 2),
+    (6, 6, 2, 2, 2),
+    (2, 2, 2, 6, 6),
+]
 
 
 def real_gaussian_state(dims, seed):
@@ -352,3 +365,38 @@ def test_spectrum_row_slices_in_canonical_order():
     assert [cut.size for cut in spectrum.cuts[:5]] == [1] * 5
     assert list(spectrum.entries) == list(spectrum.cuts)
     assert list(spectrum.entries.values()) == list(spectrum.values)
+
+
+class TestSpectrumForest:
+    @pytest.mark.parametrize("real", [False, True], ids=["haar", "real"])
+    @pytest.mark.parametrize("dims", TREE_DIMS, ids=str)
+    def test_every_value_agrees_with_the_dense_oracle(self, dims, real):
+        n = len(dims)
+        if real:
+            state = real_gaussian_state(dims, seed=[101, n])
+        else:
+            state = haar_random_state(dims, seed=[102, n])
+        spectrum = full_spectrum(state)
+        for cut, c in zip(spectrum.cuts, spectrum.values):
+            assert abs(1.0 - 0.5 * c * c - dense_oracle_purity(state, cut)) < 1e-12, cut.label()
+
+    # A rho of the side {1,2} or {4,5} would hold 4096**2 entries, 2**9 times
+    # the state, and one reduced_purity call per cut never forms one. {4,5}
+    # has a child, {4}, so only the size rule keeps its rho from being formed.
+    @pytest.mark.parametrize("dims", [(64, 64, 2, 2, 2), (2, 2, 2, 64, 64)], ids=str)
+    def test_lopsided_dims_form_no_rho_larger_than_the_state(self, dims):
+        state = haar_random_state(dims, seed=[103])
+        cuts = canonical_bipartitions(len(dims))
+        full_spectrum(state)
+        tracemalloc.start()
+        try:
+            per_cut = [reduced_purity(state, cut) for cut in cuts]
+            per_cut_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            spectrum = full_spectrum(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * per_cut_peak
+        for cut, p, c in zip(cuts, per_cut, spectrum.values):
+            assert abs(1.0 - 0.5 * c * c - p) < 1e-12, cut.label()

@@ -296,7 +296,15 @@ class TestEvaluate:
 
 def test_evaluate_enumerates_once_and_takes_one_purity_per_cut(monkeypatch):
     """The call pattern a span tracer counts: it swaps the function in every
-    gmepyramid module that holds a reference to it, as bench/spans.py does."""
+    gmepyramid module that holds a reference to it, as bench/spans.py does.
+
+    The cuts are enumerated once per state. ``reduced_purity`` runs only for
+    the roots of the cut forest that take no Gram product of their own side:
+    none on six qubits, where every half cut has a child; all three cuts at
+    three parties; and on (2, 3, 2, 2, 2, 2) the four half cuts {1,2,x},
+    whose own side (12) outgrows the rest (8), plus the four of their
+    children that become roots without children of their own.
+    """
     calls: Counter = Counter()
     modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "gmepyramid"]
     targets = (("bipartitions", "canonical_bipartitions"), ("concurrence", "reduced_purity"))
@@ -313,5 +321,15 @@ def test_evaluate_enumerates_once_and_takes_one_purity_per_cut(monkeypatch):
                 monkeypatch.setattr(m, key, counted)
 
     report = evaluate(haar_random_state((2, 3, 2, 2, 2, 2), seed=[95]))
-    assert calls == {"canonical_bipartitions": 1, "reduced_purity": 31}
+    assert calls == {"canonical_bipartitions": 1, "reduced_purity": 8}
     assert len(report.concurrences) == 31
+
+    calls.clear()
+    report = evaluate(haar_random_state((2,) * 6, seed=[95]))
+    assert calls == {"canonical_bipartitions": 1}
+    assert len(report.concurrences) == 31
+
+    calls.clear()
+    report = evaluate(ghz_state(3))
+    assert calls == {"canonical_bipartitions": 1, "reduced_purity": 3}
+    assert len(report.concurrences) == 3

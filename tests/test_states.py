@@ -269,6 +269,33 @@ class TestConstructor:
         state = haar_random_state((3, 3, 3), seed=5)
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
+    def test_a_caller_array_is_copied(self):
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = 1.0
+        state = PureState((2, 2, 2), amps)
+        amps[0] = 0.5
+        assert state.amplitudes[0] == 1.0
+
+    # The parser and the Haar sampler hand their fresh vector over instead
+    # of having it copied, so their peak holds one state-sized vector.
+    @pytest.mark.parametrize("kind", ["parse", "haar"])
+    def test_built_states_are_not_copied(self, kind):
+        text = serialize_state(ghz_state(18))
+
+        def build():
+            if kind == "parse":
+                return parse_state(text)
+            return haar_random_state((2,) * 18, seed=6)
+
+        build()
+        tracemalloc.start()
+        try:
+            state = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * state.amplitudes.nbytes
+
 
 class TestLocalUnitary:
     def test_identity_is_noop(self):
