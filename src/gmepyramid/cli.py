@@ -32,14 +32,15 @@ def _fmt(value: float | None) -> str:
 
 
 def _state_json(report: MeasureReport) -> dict:
+    spectrum = report.spectrum
     return {
         "id": report.state_id,
-        "dims": list(report.dims),
+        "dims": list(spectrum.dims),
         "volume": report.volume,
         "c_gme": report.c_gme,
         "triangle": report.triangle,
         "classification": report.classification,
-        "concurrences": dict(zip(map(Bipartition.label, report.cuts), report.values)),
+        "concurrences": dict(zip(map(Bipartition.label, spectrum.cuts), spectrum.values)),
         "zero_cuts": [cut.label() for cut in report.zero_cuts],
         "notes": list(report.notes),
     }
@@ -105,7 +106,8 @@ def dumps_report(doc: dict) -> str:
 
 
 def _print_report(report: MeasureReport) -> None:
-    print(f"state: {report.state_id} (dims {'x'.join(str(d) for d in report.dims)})")
+    spectrum = report.spectrum
+    print(f"state: {report.state_id} (dims {'x'.join(str(d) for d in spectrum.dims)})")
     print(f"classification: {report.classification}")
     if report.volume is not None:
         print(f"volume: {_fmt(report.volume)}")
@@ -113,7 +115,7 @@ def _print_report(report: MeasureReport) -> None:
     if report.triangle is not None:
         print(f"triangle: {_fmt(report.triangle)}")
     print("concurrences:")
-    for cut, value in zip(report.cuts, report.values):
+    for cut, value in zip(spectrum.cuts, spectrum.values):
         print(f"  {cut.label():<12} {value:.4f}")
     if report.zero_cuts:
         print("zero cuts: " + "; ".join(cut.label() for cut in report.zero_cuts))

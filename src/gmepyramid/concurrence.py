@@ -16,11 +16,12 @@ transient copy of the state), forms rho_S = A A^dag and takes Tr(rho_S^2).
 It never reshapes or transposes the state tensor, and serves as a
 cross-check against indexing mistakes in the fast path.
 
-:func:`full_spectrum` holds a state's spectrum as one row: the shared
-``canonical_bipartitions`` tuple and a tuple of concurrences in the same
-order. Because the cuts are grouped by size, the one-versus-rest values are
-the slice ``values[:n]`` and the multi-party values ``values[n:]``; a
-cut-keyed dict is built only when ``entries`` is read.
+:func:`full_spectrum` holds a state's spectrum as one row, ``(dims, values)``:
+the concurrences in the order of the shared ``canonical_bipartitions`` tuple,
+which ``cuts`` reads from the table cache. Because the cuts are grouped by
+size, the one-versus-rest values are the slice ``values[:n]`` and the
+multi-party values ``values[n:]``; a cut-keyed dict is built only when
+``entries`` is read.
 
 It walks the cut forest (``bipartitions.cut_forest``): every cut T below
 the top size n // 2 hangs under a canonical cut P = T + {x} one party
@@ -44,66 +45,74 @@ from typing import Iterable
 
 import numpy as np
 
-from .bipartitions import Bipartition, canonical_bipartitions, canonical_cut, cut_forest, split
-from .states import PureState
+from .bipartitions import Bipartition, _cut_table, canonical_bipartitions, canonical_cut, cut_forest, split
+from .states import PureState, check_subsystem_count
 
 # Largest reduced dimension the dense oracle will materialize.
 DENSE_ORACLE_CAP = 4096
 
 
+def _cut_matrix(state: PureState, cut: Bipartition) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The d_S x d_rest amplitude matrix of ``cut`` (a transposed copy) and S's shape."""
+    t = state._tensor.transpose(cut.axes)
+    shape = t.shape[: cut.size]
+    return t.reshape(math.prod(shape), -1), shape
+
+
+def _purity(rho: np.ndarray) -> float:
+    """||rho||_F^2 of a reduced state, clamped to [0, 1] against rounding."""
+    return min(max(float(np.vdot(rho, rho).real), 0.0), 1.0)
+
+
+def _from_purity(purity: float) -> float:
+    return math.sqrt(2.0 * (1.0 - purity))
+
+
 def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     """Tr(rho_S^2) of the reduced state across ``cut``, clamped to [0, 1]."""
-    cut = canonical_cut(cut, state.n)
-    t = state._tensor.transpose(cut.axes)
-    d_s = math.prod(t.shape[: cut.size])
-    m = t.reshape(d_s, -1)
+    m, _ = _cut_matrix(state, canonical_cut(cut, state.n))
     # Gram matrix of the smaller side; its squared Frobenius norm is the purity.
-    g = m @ m.conj().T if d_s * d_s <= t.size else m.conj().T @ m
-    purity = float(np.vdot(g, g).real)
-    return min(max(purity, 0.0), 1.0)
+    return _purity(m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m)
 
 
 def concurrence(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     """sqrt(2 [1 - Tr(rho_S^2)]) across ``cut``; symmetric under cut <-> complement."""
-    return math.sqrt(2.0 * (1.0 - reduced_purity(state, cut)))
+    return _from_purity(reduced_purity(state, cut))
 
 
 @dataclass(frozen=True)
 class ConcurrenceSpectrum:
     """Concurrence of every canonical bipartition of one state, as one row.
 
-    ``cuts`` holds the 2**(n-1) - 1 canonical cuts of n parties, strictly
-    increasing in (size, subset): smallest cut first, lexicographic within a
-    size group. ``values[i]`` is the concurrence across ``cuts[i]``, so the
-    n one-versus-rest values lead the row in subsystem order.
+    ``values[i]`` is the concurrence across ``cuts[i]``, where ``cuts`` is
+    the shared ``canonical_bipartitions`` tuple of n = len(dims) parties:
+    smallest cut first, lexicographic within a size group, so the n
+    one-versus-rest values lead the row in subsystem order. Every value
+    lies in [0, sqrt(2)].
     """
 
     dims: tuple[int, ...]
-    cuts: tuple[Bipartition, ...]
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        n = self.n
-        expected = 2 ** (n - 1) - 1
-        if len(self.cuts) != expected:
-            raise ValueError(f"expected {expected} canonical cuts, got {len(self.cuts)}")
+        expected = 2 ** (check_subsystem_count(self.n) - 1) - 1
         if len(self.values) != expected:
             raise ValueError(f"expected {expected} values, got {len(self.values)}")
-        previous: tuple = (0, ())
-        for cut in self.cuts:
-            if cut.n != n:
-                raise ValueError(f"cut {cut.label()} is for {cut.n} parties, spectrum has {n}")
-            key = (len(cut.subset), cut.subset)
-            if key <= previous:
-                raise ValueError(
-                    "cuts must be strictly increasing in (size, subset); "
-                    f"{cut.label()} is out of order"
-                )
-            previous = key
+        # Three C-level passes. sqrt(2) is the value of a purity clamped to 0.
+        if any(map(math.isnan, self.values)):
+            raise ValueError("a concurrence value is NaN")
+        lo, hi = min(self.values), max(self.values)
+        if lo < 0.0 or hi > math.sqrt(2.0):
+            raise ValueError(f"concurrences lie in [0, sqrt(2)], got {lo if lo < 0.0 else hi!r}")
 
     @property
     def n(self) -> int:
         return len(self.dims)
+
+    @property
+    def cuts(self) -> tuple[Bipartition, ...]:
+        """The canonical cuts of n parties, read from the table cache without enumerating."""
+        return _cut_table(self.n)[0]
 
     @property
     def entries(self) -> dict[Bipartition, float]:
@@ -129,12 +138,12 @@ def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
     """
     cuts = canonical_bipartitions(state.n)
     first, kids, traced = cut_forest(state.n)
-    tensor = state._tensor
+    dims = state.dims
     values = [0.0] * len(cuts)
 
     def descend(i: int, rho: np.ndarray) -> None:
         # rho is the reduced state of cut i as a tensor: its sites, then their copies.
-        values[i] = math.sqrt(2.0 * (1.0 - min(max(np.vdot(rho, rho).real, 0.0), 1.0)))
+        values[i] = _from_purity(_purity(rho))
         size = rho.ndim // 2
         for j in range(first[i], first[i + 1]):
             c = kids[j]
@@ -145,11 +154,10 @@ def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
         cut = cuts[i]
         lo, hi = first[i], first[i + 1]
         if lo < hi:
-            t = tensor.transpose(cut.axes)
-            shape = t.shape[: cut.size]
-            d_s = math.prod(shape)
-            if d_s * d_s <= t.size:
-                m = t.reshape(d_s, -1)
+            # Decided before the reshape copies the state.
+            d_s = math.prod([dims[s - 1] for s in cut.subset])
+            if d_s * d_s <= state.dim:
+                m, shape = _cut_matrix(state, cut)
                 rho = m @ m.conj().T
                 del m  # the transposed copy goes before the walk and the next root
                 descend(i, rho.reshape(shape + shape))
@@ -157,8 +165,8 @@ def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
                 continue
             # Its own side's rho would outgrow the state: the children join the roots.
             roots.extend(kids[lo:hi])
-        values[i] = math.sqrt(2.0 * (1.0 - reduced_purity(state, cut)))
-    return ConcurrenceSpectrum(state.dims, cuts, tuple(values))
+        values[i] = concurrence(state, cut)
+    return ConcurrenceSpectrum(dims, tuple(values))
 
 
 def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:

@@ -16,9 +16,8 @@ comparator.
 
 Every measure reads the spectrum's row directly: ``a`` from the slice
 ``singletons()`` (the first N values), ``h`` from ``multis()`` (the rest),
-C_GME and the zero cuts from the whole row. A report carries the same
-shared cut tuple and value tuple; ``MeasureReport.concurrences`` is a
-cut-keyed view built only when it is read.
+C_GME and the zero cuts from the whole row. A report carries the spectrum
+itself as ``MeasureReport.spectrum``; its ``entries`` is the cut-keyed view.
 """
 
 from __future__ import annotations
@@ -57,25 +56,14 @@ class MeasureReport:
     """All measure values and the separability classification of one state."""
 
     state_id: str
-    dims: tuple[int, ...]
+    spectrum: ConcurrenceSpectrum
     volume: float | None
     c_gme: float
     triangle: float | None
     classification: str
-    cuts: tuple[Bipartition, ...]
-    values: tuple[float, ...]
     zero_cuts: tuple[Bipartition, ...]
     zero_tol: float
     notes: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def n(self) -> int:
-        return len(self.dims)
-
-    @property
-    def concurrences(self) -> dict[Bipartition, float]:
-        """The spectrum row as a cut -> concurrence mapping, in canonical order."""
-        return dict(zip(self.cuts, self.values))
 
 
 def check_tolerance(value: float | str) -> float:
@@ -203,13 +191,11 @@ def evaluate(
             )
     return MeasureReport(
         state_id=state_id,
-        dims=state.dims,
+        spectrum=spectrum,
         volume=vol,
         c_gme=c_gme(spectrum),
         triangle=tri,
         classification=classification,
-        cuts=spectrum.cuts,
-        values=spectrum.values,
         zero_cuts=zero_cuts,
         zero_tol=zero_tol,
         notes=tuple(notes),

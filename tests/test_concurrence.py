@@ -309,52 +309,60 @@ class TestInvariances:
                     assert 0.0 <= c <= bound + 1e-10
 
 
-def test_spectrum_rejects_wrong_cut_count():
-    from gmepyramid import ConcurrenceSpectrum
-
-    cuts = canonical_bipartitions(4)
-    with pytest.raises(ValueError, match="expected 7"):
-        ConcurrenceSpectrum((2, 2, 2, 2), cuts[:1], (1.0,))
-
-
-def test_spectrum_rejects_cuts_of_another_party_count(monkeypatch):
-    from gmepyramid import ConcurrenceSpectrum
-
-    concurrence_module = importlib.import_module("gmepyramid.concurrence")
-    foreign = canonical_bipartitions(5)[:3]
-
-    def refuse_enumeration(n):
-        raise AssertionError("enumerated the cuts")
-
-    # The check reads each cut's party count; it does not enumerate the cuts.
-    monkeypatch.setattr(concurrence_module, "canonical_bipartitions", refuse_enumeration)
-    with pytest.raises(ValueError, match="^cut 1 is for 5 parties, spectrum has 3$"):
-        ConcurrenceSpectrum((2, 2, 2), foreign, (0.5,) * 3)
-
-
-def test_spectrum_rejects_cuts_out_of_canonical_order(monkeypatch):
-    from gmepyramid import ConcurrenceSpectrum
-
-    concurrence_module = importlib.import_module("gmepyramid.concurrence")
-    cuts = canonical_bipartitions(4)
-
-    def refuse_enumeration(n):
-        raise AssertionError("enumerated the cuts")
-
-    # Reversed, singletons() would read subsystems 4, 3, 2, 1 off the row.
-    monkeypatch.setattr(concurrence_module, "canonical_bipartitions", refuse_enumeration)
-    order = r"^cuts must be strictly increasing in \(size, subset\); "
-    with pytest.raises(ValueError, match=order + "1,3 is out of order$"):
-        ConcurrenceSpectrum((2, 2, 2, 2), cuts[::-1], (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7))
-    with pytest.raises(ValueError, match=order + "1 is out of order$"):
-        ConcurrenceSpectrum((2, 2, 2, 2), (cuts[0], *cuts[:6]), (0.5,) * 7)
-
-
 def test_spectrum_rejects_a_value_count_unlike_the_cut_count():
     from gmepyramid import ConcurrenceSpectrum
 
     with pytest.raises(ValueError, match="^expected 7 values, got 6$"):
-        ConcurrenceSpectrum((2, 2, 2, 2), canonical_bipartitions(4), (0.5,) * 6)
+        ConcurrenceSpectrum((2, 2, 2, 2), (0.5,) * 6)
+
+
+@pytest.mark.parametrize("dims", [(), (2,)], ids=str)
+def test_spectrum_refuses_fewer_than_two_parties(dims):
+    from gmepyramid import ConcurrenceSpectrum
+
+    with pytest.raises(ValueError, match="^a multipartite state needs at least 2 subsystems$"):
+        ConcurrenceSpectrum(dims, ())
+
+
+def test_spectrum_refuses_a_nan_value():
+    from gmepyramid import ConcurrenceSpectrum
+
+    # Accepted, the NaN would classify as GME: nan <= zero_tol is False.
+    with pytest.raises(ValueError, match="^a concurrence value is NaN$"):
+        ConcurrenceSpectrum((2, 2, 2), (0.1, math.nan, 0.3))
+
+
+@pytest.mark.parametrize(
+    "bad", [-math.inf, -1e-300, math.nextafter(math.sqrt(2.0), 2.0), math.inf], ids=repr
+)
+def test_spectrum_refuses_a_value_outside_zero_to_sqrt2(bad):
+    from gmepyramid import ConcurrenceSpectrum
+
+    with pytest.raises(ValueError, match=r"^concurrences lie in \[0, sqrt\(2\)\], got "):
+        ConcurrenceSpectrum((2, 2, 2), (0.5, bad, 0.5))
+
+
+def test_spectrum_accepts_both_ends_of_zero_to_sqrt2():
+    from gmepyramid import ConcurrenceSpectrum
+
+    assert ConcurrenceSpectrum((2, 2, 2), (0.0, math.sqrt(2.0), 0.0)).values[1] == math.sqrt(2.0)
+
+
+def test_spectrum_cuts_are_read_from_the_table_entry(monkeypatch):
+    from gmepyramid import ConcurrenceSpectrum
+
+    bipartitions_module = importlib.import_module("gmepyramid.bipartitions")
+    concurrence_module = importlib.import_module("gmepyramid.concurrence")
+    cuts = canonical_bipartitions(5)
+
+    def refuse_enumeration(*args):
+        raise AssertionError("enumerated the cuts")
+
+    monkeypatch.setattr(bipartitions_module, "iter_bipartitions", refuse_enumeration)
+    monkeypatch.setattr(concurrence_module, "canonical_bipartitions", refuse_enumeration)
+    spectrum = ConcurrenceSpectrum((2, 3, 2, 2, 2), (0.5,) * 15)
+    assert spectrum.cuts is cuts
+    assert list(spectrum.entries) == list(cuts)
 
 
 def test_spectrum_row_slices_in_canonical_order():

@@ -259,12 +259,18 @@ class TestEvaluate:
     def test_report_fields(self):
         report = evaluate(psi_b(), state_id="psi_B")
         assert report.state_id == "psi_B"
-        assert report.n == 4
+        assert report.spectrum.n == 4
         assert report.volume == pytest.approx(ORACLE_VOLUMES["psi_B"], abs=1e-12)
         assert report.triangle is None
         assert report.classification == "GME"
-        assert len(report.concurrences) == 7
+        assert len(report.spectrum.entries) == 7
         assert report.zero_cuts == ()
+
+    def test_report_carries_the_spectrum_it_was_built_from(self):
+        state = haar_random_state((3, 2, 4, 2), seed=[96])
+        report = evaluate(state)
+        assert report.spectrum.dims == (3, 2, 4, 2)
+        assert report.spectrum.values == full_spectrum(state).values
 
     def test_tripartite_report_has_triangle(self):
         report = evaluate(ghz_state(3))
@@ -322,14 +328,14 @@ def test_evaluate_enumerates_once_and_takes_one_purity_per_cut(monkeypatch):
 
     report = evaluate(haar_random_state((2, 3, 2, 2, 2, 2), seed=[95]))
     assert calls == {"canonical_bipartitions": 1, "reduced_purity": 8}
-    assert len(report.concurrences) == 31
+    assert len(report.spectrum.entries) == 31
 
     calls.clear()
     report = evaluate(haar_random_state((2,) * 6, seed=[95]))
     assert calls == {"canonical_bipartitions": 1}
-    assert len(report.concurrences) == 31
+    assert len(report.spectrum.entries) == 31
 
     calls.clear()
     report = evaluate(ghz_state(3))
     assert calls == {"canonical_bipartitions": 1, "reduced_purity": 3}
-    assert len(report.concurrences) == 3
+    assert len(report.spectrum.entries) == 3
