@@ -3,11 +3,11 @@
 A cut S | rest is stored by its smaller side; when N is even, the half-size
 class keeps the side that contains subsystem 1 (:func:`canonical_cut` maps
 any spelling to it). :func:`iter_bipartitions` yields the 2**(N-1) - 1
-canonical cuts smallest cardinality first, lexicographic within a group;
-``canonical_bipartitions`` builds them once per process as one shared tuple
-and, in the same pass, the forest that :func:`cut_forest` returns: each cut
-below the top size linked to a cut one party larger, for the partial traces
-of ``concurrence.full_spectrum``.
+canonical cuts smallest cardinality first, lexicographic within a group.
+One pass over it builds the shared ``canonical_bipartitions`` tuple and the
+:func:`cut_forest` of ``concurrence.full_spectrum``'s partial traces: a
+cut's children drop one site of its trailing run N, N - 1, ..., and at
+even N a half-size cut's children also drop subsystem 1.
 Party counts go through ``states.check_subsystem_count`` before any O(N) work.
 """
 
@@ -18,8 +18,6 @@ import itertools
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
 
 from .states import as_index, check_subsystem_count
 
@@ -96,6 +94,7 @@ def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tu
 def canonical_cut(cut: Bipartition | Iterable[int], n: int) -> Bipartition:
     """Any spelling of ``cut`` (see :func:`split`) as its canonical cut: the side
     with fewer parties or, on a tie, the side holding subsystem 1, the lesser tuple."""
+    n = as_index(n, "party count")
     if isinstance(cut, Bipartition) and cut.n == n:
         return cut
     return Bipartition(min(split(cut, n), key=lambda side: (len(side), side)), n)
@@ -123,17 +122,17 @@ def canonical_bipartitions(n: int) -> tuple[Bipartition, ...]:
 
 
 class CutForest(NamedTuple):
-    """Every canonical cut T below the top size ``n // 2``, hung under the
-    canonical cut P = T + {x} one party larger, as index arrays into
-    :func:`canonical_bipartitions`.
+    """Every canonical cut below the top size ``n // 2``, hung under one
+    canonical cut P one party larger: index arrays into
+    :func:`canonical_bipartitions`, built in the same enumeration.
 
-    x is the largest site outside T, except that at even ``n`` a half-size
-    parent must hold subsystem 1, so x = 1 when T lacks it. The children of
+    P's children drop one site of its trailing run n, n - 1, ...; at even
+    ``n`` a half-size P's children also drop subsystem 1. The children of
     cut ``i`` are ``kids[first[i]:first[i + 1]]`` in increasing order;
-    ``traced[c]`` is the position of x in the subset of child ``c``'s
-    parent. The cuts below the top size lead the canonical order, so
-    ``len(traced)`` is the index of the first top-size cut, and the top-size
-    cuts are the roots.
+    ``traced[c]`` is the position of the dropped site in the subset of
+    child ``c``'s parent. The cuts below the top size lead the canonical
+    order, so ``len(traced)`` is the index of the first top-size cut, and
+    the top-size cuts are the roots.
     """
 
     first: array
@@ -142,42 +141,38 @@ class CutForest(NamedTuple):
 
 
 def cut_forest(n: int) -> CutForest:
-    """The :class:`CutForest` of ``n`` parties, built with and cached beside
-    the :func:`canonical_bipartitions` tuple (neither enumerates it again)."""
+    """The :class:`CutForest` of ``n`` parties, built in the same pass as the
+    :func:`canonical_bipartitions` tuple and cached beside it."""
     return _cut_table(as_index(n, "party count"))[1]
-
-
-def _forest(n: int, count: int) -> CutForest:
-    # Cut masks hold site s at bit n - s, so descending mask order within a
-    # size group is the lexicographic order of iter_bipartitions.
-    top = n // 2
-    masks = np.arange(1 << n, dtype=np.int32)  # n <= MAX_PARTIES = 26
-    sizes = np.zeros(1 << n, dtype=np.int8)
-    for bit in range(n):
-        sizes += (masks >> bit) & 1
-    groups = [np.flatnonzero(sizes == k)[::-1] for k in range(1, top + 1)]
-    if n % 2 == 0:  # half-size cuts hold subsystem 1: the leading half of the group
-        groups[-1] = groups[-1][: groups[-1].size // 2]
-    order = np.concatenate(groups)
-    rank = np.empty(1 << n, dtype=np.int32)
-    rank[order] = np.arange(count)
-    below = order[: count - groups[-1].size]
-    outside = ~below & (below + 1)  # lowest clear bit: the largest site outside
-    if n % 2 == 0:
-        one = 1 << (n - 1)
-        outside[(sizes[below] == top - 1) & (below < one)] = one
-    parents = below | outside
-    parent = rank[parents]
-    kids = np.argsort(parent, kind="stable")
-    first = np.searchsorted(parent, np.arange(count + 1), sorter=kids)
-    traced = sizes[parents & -(outside << 1)]  # parent's sites before x
-    return CutForest(*(array("l", a.tolist()) for a in (first, kids, traced)))
 
 
 @functools.cache
 def _cut_table(n: int) -> tuple[tuple[Bipartition, ...], CutForest]:
-    cuts = tuple(iter_bipartitions(n))
-    return cuts, _forest(n, len(cuts))
+    # Canonical order puts every cut before the cuts one party larger, so the
+    # subsets indexed so far hold each child of the cut that arrives.
+    top, half = n // 2, n % 2 == 0
+    cuts, index = [], {}
+    first, kids, traced = array("l", [0]), array("l"), array("l")
+    for i, cut in enumerate(iter_bipartitions(n)):
+        subset, size = cut.subset, cut.size
+        if size > 1:
+            # A larger dropped site leaves a lesser subset: children in index order.
+            pos, site = size - 1, n
+            while pos >= 0 and subset[pos] == site:
+                c = index[subset[:pos] + subset[pos + 1 :]]
+                kids.append(c)
+                traced[c] = pos
+                pos, site = pos - 1, site - 1
+            if half and size == top:  # without subsystem 1: the greatest child
+                c = index[subset[1:]]
+                kids.append(c)
+                traced[c] = 0
+        first.append(len(kids))
+        cuts.append(cut)
+        if size < top:
+            index[subset] = i
+            traced.append(0)  # set when this cut's parent arrives
+    return tuple(cuts), CutForest(first, kids, traced)
 
 
 # The one table cache, inspected and cleared through the public name.

@@ -46,7 +46,7 @@ from typing import Iterable
 import numpy as np
 
 from .bipartitions import Bipartition, _cut_table, canonical_bipartitions, canonical_cut, cut_forest, split
-from .states import PureState, check_subsystem_count
+from .states import PureState, check_dims
 
 # Largest reduced dimension the dense oracle will materialize.
 DENSE_ORACLE_CAP = 4096
@@ -95,7 +95,9 @@ class ConcurrenceSpectrum:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        expected = 2 ** (check_subsystem_count(self.n) - 1) - 1
+        object.__setattr__(self, "dims", check_dims(self.dims))
+        object.__setattr__(self, "values", tuple(self.values))
+        expected = 2 ** (self.n - 1) - 1
         if len(self.values) != expected:
             raise ValueError(f"expected {expected} values, got {len(self.values)}")
         # Three C-level passes. sqrt(2) is the value of a purity clamped to 0.

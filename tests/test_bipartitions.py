@@ -140,6 +140,8 @@ class TestCanonicalCut:
         assert canonical_cut(cut, 6) is cut
         with pytest.raises(ValueError, match="^cut is for 6 parties, state has 5$"):
             canonical_cut(cut, 5)
+        with pytest.raises(ValueError, match="^party count must be an integer, got 6.0$"):
+            canonical_cut(cut, 6.0)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_every_spelling_maps_into_the_canonical_list(self, n):
@@ -207,7 +209,7 @@ class TestPartyLimit:
 
 
 class TestCutForest:
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 15))
     def test_every_smaller_cut_hangs_under_one_cut_one_party_larger(self, n):
         cuts = canonical_bipartitions(n)
         first, kids, traced = cut_forest(n)
@@ -218,6 +220,9 @@ class TestCutForest:
         parent_of = {kids[j]: i for i in range(len(cuts)) for j in range(first[i], first[i + 1])}
         assert len(kids) == top
         assert sorted(parent_of) == list(range(top))
+        for i in range(len(cuts)):
+            children = kids[first[i] : first[i + 1]]
+            assert all(a < b for a, b in zip(children, children[1:]))
         for c, p in parent_of.items():
             child, parent = cuts[c].subset, cuts[p].subset
             x = parent[traced[c]]

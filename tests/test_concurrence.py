@@ -324,6 +324,31 @@ def test_spectrum_refuses_fewer_than_two_parties(dims):
         ConcurrenceSpectrum(dims, ())
 
 
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ((1, 2.5, 0), "^subsystem dimension must be an integer, got 2.5$"),
+        ((1, 2, 2), r"^subsystem dimensions must be >= 2, got \(1, 2, 2\)$"),
+    ],
+    ids=["non-integer", "below-2"],
+)
+def test_spectrum_refuses_dims_no_state_can_have(dims, message):
+    from gmepyramid import ConcurrenceSpectrum
+
+    # Accepted, (1, 2.5, 0) would classify as GME with volume 0.0361.
+    with pytest.raises(ValueError, match=message):
+        ConcurrenceSpectrum(dims, (0.5, 0.5, 0.5))
+
+
+def test_spectrum_stores_a_hashable_row():
+    from gmepyramid import ConcurrenceSpectrum
+
+    spectrum = ConcurrenceSpectrum([2, np.int64(3), 2], [0.5, 0.5, 0.5])
+    assert spectrum.dims == (2, 3, 2) and type(spectrum.dims) is tuple
+    assert spectrum.values == (0.5, 0.5, 0.5) and type(spectrum.values) is tuple
+    assert hash(spectrum) == hash(ConcurrenceSpectrum((2, 3, 2), (0.5, 0.5, 0.5)))
+
+
 def test_spectrum_refuses_a_nan_value():
     from gmepyramid import ConcurrenceSpectrum
 
