@@ -12,10 +12,12 @@ Checks cover invariance of the volume under local unitaries and subsystem
 relabeling, agreement of every value of ``full_spectrum`` with the dense
 oracle, vanishing volume on product constructions, the closed form on GHZ
 states, and the coincidence of the general pyramid formula with its
-four-party special case. Monotonicity under general LOCC is not directly
-exercised: deterministic pure-to-pure LOCC beyond local unitaries is
-degenerate at this scale, so the harness tests the local-unitary
-consequence only.
+four-party special case. Under LOCC, each cut concurrence is a concave,
+unitarily invariant function of the reduced state, hence an ensemble
+(outcome-averaged) monotone, and so is C_GME, their minimum. The pyramid
+volume is not: a local filter on one qubit of cos t|0000> + sin t|1111>
+raises its outcome average (README, "Known discrepancies"). No check here
+draws random LOCC; the harness tests the local-unitary consequence.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from gmepyramid import CHECK_NAMES, benchmark_states, bipartitions, canonical_bipartitions, cli
 from gmepyramid.cli import dumps_report, main
 from gmepyramid.states import serialize_state
+from gmepyramid.verify import haar_random_state
 
 GHZ4_TEXT = """\
 dims 2 2 2 2
@@ -42,6 +45,13 @@ def ghz4_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def qutrit_file(tmp_path):
+    path = tmp_path / "haar322.txt"
+    path.write_text(serialize_state(haar_random_state((3, 2, 2), 1)))
+    return str(path)
+
+
 class TestEval:
     def test_ghz4_human_output(self, ghz4_file, capsys):
         assert main(["eval", ghz4_file]) == 0
@@ -76,6 +86,12 @@ class TestEval:
         assert main(["eval", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    def test_module_runs_as_a_script(self, qutrit_file, capsys):
+        assert main(["eval", qutrit_file, "--json"]) == 0
+        args = [sys.executable, "-m", "gmepyramid.cli", "eval", qutrit_file, "--json"]
+        run = subprocess.run(args, capture_output=True, text=True)
+        assert (run.returncode, run.stderr, run.stdout) == (0, "", capsys.readouterr().out)
 
     def test_missing_file(self, capsys):
         assert main(["eval", "/nonexistent/state.txt"]) == 2
@@ -354,21 +370,23 @@ class TestRenderer:
         monkeypatch.setattr(cli, "dumps_report", record)
         return seen
 
-    def test_eval_documents_of_the_built_in_states(self, tmp_path, capsys, rendered):
+    def test_eval_documents_of_the_built_in_states(self, tmp_path, qutrit_file, capsys, rendered):
         for state_id, state in benchmark_states().items():
             path = tmp_path / f"{state_id}.txt"
             path.write_text(serialize_state(state))
             assert main(["eval", str(path), "--json"]) == 0
-        assert len(rendered) == 7
+        assert main(["eval", qutrit_file, "--json"]) == 0
+        assert len(rendered) == 8 and rendered[-1][0]["states"][0]["notes"]
         for doc, text in rendered:
-            assert text == _reference_dump(doc)
+            assert text == _reference_dump(doc) == _reference_dump(json.loads(text))
         assert capsys.readouterr().out == "".join(text + "\n" for _, text in rendered)
 
     def test_paper_document(self, capsys, rendered):
         assert main(["paper", "--json"]) == 0
         (doc, text), = rendered
         assert len(doc["states"]) == 7 and doc["paper_rows"]
-        assert text == _reference_dump(doc)
+        assert text == _reference_dump(doc) == _reference_dump(json.loads(text))
+        assert capsys.readouterr().out == text + "\n"
 
     @pytest.mark.parametrize("check", CHECK_NAMES)
     def test_random_document_of_each_check(self, capsys, rendered, check):
@@ -376,7 +394,8 @@ class TestRenderer:
         assert main(args + ["--json"]) == 0
         (doc, text), = rendered
         assert doc["checks"][0]["check"] == check
-        assert text == _reference_dump(doc)
+        assert text == _reference_dump(doc) == _reference_dump(json.loads(text))
+        assert capsys.readouterr().out == text + "\n"
 
     def test_synthetic_document(self):
         doc = {

@@ -71,6 +71,56 @@ def loop_oracle_purity(state, cut):
     return float(np.real(np.trace(rho @ rho)))
 
 
+def graph_state(n, edges):
+    """2^(-n/2) sum_x (-1)^(sum over edges (i, j) of x_i x_j) |x>, site 1 the slowest bit."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    phase = sum((bits[:, i - 1] & bits[:, j - 1] for i, j in edges), np.zeros(2**n, dtype=int))
+    return PureState((2,) * n, (-1.0) ** phase * 2.0 ** (-n / 2))
+
+
+def cut_rank(edges, subset):
+    """GF(2) rank of the adjacency block between ``subset`` and the rest, by
+    elimination on rows held as bit masks."""
+    rows = dict.fromkeys(subset, 0)
+    for i, j in edges:
+        for a, b in ((i, j), (j, i)):
+            if a in rows and b not in rows:
+                rows[a] |= 1 << b
+    rank, rows = 0, list(rows.values())
+    while rows:
+        pivot, *rows = rows
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
+
+
+def random_graph(n, seed):
+    """Edges of a seeded G(n, 0.4) graph on sites 1..n."""
+    rng = np.random.default_rng(seed)
+    return [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.4]
+
+
+# Two connected components, on sites 1..4 and 5..10.
+TWO_COMPONENTS = [(1, 2), (2, 3), (3, 4), (1, 3), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (5, 8)]
+GRAPHS = [(n, random_graph(n, [111, n])) for n in (6, 9, 12)] + [(10, TWO_COMPONENTS)]
+
+
+def dicke_state(n, m):
+    """Equal superposition of the n-qubit basis states of Hamming weight m."""
+    weights = np.array([bin(x).count("1") for x in range(2**n)])
+    return PureState((2,) * n, weights == m, normalize=True)
+
+
+def qudit_ghz_state(dims):
+    """(|0...0> + |1...1> + ... + |d-1...d-1>)/sqrt(d) on dims (d, ..., d)."""
+    d, total = dims[0], math.prod(dims)
+    amps = np.zeros(total)
+    amps[:: (total - 1) // (d - 1)] = 1.0
+    return PureState(dims, amps, normalize=True)
+
+
 def zero_tensor_ghz3():
     """|0> on site 1, GHZ on sites 2..4; site 1 is slowest so kron leads with it."""
     return PureState((2, 2, 2, 2), np.kron([1.0, 0.0], ghz_state(3).amplitudes))
@@ -433,3 +483,54 @@ class TestSpectrumForest:
         assert peak <= 1.25 * per_cut_peak
         for cut, p, c in zip(cuts, per_cut, spectrum.values):
             assert abs(1.0 - 0.5 * c * c - p) < 1e-12, cut.label()
+
+
+class TestExactSpectra:
+    """Spectra known in closed form, cut by cut. A graph state's values vary
+    within a size group, so a value reported under another cut of the same
+    size shows here; GHZ and Dicke values depend on the cut size alone."""
+
+    # Hein, Eisert & Briegel, PRA 69, 062311 (2004): across S | rest a graph
+    # state's reduced state is maximally mixed on 2^r dimensions, r the GF(2)
+    # rank of the adjacency block; local unitaries leave that purity alone.
+    @pytest.mark.parametrize("rotated", [False, True], ids=["graph", "rotated"])
+    @pytest.mark.parametrize("n, edges", GRAPHS, ids=["G(6)", "G(9)", "G(12)", "two-components"])
+    def test_graph_state_purity_is_two_to_the_minus_cut_rank(self, n, edges, rotated):
+        state = graph_state(n, edges)
+        if rotated:
+            for site in range(1, n + 1):
+                u = random_local_unitary(2, seed=[112, n, site])
+                state = apply_local_unitary(state, site, u)
+        assert state._tensor.dtype == (np.complex128 if rotated else np.float64)
+        spectrum = full_spectrum(state)
+        for cut, c in zip(spectrum.cuts, spectrum.values):
+            purity = 2.0 ** -cut_rank(edges, cut.subset)
+            assert abs(1.0 - 0.5 * c * c - purity) <= 1e-14, cut.label()
+
+    def test_a_graph_of_two_components_is_biseparable(self):
+        # Only the cut between the two connected components has rank 0. At
+        # even n every amplitude is +-2^(-n/2), a power of two, so the Gram
+        # product is exact in any summation order and that cut reads 0.0.
+        report = evaluate(graph_state(10, TWO_COMPONENTS))
+        assert report.classification == "biseparable"
+        (cut,) = report.zero_cuts
+        assert cut.subset == (1, 2, 3, 4)
+        assert report.spectrum.entries[cut] == 0.0
+
+    # A k-site reduced state of D(n, m) is diagonal, with hypergeometric weights.
+    @pytest.mark.parametrize("n, m", [(9, 1), (9, 3), (10, 5)])
+    def test_dicke_purity_is_the_sum_of_squared_weights(self, n, m):
+        spectrum = full_spectrum(dicke_state(n, m))
+        for cut, c in zip(spectrum.cuts, spectrum.values):
+            k = cut.size
+            weights = [math.comb(k, j) * math.comb(n - k, m - j) for j in range(min(k, m) + 1)]
+            purity = sum(w * w for w in weights) / math.comb(n, m) ** 2
+            assert abs(1.0 - 0.5 * c * c - purity) <= 1e-14, cut.label()
+
+    # Every reduced state is maximally mixed on d dimensions, so every value
+    # is the largest one a cut of d-level sites can take.
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (3, 3, 3, 3), (4, 4, 4, 4), (5, 5, 5, 5, 5)], ids=str)
+    def test_qudit_ghz_attains_every_cut_bound(self, dims):
+        d = dims[0]
+        values = full_spectrum(qudit_ghz_state(dims)).values
+        assert max(abs(c - math.sqrt(2.0 * (d - 1) / d)) for c in values) <= 4.4e-16

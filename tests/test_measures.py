@@ -248,6 +248,32 @@ class TestProperties:
         expected = n / (12 * math.tan(math.pi / n))
         assert volume(full_spectrum(ghz_state(n))).volume == pytest.approx(expected, abs=1e-9)
 
+    def test_volume_rises_on_average_under_a_local_filter(self):
+        # A two-outcome instrument on qubit 1 of cos t|0000> + sin t|1111>:
+        # outcome 0 leaves GHZ4 (volume 1/3) with probability 2 sin^2 t,
+        # outcome 1 a product state. Each cut concurrence and C_GME are
+        # ensemble LOCC monotones; the volume rises from sin^3(2t)/3 to
+        # 2 sin^2(t)/3, for every t below about 0.287.
+        t = 0.1
+        amps = np.zeros(16)
+        amps[0], amps[15] = math.cos(t), math.sin(t)
+        kraus = [np.diag([math.tan(t), 1.0]), np.diag([math.sqrt(1.0 - math.tan(t) ** 2), 0.0])]
+        assert np.allclose(sum(k.T @ k for k in kraus), np.eye(2), rtol=0.0, atol=1e-15)
+        before = evaluate(PureState((2,) * 4, amps))
+        mean_volume = mean_c_gme = 0.0
+        for k in kraus:
+            branch = (k @ amps.reshape(2, 8)).ravel()
+            report = evaluate(PureState((2,) * 4, branch, normalize=True))
+            mean_volume += branch @ branch * report.volume
+            mean_c_gme += branch @ branch * report.c_gme
+        assert before.volume == pytest.approx(math.sin(2 * t) ** 3 / 3, abs=1e-15)
+        assert mean_volume == pytest.approx(2 * math.sin(t) ** 2 / 3, abs=1e-15)
+        assert mean_volume > before.volume
+        assert before.c_gme == pytest.approx(math.sin(2 * t), abs=1e-14)
+        # The product branch's cuts read at the sqrt(eps) floor, not 0.0.
+        assert mean_c_gme == pytest.approx(2 * math.sin(t) ** 2, abs=DEFAULT_ZERO_TOL)
+        assert mean_c_gme < before.c_gme
+
     def test_ghz_beats_w(self):
         v_ghz = volume(full_spectrum(ghz_state(4))).volume
         v_w = volume(full_spectrum(w_state(4))).volume
