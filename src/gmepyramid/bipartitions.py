@@ -4,10 +4,10 @@ A cut S | rest is stored by its smaller side; when N is even, the half-size
 class keeps the side that contains subsystem 1 (:func:`canonical_cut` maps
 any spelling to it). :func:`iter_bipartitions` yields the 2**(N-1) - 1
 canonical cuts smallest cardinality first, lexicographic within a group.
-One pass over it builds the shared ``canonical_bipartitions`` tuple and the
-:func:`cut_forest` of ``concurrence.full_spectrum``'s partial traces: a
-cut's children drop one site of its trailing run N, N - 1, ..., and at
-even N a half-size cut's children also drop subsystem 1.
+One pass over it builds the shared ``canonical_bipartitions`` tuple and,
+in the same cached table entry, the forest of ``concurrence.full_spectrum``'s
+partial traces: a cut's children drop one site of its trailing run
+N, N - 1, ..., and at even N a half-size cut's children also drop subsystem 1.
 Party counts go through ``states.check_subsystem_count`` before any O(N) work.
 """
 
@@ -17,7 +17,7 @@ import functools
 import itertools
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .states import as_index, check_subsystem_count
 
@@ -121,33 +121,20 @@ def canonical_bipartitions(n: int) -> tuple[Bipartition, ...]:
     return _cut_table(as_index(n, "party count"))[0]
 
 
-class CutForest(NamedTuple):
-    """Every canonical cut below the top size ``n // 2``, hung under one
-    canonical cut P one party larger: index arrays into
-    :func:`canonical_bipartitions`, built in the same enumeration.
-
-    P's children drop one site of its trailing run n, n - 1, ...; at even
-    ``n`` a half-size P's children also drop subsystem 1. The children of
-    cut ``i`` are ``kids[first[i]:first[i + 1]]`` in increasing order;
-    ``traced[c]`` is the position of the dropped site in the subset of
-    child ``c``'s parent. The cuts below the top size lead the canonical
-    order, so ``len(traced)`` is the index of the first top-size cut, and
-    the top-size cuts are the roots.
-    """
-
-    first: array
-    kids: array
-    traced: array
-
-
-def cut_forest(n: int) -> CutForest:
-    """The :class:`CutForest` of ``n`` parties, built in the same pass as the
-    :func:`canonical_bipartitions` tuple and cached beside it."""
-    return _cut_table(as_index(n, "party count"))[1]
-
-
 @functools.cache
-def _cut_table(n: int) -> tuple[tuple[Bipartition, ...], CutForest]:
+def _cut_table(n: int) -> tuple[tuple[Bipartition, ...], tuple[array, array, array]]:
+    """The canonical cuts of ``n`` parties and their partial-trace forest
+    ``(first, kids, traced)``, built in one enumeration; ``n`` is an int.
+
+    Every cut below the top size ``n // 2`` hangs under one canonical cut P
+    one party larger. P's children drop one site of its trailing run n,
+    n - 1, ...; at even ``n`` a half-size P's children also drop subsystem 1.
+    The children of cut ``i`` are ``kids[first[i]:first[i + 1]]`` in
+    increasing order; ``traced[c]`` is the position of the dropped site in
+    the subset of child ``c``'s parent. The cuts below the top size lead the
+    canonical order, so ``len(traced)`` is the index of the first top-size
+    cut, and the top-size cuts are the roots.
+    """
     # Canonical order puts every cut before the cuts one party larger, so the
     # subsets indexed so far hold each child of the cut that arrives.
     top, half = n // 2, n % 2 == 0
@@ -172,7 +159,7 @@ def _cut_table(n: int) -> tuple[tuple[Bipartition, ...], CutForest]:
         if size < top:
             index[subset] = i
             traced.append(0)  # set when this cut's parent arrives
-    return tuple(cuts), CutForest(first, kids, traced)
+    return tuple(cuts), (first, kids, traced)
 
 
 # The one table cache, inspected and cleared through the public name.

@@ -23,9 +23,10 @@ size, the one-versus-rest values are the slice ``values[:n]`` and the
 multi-party values ``values[n:]``; a cut-keyed dict is built only when
 ``entries`` is read.
 
-It walks the cut forest (``bipartitions.cut_forest``): every cut T below
-the top size n // 2 hangs under a canonical cut P = T + {x} one party
-larger, and rho_T = Tr_x rho_P. A top-size root with children pays one
+It walks the cut forest held in the same table entry as the cuts
+(``bipartitions._cut_table``): every cut T below the top size n // 2
+hangs under a canonical cut P = T + {x} one party larger, and
+rho_T = Tr_x rho_P. A top-size root with children pays one
 transpose and one Gram product, rho_P = M M^dag of its own side; every cut
 below it gets its rho by tracing one site out of its parent's, a sum of
 d_x slices of the parent's rho, and its purity as ||rho_T||_F^2. A root
@@ -45,7 +46,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bipartitions import Bipartition, _cut_table, canonical_bipartitions, canonical_cut, cut_forest, split
+from .bipartitions import Bipartition, _cut_table, canonical_bipartitions, canonical_cut, split
 from .states import PureState, check_dims
 
 # Largest reduced dimension the dense oracle will materialize.
@@ -139,7 +140,7 @@ def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
     not on the order in which the cuts are visited.
     """
     cuts = canonical_bipartitions(state.n)
-    first, kids, traced = cut_forest(state.n)
+    first, kids, traced = _cut_table(state.n)[1]
     dims = state.dims
     values = [0.0] * len(cuts)
 

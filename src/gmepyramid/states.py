@@ -30,6 +30,8 @@ MAX_AMPLITUDES = 2**26
 MAX_PARTIES = MAX_AMPLITUDES.bit_length() - 1  # every dimension is >= 2
 
 _NORM_TOL = 1e-9
+# Below it, up to 2**26 subnormal squares can move the norm by more than an ulp.
+_NORM_FLOOR = 2.0**-498
 _UNITARY_TOL = 1e-10
 
 
@@ -100,24 +102,25 @@ class _Owned:
         self.array = array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized pure state of N >= 2 subsystems.
 
     Immutable after construction: the amplitude array is copied (the parser
     and the Haar sampler hand over their fresh vector instead) and marked
-    read-only, so instances are safe to share across threads. Without
-    ``normalize`` the input must already have unit norm (within 1e-9); the
-    stored vector is rescaled by the exact computed norm either way, so the
-    residual deviation is at machine level. Every amplitude and the norm
-    must be finite.
+    read-only, so instances are safe to share across threads; a state
+    compares and hashes by identity. Without ``normalize`` the input must
+    already have unit norm (within 1e-9); the stored vector is rescaled by
+    the exact computed norm either way, so the residual deviation is at
+    machine level. Every amplitude and the norm must be finite, and a
+    nonzero norm at least 2**-498.
     """
 
     dims: tuple[int, ...]
     amplitudes: np.ndarray
     normalize: InitVar[bool] = False
     # Amplitudes shaped to dims for the cut products; float64 if all imaginary parts are 0.0.
-    _tensor: np.ndarray = field(init=False, repr=False, compare=False)
+    _tensor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, normalize: bool) -> None:
         dims = check_dims(self.dims)
@@ -138,8 +141,12 @@ class PureState:
             if not np.isfinite(amps).all():
                 raise ValueError("amplitudes must be finite (no nan or inf)")
             raise ValueError(f"state norm overflows float64 ({norm}); rescale the amplitudes")
-        if norm == 0.0:
-            raise ValueError("state vector is zero")
+        if norm < _NORM_FLOOR:
+            # Scaling by a power of two is exact and lifts every square out of the subnormals.
+            norm = float(np.linalg.norm(amps * 2.0**600)) / 2.0**600
+            if norm == 0.0:
+                raise ValueError("state vector is zero")
+            raise ValueError(f"state norm {norm:.3g} underflows float64; rescale the amplitudes")
         if not normalize and abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(
                 f"state norm {norm:.12g} deviates from 1 beyond {_NORM_TOL}; "
@@ -181,9 +188,9 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
     ------
     StateFormatError
         Malformed lines, out-of-range digits, duplicate basis tuples, a
-        missing ``dims`` line, a nan or infinite amplitude or norm, or
-        (without ``normalize``) a norm that deviates from 1 by more than
-        1e-9. Messages carry line numbers.
+        missing ``dims`` line, a nan or infinite amplitude or norm, a
+        nonzero norm below 2**-498, or (without ``normalize``) a norm that
+        deviates from 1 by more than 1e-9. Messages carry line numbers.
     """
     dims: tuple[int, ...] | None = None
     amps: np.ndarray | None = None

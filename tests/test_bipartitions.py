@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gmepyramid import Bipartition, bipartitions, canonical_bipartitions
-from gmepyramid.bipartitions import canonical_cut, cut_forest, iter_bipartitions
+from gmepyramid.bipartitions import _cut_table, canonical_cut, iter_bipartitions
 from gmepyramid.states import MAX_AMPLITUDES, MAX_PARTIES
 
 
@@ -212,7 +212,7 @@ class TestCutForest:
     @pytest.mark.parametrize("n", range(2, 15))
     def test_every_smaller_cut_hangs_under_one_cut_one_party_larger(self, n):
         cuts = canonical_bipartitions(n)
-        first, kids, traced = cut_forest(n)
+        first, kids, traced = _cut_table(n)[1]
         top = len(traced)
         assert len(first) == len(cuts) + 1
         assert {cut.size for cut in cuts[top:]} == {n // 2}
@@ -230,10 +230,3 @@ class TestCutForest:
             half = n % 2 == 0 and len(parent) == n // 2
             largest_outside = max(s for s in range(1, n + 1) if s not in child)
             assert x == (1 if half and 1 not in child else largest_outside)
-
-    def test_is_read_from_the_table_entry(self, monkeypatch):
-        canonical_bipartitions(7)
-        monkeypatch.setattr(bipartitions, "iter_bipartitions", _refuse_enumeration)
-        assert len(cut_forest(np.int64(7)).traced) == 7 + 21
-        with pytest.raises(ValueError, match="^party count must be an integer, got 7.0$"):
-            cut_forest(7.0)

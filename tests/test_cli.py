@@ -138,8 +138,9 @@ class TestEval:
             ("amp 0 0 0 nan 0.0", "amplitudes must be finite"),
             ("amp 0 0 0 inf 0.0", "amplitudes must be finite"),
             ("amp 0 0 0 1e308 0.0\namp 1 1 1 1e308 0.0", "state norm overflows"),
+            ("amp 0 0 0 1e-200 0.0\namp 1 1 1 1e-200 0.0", "state norm 1.41e-200 underflows float64"),
         ],
-        ids=["nan", "inf", "overflow"],
+        ids=["nan", "inf", "overflow", "underflow"],
     )
     def test_non_finite_amplitudes_are_refused(self, tmp_path, capsys, amp_lines, message, flags):
         path = tmp_path / "amps.txt"

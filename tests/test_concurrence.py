@@ -1,6 +1,10 @@
 import importlib
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,6 +22,7 @@ from gmepyramid import (
     haar_random_state,
     random_local_unitary,
     reduced_purity,
+    serialize_state,
     w_state,
 )
 from gmepyramid.bipartitions import split
@@ -429,11 +434,15 @@ def test_spectrum_cuts_are_read_from_the_table_entry(monkeypatch):
     bipartitions_module = importlib.import_module("gmepyramid.bipartitions")
     concurrence_module = importlib.import_module("gmepyramid.concurrence")
     cuts = canonical_bipartitions(5)
+    state = haar_random_state((2, 3, 2, 2, 2), seed=[92])
 
     def refuse_enumeration(*args):
         raise AssertionError("enumerated the cuts")
 
     monkeypatch.setattr(bipartitions_module, "iter_bipartitions", refuse_enumeration)
+    # The forest comes from the warm entry too.
+    values = full_spectrum(state).values
+    assert values == pytest.approx([concurrence(state, cut) for cut in cuts], abs=1e-12)
     monkeypatch.setattr(concurrence_module, "canonical_bipartitions", refuse_enumeration)
     spectrum = ConcurrenceSpectrum((2, 3, 2, 2, 2), (0.5,) * 15)
     assert spectrum.cuts is cuts
@@ -534,3 +543,69 @@ class TestExactSpectra:
         d = dims[0]
         values = full_spectrum(qudit_ghz_state(dims)).values
         assert max(abs(c - math.sqrt(2.0 * (d - 1) / d)) for c in values) <= 4.4e-16
+
+
+def dynamic_openblas():
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dicts mode
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def cpu_has(*features):
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return all(__cpu_features__.get(f) for f in features)
+
+
+# Two x86-64 OpenBLAS kernels that sum the Gram products in different orders.
+KERNELS = ("Nehalem", "Haswell")
+
+
+@pytest.mark.skipif(
+    not (dynamic_openblas() and cpu_has("SSE42", "AVX2", "FMA3")),
+    reason="needs a DYNAMIC_ARCH OpenBLAS and a CPU that runs its Nehalem and Haswell kernels",
+)
+class TestBlasKernels:
+    """``eval --json`` under two kernels, each in its own process: byte-identical
+    reports hold per kernel, so values may move by ulps but no decision may."""
+
+    def reports(self, tmp_path, state):
+        path = tmp_path / "state.txt"
+        path.write_text(serialize_state(state))
+        args = [sys.executable, "-m", "gmepyramid.cli", "eval", str(path), "--json"]
+        runs = [
+            subprocess.Popen(
+                args,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "OPENBLAS_CORETYPE": kernel},
+            )
+            for kernel in KERNELS
+        ]
+        outputs = [run.communicate() for run in runs]
+        assert [(run.returncode, err) for run, (_, err) in zip(runs, outputs)] == [(0, "")] * len(runs)
+        return [out for out, _ in outputs]
+
+    @pytest.mark.parametrize("biseparable", [False, True], ids=["haar", "haar-product"])
+    def test_values_move_by_ulps_and_decisions_hold(self, tmp_path, biseparable):
+        if biseparable:
+            left, right = (haar_random_state((2,) * 4, seed=[93, side]).amplitudes for side in (1, 2))
+            state = PureState((2,) * 8, np.kron(left, right), normalize=True)
+        else:
+            state = haar_random_state((2,) * 8, seed=[93])
+        a, b = (json.loads(text)["states"][0] for text in self.reports(tmp_path, state))
+        assert a["classification"] == b["classification"]
+        assert a["zero_cuts"] == b["zero_cuts"] == (["1,2,3,4"] if biseparable else [])
+        # A zero cut sits at the sqrt(eps) floor, where kernels differ by far more than ulps.
+        for label in a["concurrences"].keys() - set(a["zero_cuts"]):
+            assert abs(a["concurrences"][label] - b["concurrences"][label]) <= 4 * 2.0**-52, label
+
+    def test_a_report_of_power_of_two_amplitudes_is_byte_identical(self, tmp_path):
+        first, second = self.reports(tmp_path, graph_state(10, TWO_COMPONENTS))
+        assert first == second

@@ -10,6 +10,7 @@ from gmepyramid import (
     StateFormatError,
     apply_local_unitary,
     canonical_bipartitions,
+    concurrence,
     ghz_state,
     haar_random_state,
     parse_state,
@@ -112,6 +113,7 @@ class TestParse:
             pytest.param("amp 0 0 0 0.0 nan", "finite", id="imag-nan"),
             pytest.param("amp 0 0 0 inf 0.0", "finite", id="inf"),
             pytest.param("amp 0 0 0 1e308 0.0\namp 1 1 1 1e308 0.0", "overflows", id="overflow"),
+            pytest.param("amp 0 0 0 1e-200 0.0\namp 1 1 1 1e-200 0.0", "underflows", id="underflow"),
         ],
     )
     def test_rejects_non_finite_amplitudes(self, amp_lines, message, normalize):
@@ -231,7 +233,7 @@ class TestConstructor:
             PureState((2, 2), np.array([1.0, 1.0, 0.0, 0.0]))
 
     def test_rejects_zero_vector(self):
-        with pytest.raises(ValueError, match="zero"):
+        with pytest.raises(ValueError, match="^state vector is zero$"):
             PureState((2, 2), np.zeros(4), normalize=True)
 
     @pytest.mark.filterwarnings("error")
@@ -243,6 +245,12 @@ class TestConstructor:
             pytest.param([0.0, 0.0, 0.0, -math.inf], "finite", id="-inf"),
             pytest.param([1.0, 0.0, 0.0, complex(0.0, math.inf)], "finite", id="imag-inf"),
             pytest.param([1e308, 0.0, 0.0, 1e308], "overflows", id="overflow"),
+            pytest.param(
+                [1e-200, 0.0, 0.0, 1e-200],
+                "^state norm 1.41e-200 underflows float64; rescale the amplitudes$",
+                id="underflow",
+            ),
+            pytest.param([5e-324, 0.0, 0.0, 0.0], "^state norm 4.94e-324 underflows", id="subnormal"),
         ],
     )
     def test_rejects_non_finite(self, amps, message, normalize):
@@ -268,6 +276,20 @@ class TestConstructor:
     def test_norm_after_construction(self):
         state = haar_random_state((3, 3, 3), seed=5)
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+
+    def test_amplitudes_just_above_the_norm_floor_normalize_to_unit_norm(self):
+        state = PureState((2, 2), [1e-149, 0.0, 0.0, 1e-149], normalize=True)
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 4e-16
+        assert concurrence(state, (1,)) == pytest.approx(1.0, abs=1e-15)
+
+    def test_states_compare_and_hash_by_identity(self):
+        state, twin = ghz_state(3), ghz_state(3)
+        assert np.array_equal(state.amplitudes, twin.amplitudes)
+        assert state != twin
+        assert state == state
+        assert state not in [twin]
+        assert len({state, twin}) == 2
+        assert {state: "a", twin: "b"}[twin] == "b"
 
     def test_a_caller_array_is_copied(self):
         amps = np.zeros(8, dtype=complex)
