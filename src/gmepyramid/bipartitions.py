@@ -8,7 +8,8 @@ One pass over it builds the shared ``canonical_bipartitions`` tuple and,
 in the same cached table entry, the forest of ``concurrence.full_spectrum``'s
 partial traces: a cut's children drop one site of its trailing run
 N, N - 1, ..., and at even N a half-size cut's children also drop subsystem 1.
-Party counts go through ``states.check_subsystem_count`` before any O(N) work.
+Party counts go through ``states.check_subsystem_count`` before any O(N) work,
+indices through :func:`split`; :class:`Bipartition` adds only the canonical form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .states import as_index, check_subsystem_count
 @dataclass(frozen=True)
 class Bipartition:
     """One canonical cut of ``n`` parties, ``subset`` versus the rest; frozen,
-    it holds its transpose order and label."""
+    it holds its transpose order and label. :func:`split` checks its indices;
+    the cut adds only the canonical-form rules."""
 
     subset: tuple[int, ...]
     n: int
@@ -33,23 +35,18 @@ class Bipartition:
     _label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = check_subsystem_count(as_index(self.n, "party count"))
-        subset = tuple(as_index(i, "cut index") for i in self.subset)
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "n", n)
-        if not subset:
-            raise ValueError("cut subset is empty")
-        inside = set(subset)
-        if list(subset) != sorted(inside):
-            raise ValueError(f"cut indices must be strictly increasing, got {subset}")
-        if subset[0] < 1 or subset[-1] > n:
-            raise ValueError(f"cut indices {subset} out of range 1..{n}")
+        given = tuple(self.subset)
+        subset, rest = split(given, self.n)
+        n = len(subset) + len(rest)
+        if given != subset and tuple(map(int, given)) != subset:
+            raise ValueError(f"cut indices must be strictly increasing, got {tuple(map(int, given))}")
         if len(subset) > n // 2:
             raise ValueError(f"canonical cuts store the smaller side: |S|={len(subset)} > {n}//2")
         if 2 * len(subset) == n and subset[0] != 1:
             raise ValueError("half-size cuts are canonicalized to contain subsystem 1")
-        rest = [i for i in range(n) if i + 1 not in inside]
-        object.__setattr__(self, "axes", tuple([i - 1 for i in subset] + rest))
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "axes", tuple([i - 1 for i in subset + rest]))
         object.__setattr__(self, "_label", ",".join(map(str, subset)))
 
     @property
@@ -71,24 +68,24 @@ def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tu
     ``cut`` is a :class:`Bipartition` of ``n`` parties or any collection of
     distinct indices in 1..n that leaves at least one subsystem on each side;
     a raw collection need not be canonical, so a complement can be passed.
+    It is the one check of a cut's indices, ``Bipartition``'s too.
     """
     n = check_subsystem_count(as_index(n, "party count"))
     if isinstance(cut, Bipartition):
         if cut.n != n:
             raise ValueError(f"cut is for {cut.n} parties, state has {n}")
-        subset = cut.subset
-    else:
-        subset = tuple(sorted(as_index(i, "cut index") for i in cut))
-        if not subset:
-            raise ValueError("cut subset is empty")
-        if len(set(subset)) != len(subset):
-            raise ValueError(f"cut indices must be distinct, got {subset}")
-        if subset[0] < 1 or subset[-1] > n:
-            raise ValueError(f"cut indices {subset} out of range 1..{n}")
-        if len(subset) >= n:
-            raise ValueError("cut must leave at least one subsystem on each side")
+        return cut.subset, cut.complement()
+    subset = tuple(sorted(as_index(i, "cut index") for i in cut))
+    if not subset:
+        raise ValueError("cut subset is empty")
     inside = set(subset)
-    return subset, tuple(i for i in range(1, n + 1) if i not in inside)
+    if len(inside) != len(subset):
+        raise ValueError(f"cut indices must be distinct, got {subset}")
+    if subset[0] < 1 or subset[-1] > n:
+        raise ValueError(f"cut indices {subset} out of range 1..{n}")
+    if len(subset) >= n:
+        raise ValueError("cut must leave at least one subsystem on each side")
+    return subset, tuple([i for i in range(1, n + 1) if i not in inside])
 
 
 def canonical_cut(cut: Bipartition | Iterable[int], n: int) -> Bipartition:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .bipartitions import Bipartition
 from .concurrence import ConcurrenceSpectrum, full_spectrum
-from .states import PureState
+from .states import PureState, as_index
 
 # A cut that factorizes exactly still evaluates to a concurrence of order
 # sqrt(machine epsilon) ~ 1e-8 (the square root amplifies the ~1e-16 purity
@@ -75,7 +75,7 @@ def check_tolerance(value: float | str) -> float:
 
 
 def _geometric_mean(values: tuple[float, ...], zero_tol: float) -> float:
-    check_tolerance(zero_tol)
+    zero_tol = check_tolerance(zero_tol)
     # Short-circuit before taking logarithms: a single (numerically) zero
     # factor annihilates the product, and log(0) is -inf.
     if any(v <= zero_tol for v in values):
@@ -102,6 +102,7 @@ def height(spectrum: ConcurrenceSpectrum, zero_tol: float = DEFAULT_ZERO_TOL) ->
 
 def base_area(n: int, edge: float) -> float:
     """Area of the regular n-gon with the given side length: (n e^2/4) cot(pi/n)."""
+    n = as_index(n, "vertex count")
     if n < 3:
         raise ValueError("a polygon needs at least 3 vertices")
     if not edge >= 0:
@@ -158,7 +159,7 @@ def classify(
     factorizations. All cuts positive means GME; all singleton cuts zero
     means fully separable; anything in between is biseparable.
     """
-    check_tolerance(zero_tol)
+    zero_tol = check_tolerance(zero_tol)
     zero_cuts = tuple(cut for cut, c in zip(spectrum.cuts, spectrum.values) if c <= zero_tol)
     if not zero_cuts:
         return CLASS_GME, zero_cuts

@@ -4,7 +4,7 @@ Amplitudes are stored as a flat complex vector in row-major basis order:
 subsystem 1 is the slowest-varying digit, so basis digits (b_1, ..., b_N)
 map to the flat index sum_f b_f * prod_{g>f} d_g.
 
-State files are UTF-8 text, one record per line::
+State files are UTF-8 text, one record per line ending at ``\\n``, ``\\r\\n`` or ``\\r``::
 
     # comments and blank lines are ignored
     dims 2 2 2 2
@@ -196,7 +196,8 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
     amps: np.ndarray | None = None
     seen: set[int] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    records = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(records, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -100,12 +100,16 @@ class TestValidation:
     def test_rejects_unsorted_or_duplicate(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             Bipartition((3, 1), 4)
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="distinct"):
             Bipartition((1, 1), 4)
+        with pytest.raises(ValueError, match=r"^cut indices must be strictly increasing, got \(3, 1\)$"):
+            Bipartition((np.int64(3), np.int64(1)), 4)
 
     def test_rejects_large_side(self):
         with pytest.raises(ValueError, match="smaller side"):
             Bipartition((1, 2, 3), 4)
+        with pytest.raises(ValueError, match="^cut must leave at least one subsystem on each side$"):
+            Bipartition((1, 2, 3, 4), 4)
 
     def test_rejects_noncanonical_half_cut(self):
         with pytest.raises(ValueError, match="subsystem 1"):

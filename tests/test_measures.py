@@ -319,6 +319,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="finite and >= 0"):
             classify(spectrum, zero_tol=tol)
 
+    @pytest.mark.parametrize("measure", [classify, volume, base_edge, height])
+    @pytest.mark.parametrize("build", [phi_biseparable, psi_a])
+    def test_a_tolerance_given_as_text_is_used_as_its_float(self, measure, build):
+        spectrum = full_spectrum(build())
+        assert measure(spectrum, zero_tol="1e-7") == measure(spectrum, zero_tol=1e-7)
+
     def test_two_party_report_skips_volume(self):
         report = evaluate(ghz_state(2))
         assert report.volume is None

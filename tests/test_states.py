@@ -9,6 +9,7 @@ from gmepyramid import (
     PureState,
     StateFormatError,
     apply_local_unitary,
+    base_area,
     canonical_bipartitions,
     concurrence,
     ghz_state,
@@ -120,6 +121,25 @@ class TestParse:
         with pytest.raises(StateFormatError, match=message):
             parse_state("dims 2 2 2\n" + amp_lines + "\n", normalize=normalize)
 
+    @pytest.mark.parametrize(
+        "separator",
+        ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+    )
+    def test_a_comment_holding_a_unicode_line_break_is_one_line(self, separator):
+        text = f"# exported by a tool {separator} page 2\n" + GHZ4_TEXT
+        assert np.array_equal(parse_state(text).amplitudes, parse_state(GHZ4_TEXT).amplitudes)
+        duplicate = text + "amp 0 0 0 0 0.7 0.0\n"
+        with pytest.raises(StateFormatError, match="^line 7: duplicate basis tuple"):
+            parse_state(duplicate)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_crlf_and_cr_line_ends_parse(self, newline):
+        text = GHZ4_TEXT.replace("\n", newline)
+        assert np.array_equal(parse_state(text).amplitudes, parse_state(GHZ4_TEXT).amplitudes)
+        with pytest.raises(StateFormatError, match="^line 6: duplicate basis tuple"):
+            parse_state(text + "amp 1 1 1 1 0.7 0.0" + newline)
+
     def test_qudit_dims(self):
         state = parse_state("dims 3 2\namp 2 1 1.0 0.0\n")
         assert state.dims == (3, 2)
@@ -147,6 +167,7 @@ class TestParse:
         pytest.param(lambda: Bipartition((1,), 4.5), "4.5", id="bipartition-parties"),
         pytest.param(lambda: canonical_bipartitions(4.0), "4.0", id="canonical-parties"),
         pytest.param(lambda: ghz_state(3.0), "3.0", id="ghz-qubits"),
+        pytest.param(lambda: base_area(3.5, 1.0), "3.5", id="polygon-vertices"),
     ],
 )
 def test_non_integral_index_is_refused(call, value):
@@ -164,6 +185,7 @@ def test_integer_numpy_indices_are_accepted():
     two = np.int64(2)
     assert PureState((two, np.int32(3)), np.eye(6)[0]).dims == (2, 3)
     assert TrialConfig((two, two, two), trials=three, seed=one) == TrialConfig((2, 2, 2), 3, 1)
+    assert base_area(np.int64(4), 1.0) == base_area(4, 1.0)
 
 
 @pytest.mark.parametrize(
