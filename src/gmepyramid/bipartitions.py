@@ -1,7 +1,7 @@
 """Canonical bipartitions of an N-party system: the only statement of the cut rules.
 
 A cut S | rest is stored by its smaller side; when N is even, the half-size
-class keeps the side that contains subsystem 1 (:func:`canonical_cut` maps
+class keeps the side that contains subsystem 1 (:class:`Bipartition` maps
 any spelling to it). :func:`iter_bipartitions` yields the 2**(N-1) - 1
 canonical cuts smallest cardinality first, lexicographic within a group.
 One pass over it builds the shared ``canonical_bipartitions`` tuple and,
@@ -9,7 +9,7 @@ in the same cached table entry, the forest of ``concurrence.full_spectrum``'s
 partial traces: a cut's children drop one site of its trailing run
 N, N - 1, ..., and at even N a half-size cut's children also drop subsystem 1.
 Party counts go through ``states.check_subsystem_count`` before any O(N) work,
-indices through :func:`split`; :class:`Bipartition` adds only the canonical form.
+indices through :func:`split`, the one check of a cut's indices.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .states import as_index, check_subsystem_count
 @dataclass(frozen=True)
 class Bipartition:
     """One canonical cut of ``n`` parties, ``subset`` versus the rest; frozen,
-    it holds its transpose order and label. :func:`split` checks its indices;
-    the cut adds only the canonical-form rules."""
+    it holds its transpose order and label, and stores any spelling that
+    :func:`split` accepts (either side, in any order) by its canonical side."""
 
     subset: tuple[int, ...]
     n: int
@@ -35,17 +35,11 @@ class Bipartition:
     _label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        given = tuple(self.subset)
-        subset, rest = split(given, self.n)
-        n = len(subset) + len(rest)
-        if given != subset and tuple(map(int, given)) != subset:
-            raise ValueError(f"cut indices must be strictly increasing, got {tuple(map(int, given))}")
-        if len(subset) > n // 2:
-            raise ValueError(f"canonical cuts store the smaller side: |S|={len(subset)} > {n}//2")
-        if 2 * len(subset) == n and subset[0] != 1:
-            raise ValueError("half-size cuts are canonicalized to contain subsystem 1")
+        subset, rest = split(self.subset, self.n)
+        if (len(rest), rest) < (len(subset), subset):
+            subset, rest = rest, subset
         object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", len(subset) + len(rest))
         object.__setattr__(self, "axes", tuple([i - 1 for i in subset + rest]))
         object.__setattr__(self, "_label", ",".join(map(str, subset)))
 
@@ -66,9 +60,9 @@ def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tu
     """Both sides of ``cut`` in an ``n``-party system, as sorted 1-based tuples.
 
     ``cut`` is a :class:`Bipartition` of ``n`` parties or any collection of
-    distinct indices in 1..n that leaves at least one subsystem on each side;
-    a raw collection need not be canonical, so a complement can be passed.
-    It is the one check of a cut's indices, ``Bipartition``'s too.
+    distinct indices in 1..n that leaves at least one subsystem on each side,
+    in any order. It is the one check of a cut's indices and party count;
+    :class:`Bipartition` calls it and then picks the canonical side.
     """
     n = check_subsystem_count(as_index(n, "party count"))
     if isinstance(cut, Bipartition):
@@ -86,15 +80,6 @@ def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tu
     if len(subset) >= n:
         raise ValueError("cut must leave at least one subsystem on each side")
     return subset, tuple([i for i in range(1, n + 1) if i not in inside])
-
-
-def canonical_cut(cut: Bipartition | Iterable[int], n: int) -> Bipartition:
-    """Any spelling of ``cut`` (see :func:`split`) as its canonical cut: the side
-    with fewer parties or, on a tie, the side holding subsystem 1, the lesser tuple."""
-    n = as_index(n, "party count")
-    if isinstance(cut, Bipartition) and cut.n == n:
-        return cut
-    return Bipartition(min(split(cut, n), key=lambda side: (len(side), side)), n)
 
 
 def iter_bipartitions(n: int) -> Iterator[Bipartition]:

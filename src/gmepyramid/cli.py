@@ -205,6 +205,8 @@ def cmd_paper(args: argparse.Namespace) -> int:
 
 def cmd_random(args: argparse.Namespace) -> int:
     try:
+        if not args.dims.isascii() or "_" in args.dims:  # as in a state file's dims line
+            raise ValueError
         dims = tuple(int(d) for d in args.dims.split(","))
     except ValueError:
         print(f"error: --dims expects comma-separated integers, got {args.dims!r}", file=sys.stderr)

@@ -7,8 +7,8 @@ which equals Tr(rho_S^2) without any eigendecomposition. A state whose
 amplitudes all have an exactly zero imaginary part is decided real when it
 is constructed, and its Gram products run on a float64 view (a real
 symmetric rank-k update) instead of complex128. Every spelling of a cut is
-mapped by ``bipartitions.canonical_cut`` to one canonical cut, which
-carries its transpose order, so all spellings give a bit-identical purity.
+mapped by ``Bipartition`` to one canonical cut, which carries its
+transpose order, so all spellings give a bit-identical purity.
 The naive route (:func:`dense_oracle_purity`) rebuilds the reduced density
 matrix of the given side from flat indices built by explicit digit-stride
 arithmetic: it gathers the cut-by-rest amplitude matrix A in one step (one
@@ -46,7 +46,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bipartitions import Bipartition, _cut_table, canonical_bipartitions, canonical_cut, split
+from .bipartitions import Bipartition, _cut_table, canonical_bipartitions, split
 from .states import PureState, check_dims
 
 # Largest reduced dimension the dense oracle will materialize.
@@ -71,7 +71,9 @@ def _from_purity(purity: float) -> float:
 
 def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     """Tr(rho_S^2) of the reduced state across ``cut``, clamped to [0, 1]."""
-    m, _ = _cut_matrix(state, canonical_cut(cut, state.n))
+    if not (isinstance(cut, Bipartition) and cut.n == state.n):  # full_spectrum's roots skip the rebuild
+        cut = Bipartition(cut, state.n)
+    m, _ = _cut_matrix(state, cut)
     # Gram matrix of the smaller side; its squared Frobenius norm is the purity.
     return _purity(m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m)
 

@@ -12,8 +12,8 @@ State files are UTF-8 text, one record per line ending at ``\\n``, ``\\r\\n`` or
     amp 1 1 1 1  0.7071067811865476 0.0
 
 The ``dims`` line must come first. Each ``amp`` line gives 0-based basis
-digits followed by the real and imaginary parts of the amplitude. Unlisted
-basis states are zero; repeating a basis tuple is an error.
+digits followed by the real and imaginary parts, in ASCII without ``_``.
+Unlisted basis states are zero; repeating a basis tuple is an error.
 """
 
 from __future__ import annotations
@@ -40,11 +40,13 @@ class StateFormatError(ValueError):
 
 
 def as_index(value, what: str) -> int:
-    """``value`` as an int (numpy integers too); a float is refused, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` as an int (numpy integers too); a float or bool is refused, not converted."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def check_subsystem_count(n: int) -> int:
@@ -195,6 +197,8 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
     dims: tuple[int, ...] | None = None
     amps: np.ndarray | None = None
     seen: set[int] = set()
+    # int and float also read non-ASCII digits and "_", which the format does not define.
+    screen = not text.isascii() or "_" in text
 
     records = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(records, start=1):
@@ -203,10 +207,13 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
             continue
         try:
             fields = line.split()
+            exotic = screen and ("_" in line or not "".join(fields).isascii())
             if dims is None:
                 if fields[0] != "dims":
                     raise ValueError(f"expected 'dims ...' first, got {fields[0]!r}")
                 try:
+                    if exotic:
+                        raise ValueError
                     dims = tuple(int(f) for f in fields[1:])
                 except ValueError:
                     raise ValueError(f"non-integer dimension in {line!r}") from None
@@ -218,6 +225,8 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
             if len(fields) != 1 + len(dims) + 2:
                 raise ValueError(f"expected {len(dims)} digits plus re/im, got {len(fields) - 1} fields")
             try:
+                if exotic:
+                    raise ValueError
                 digits = [int(f) for f in fields[1 : 1 + len(dims)]]
                 re, im = float(fields[-2]), float(fields[-1])
             except ValueError:

@@ -1,11 +1,12 @@
+import importlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gmepyramid import Bipartition, bipartitions, canonical_bipartitions
-from gmepyramid.bipartitions import _cut_table, canonical_cut, iter_bipartitions
+from gmepyramid import Bipartition, bipartitions, canonical_bipartitions, concurrence, haar_random_state
+from gmepyramid.bipartitions import _cut_table, iter_bipartitions, split
 from gmepyramid.states import MAX_AMPLITUDES, MAX_PARTIES
 
 
@@ -97,23 +98,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="out of range"):
             Bipartition((5,), 4)
 
-    def test_rejects_unsorted_or_duplicate(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            Bipartition((3, 1), 4)
+    def test_sorts_an_unsorted_cut_and_rejects_a_duplicate(self):
+        assert Bipartition((3, 1), 4) == Bipartition((1, 3), 4)
+        assert Bipartition((3, 1), 4).subset == (1, 3)
+        assert Bipartition((np.int64(3), np.int64(1)), 4).subset == (1, 3)
         with pytest.raises(ValueError, match="distinct"):
             Bipartition((1, 1), 4)
-        with pytest.raises(ValueError, match=r"^cut indices must be strictly increasing, got \(3, 1\)$"):
-            Bipartition((np.int64(3), np.int64(1)), 4)
 
-    def test_rejects_large_side(self):
-        with pytest.raises(ValueError, match="smaller side"):
-            Bipartition((1, 2, 3), 4)
+    def test_stores_the_smaller_side_and_rejects_a_full_side(self):
+        assert Bipartition((1, 2, 3), 4).subset == (4,)
         with pytest.raises(ValueError, match="^cut must leave at least one subsystem on each side$"):
             Bipartition((1, 2, 3, 4), 4)
 
-    def test_rejects_noncanonical_half_cut(self):
-        with pytest.raises(ValueError, match="subsystem 1"):
-            Bipartition((2, 3), 4)
+    def test_stores_the_half_side_holding_subsystem_1(self):
+        assert Bipartition((2, 3), 4).subset == (1, 4)
+        assert Bipartition((2, 3), 4).label() == "1,4"
 
     def test_rejects_an_empty_subset(self):
         with pytest.raises(ValueError, match="^cut subset is empty$"):
@@ -124,7 +123,20 @@ class TestValidation:
             Bipartition((1,), 1)
 
 
-class TestCanonicalCut:
+def _spellings(cut):
+    """Six spellings of a canonical cut: its complement, the reversed subset, a list,
+    a generator, numpy ints and the cut itself."""
+    return [
+        cut.complement(),
+        tuple(reversed(cut.subset)),
+        list(cut.subset),
+        (i for i in cut.subset),
+        tuple(np.int64(i) for i in cut.subset),
+        cut,
+    ]
+
+
+class TestOneConstructor:
     @pytest.mark.parametrize(
         "n, spelling, subset",
         [
@@ -137,21 +149,56 @@ class TestCanonicalCut:
         ],
     )
     def test_picks_the_smaller_side_or_the_side_with_subsystem_1(self, n, spelling, subset):
-        assert canonical_cut(spelling, n) == Bipartition(subset, n)
+        cut = Bipartition(spelling, n)
+        assert cut.subset == subset
+        assert cut == Bipartition(subset, n)
 
-    def test_a_canonical_cut_is_returned_as_it_is(self):
+    def test_a_cut_of_another_party_count_is_refused(self):
         cut = canonical_bipartitions(6)[-1]
-        assert canonical_cut(cut, 6) is cut
+        assert Bipartition(cut, 6) == cut
         with pytest.raises(ValueError, match="^cut is for 6 parties, state has 5$"):
-            canonical_cut(cut, 5)
+            Bipartition(cut, 5)
         with pytest.raises(ValueError, match="^party count must be an integer, got 6.0$"):
-            canonical_cut(cut, 6.0)
+            Bipartition(cut, 6.0)
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_every_spelling_maps_into_the_canonical_list(self, n):
+    def test_every_spelling_constructs_the_table_cut(self, n):
         for cut in canonical_bipartitions(n):
-            assert canonical_cut(cut.complement(), n) == cut
-            assert canonical_cut(list(reversed(cut.subset)), n) == cut
+            for spelling in _spellings(cut):
+                built = Bipartition(spelling, n)
+                assert built == cut
+                assert built.axes == cut.axes
+                assert built.label() == cut.label()
+
+    def test_every_spelling_gives_a_bit_identical_concurrence(self):
+        state = haar_random_state((3, 2, 2, 2, 2), seed=7)
+        for cut in canonical_bipartitions(5):
+            values = {concurrence(state, spelling) for spelling in _spellings(cut)}
+            assert values == {concurrence(state, cut)}
+
+    def test_a_table_cut_is_used_without_building_a_cut(self, monkeypatch):
+        state = haar_random_state((2, 2, 2, 2), seed=3)
+        cuts = canonical_bipartitions(4)
+        expected = [concurrence(state, cut) for cut in cuts]
+        # The package binds the function `concurrence`, not the module, under this name.
+        concurrence_module = importlib.import_module("gmepyramid.concurrence")
+        monkeypatch.setattr(concurrence_module, "Bipartition", _RefusedBipartition)
+        assert [concurrence(state, cut) for cut in cuts] == expected
+        with pytest.raises(AssertionError, match="built a cut"):
+            concurrence(state, (1,))
+
+
+class _RefuseConstruction(type):
+    # Still the cut type for isinstance; raises when called.
+    def __instancecheck__(cls, obj):
+        return isinstance(obj, Bipartition)
+
+    def __call__(cls, *args):
+        raise AssertionError("built a cut")
+
+
+class _RefusedBipartition(metaclass=_RefuseConstruction):
+    pass
 
 
 class TestIterBipartitions:
@@ -193,7 +240,7 @@ class TestPartyLimit:
 
     # Counts a missing bound would still survive (tens of MiB for 10**6 parties).
     @pytest.mark.parametrize("n", [10**6, pytest.param(np.int64(10**6), id="int64-10**6")], ids=str)
-    @pytest.mark.parametrize("build", [Bipartition, canonical_cut], ids=["Bipartition", "canonical_cut"])
+    @pytest.mark.parametrize("build", [Bipartition, split], ids=["Bipartition", "split"])
     def test_refuses_a_huge_count_in_constant_memory(self, build, n):
         message = f"^subsystem count {n} exceeds the supported maximum {MAX_PARTIES}$"
         tracemalloc.start()

@@ -288,10 +288,14 @@ class TestRandom:
             main(["random", "--dims", "2,2", "--check", "nonsense"])
         assert exc.value.code == 2
 
-    def test_bad_dims_string(self, capsys):
-        args = ["random", "--dims", "2,x", "--check", "lu-invariance"]
+    # int() alone would read the Arabic-Indic digit, "1_0" and the no-break space.
+    @pytest.mark.parametrize(
+        "dims", ["2,x", "2,2,\u0662", "2,1_0", "2,\u00a02"], ids=["letter", "arabic", "underscore", "nbsp"]
+    )
+    def test_bad_dims_string(self, capsys, dims):
+        args = ["random", "--dims", dims, "--check", "lu-invariance"]
         assert main(args) == 2
-        assert "comma-separated" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --dims expects comma-separated integers, got {dims!r}\n"
 
     @pytest.mark.parametrize(
         "dims, message",

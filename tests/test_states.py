@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -140,6 +141,31 @@ class TestParse:
         with pytest.raises(StateFormatError, match="^line 6: duplicate basis tuple"):
             parse_state(text + "amp 1 1 1 1 0.7 0.0" + newline)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            pytest.param("dims \u0662 \u0662", id="arabic-dims"),
+            pytest.param("dims 2 2_0", id="underscore-dims"),
+            pytest.param("amp \u0660 0 0.7_0710678_11865476 0", id="arabic-digit"),
+            pytest.param("amp 0 0 0.7_1 0", id="underscore-amp"),
+            pytest.param("amp 1_0 0 1.0 0", id="underscore-digit"),
+            pytest.param("amp 0 0 1.0 \uff10", id="fullwidth-imag"),
+        ],
+    )
+    def test_numbers_outside_ascii_or_with_underscores_are_refused(self, record):
+        # int() and float() alone would read every one of these fields.
+        if record.startswith("dims"):
+            text, message = record + "\n", f"line 1: non-integer dimension in {record!r}"
+        else:
+            text, message = "dims 2 2\n" + record + "\n", f"line 2: malformed number in {record!r}"
+        with pytest.raises(StateFormatError, match=f"^{re.escape(message)}$"):
+            parse_state(text)
+
+    def test_ascii_fields_parse_whatever_separates_them(self):
+        text = "# psi_\u00e9 \u0662\ndims\u00a02\u30002 2 2\namp 0\u20030 0 0 0.7071067811865476\u00a00.0\n"
+        text += "amp 1 1 1 1 0.7071067811865476 0.0\n"
+        assert np.array_equal(parse_state(text).amplitudes, parse_state(GHZ4_TEXT).amplitudes)
+
     def test_qudit_dims(self):
         state = parse_state("dims 3 2\namp 2 1 1.0 0.0\n")
         assert state.dims == (3, 2)
@@ -168,6 +194,9 @@ class TestParse:
         pytest.param(lambda: canonical_bipartitions(4.0), "4.0", id="canonical-parties"),
         pytest.param(lambda: ghz_state(3.0), "3.0", id="ghz-qubits"),
         pytest.param(lambda: base_area(3.5, 1.0), "3.5", id="polygon-vertices"),
+        pytest.param(lambda: TrialConfig((2, 2, 2), trials=True), "True", id="config-trials-bool"),
+        pytest.param(lambda: Bipartition((True,), 3), "True", id="bipartition-bool"),
+        pytest.param(lambda: w_state(3).amplitude((True, True, True)), "True", id="amplitude-bool"),
     ],
 )
 def test_non_integral_index_is_refused(call, value):
