@@ -21,7 +21,7 @@ from . import __version__
 from .bipartitions import Bipartition, iter_bipartitions
 from .catalog import PUBLISHED_TOL, PUBLISHED_VALUES, benchmark_states
 from .measures import DEFAULT_ZERO_TOL, MeasureReport, check_tolerance, evaluate
-from .states import StateFormatError, load_state
+from .states import StateFormatError, _plain, load_state
 from .verify import CHECK_NAMES, TrialConfig, TrialOutcome, run_check
 
 REPORT_SCHEMA = "gme-pyramid-report/1"
@@ -205,9 +205,7 @@ def cmd_paper(args: argparse.Namespace) -> int:
 
 def cmd_random(args: argparse.Namespace) -> int:
     try:
-        if not args.dims.isascii() or "_" in args.dims:  # as in a state file's dims line
-            raise ValueError
-        dims = tuple(int(d) for d in args.dims.split(","))
+        dims = tuple(int(d) for d in _plain(args.dims.split(",")))
     except ValueError:
         print(f"error: --dims expects comma-separated integers, got {args.dims!r}", file=sys.stderr)
         return 2

@@ -49,6 +49,15 @@ def as_index(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _plain(fields: list[str]) -> list[str]:
+    """``fields`` if they hold only ASCII and no ``_``, else ValueError: int and float
+    also read non-ASCII digits and ``_``, which state files and ``--dims`` do not take."""
+    joined = "".join(fields)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError(f"not plain ASCII numbers: {fields!r}")
+    return fields
+
+
 def check_subsystem_count(n: int) -> int:
     """``n`` if a state may have that many subsystems (2 to ``MAX_PARTIES``).
 
@@ -197,8 +206,6 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
     dims: tuple[int, ...] | None = None
     amps: np.ndarray | None = None
     seen: set[int] = set()
-    # int and float also read non-ASCII digits and "_", which the format does not define.
-    screen = not text.isascii() or "_" in text
 
     records = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(records, start=1):
@@ -207,14 +214,11 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
             continue
         try:
             fields = line.split()
-            exotic = screen and ("_" in line or not "".join(fields).isascii())
             if dims is None:
                 if fields[0] != "dims":
                     raise ValueError(f"expected 'dims ...' first, got {fields[0]!r}")
                 try:
-                    if exotic:
-                        raise ValueError
-                    dims = tuple(int(f) for f in fields[1:])
+                    dims = tuple(int(f) for f in _plain(fields)[1:])
                 except ValueError:
                     raise ValueError(f"non-integer dimension in {line!r}") from None
                 dims = check_dims(dims)
@@ -225,9 +229,7 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
             if len(fields) != 1 + len(dims) + 2:
                 raise ValueError(f"expected {len(dims)} digits plus re/im, got {len(fields) - 1} fields")
             try:
-                if exotic:
-                    raise ValueError
-                digits = [int(f) for f in fields[1 : 1 + len(dims)]]
+                digits = [int(f) for f in _plain(fields)[1 : 1 + len(dims)]]
                 re, im = float(fields[-2]), float(fields[-1])
             except ValueError:
                 raise ValueError(f"malformed number in {line!r}") from None

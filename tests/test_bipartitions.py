@@ -1,4 +1,3 @@
-import importlib
 import math
 import tracemalloc
 
@@ -180,25 +179,15 @@ class TestOneConstructor:
         state = haar_random_state((2, 2, 2, 2), seed=3)
         cuts = canonical_bipartitions(4)
         expected = [concurrence(state, cut) for cut in cuts]
-        # The package binds the function `concurrence`, not the module, under this name.
-        concurrence_module = importlib.import_module("gmepyramid.concurrence")
-        monkeypatch.setattr(concurrence_module, "Bipartition", _RefusedBipartition)
+        # Every Bipartition construction goes through split.
+        monkeypatch.setattr(bipartitions, "split", _refuse_construction)
         assert [concurrence(state, cut) for cut in cuts] == expected
         with pytest.raises(AssertionError, match="built a cut"):
             concurrence(state, (1,))
 
 
-class _RefuseConstruction(type):
-    # Still the cut type for isinstance; raises when called.
-    def __instancecheck__(cls, obj):
-        return isinstance(obj, Bipartition)
-
-    def __call__(cls, *args):
-        raise AssertionError("built a cut")
-
-
-class _RefusedBipartition(metaclass=_RefuseConstruction):
-    pass
+def _refuse_construction(*args):
+    raise AssertionError("built a cut")
 
 
 class TestIterBipartitions:
