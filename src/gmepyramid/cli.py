@@ -234,6 +234,14 @@ def _tolerance_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _int_arg(text: str) -> int:
+    """An integer argument in plain ASCII digits, as ``--dims`` and state files take them."""
+    try:
+        return int(_plain([text])[0])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmepyramid",
@@ -253,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_bip = sub.add_parser("bipartitions", help="list the canonical cuts of an N-party system")
-    p_bip.add_argument("n", type=int)
+    p_bip.add_argument("n", type=_int_arg)
     p_bip.set_defaults(func=cmd_bipartitions)
 
     p_paper = sub.add_parser(
@@ -265,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rand = sub.add_parser("random", help="run a seeded property check")
     p_rand.add_argument("--dims", required=True, help="comma-separated subsystem dimensions")
-    p_rand.add_argument("--seed", type=int, default=0)
-    p_rand.add_argument("--trials", type=int, default=100)
+    p_rand.add_argument("--seed", type=_int_arg, default=0)
+    p_rand.add_argument("--trials", type=_int_arg, default=100)
     p_rand.add_argument("--check", required=True, choices=CHECK_NAMES)
     p_rand.add_argument("--tol", type=_tolerance_arg, default=None, help="override the check's tolerance")
     p_rand.add_argument("--json", action="store_true")

@@ -23,26 +23,46 @@ size, the one-versus-rest values are the slice ``values[:n]`` and the
 multi-party values ``values[n:]``; a cut-keyed dict is built only when
 ``entries`` is read.
 
-It walks the cut forest held in the same table entry as the cuts
+It runs the cut forest held in the same table entry as the cuts
 (``bipartitions._cut_table``): every cut T below the top size n // 2
 hangs under a canonical cut P = T + {x} one party larger, and
-rho_T = Tr_x rho_P. A top-size root with children pays one
-transpose and one Gram product, rho_P = M M^dag of its own side; every cut
-below it gets its rho by tracing one site out of its parent's, a sum of
-d_x slices of the parent's rho, and its purity as ||rho_T||_F^2. A root
-without children goes through :func:`reduced_purity`, which keeps the
-cheaper Gram orientation; at n <= 3 every cut is such a root. No rho larger
-than the state is formed: a root whose own side has d_S^2 > d_S d_rest
-(lopsided dims such as (2, 2, 2, 64, 64)) goes through
-:func:`reduced_purity` too, and its children become roots in turn. Real
-states stay on float64 throughout.
+rho_T = Tr_x rho_P. A top-size root with children takes one Gram product,
+rho_P = M M^dag of its own side; every cut below it gets its rho by tracing
+one site out of its parent's, a sum of d_x slices of the parent's rho, and
+its purity as ||rho_T||_F^2. The forest becomes a plan once per dims tuple
+(:func:`_plan`; at most ``_PLAN_CACHE_SIZE`` plans are kept, and
+``canonical_bipartitions.cache_clear`` empties them with the cut tables).
+The plan groups those roots by the dims of their own side, cuts each group
+into chunks and, within a chunk, runs the roots of one subtree (the sites
+traced, level by level) together. A chunk's gathered cut matrices hold no
+more amplitudes than the state, or than a floor of 2^11
+(``_CHUNK_FLOOR``), whichever is larger, so a state above 2^10 amplitudes
+takes one root per chunk, cut by a transposed copy as before. A chunk
+takes one gather, one batched Gram product, one partial trace per step of
+each of its subtrees over all of that subtree's roots, and one pass that
+reduces every purity of the chunk from one buffer.
+
+A root without children, and a root whose own side has d_S^2 > d_S d_rest
+(lopsided dims such as (2, 2, 2, 64, 64); its children become roots in
+turn), goes through :func:`concurrence`, so :func:`reduced_purity`, which
+keeps the cheaper Gram orientation; at n <= 3 every cut is such a root.
+These stay one call per cut while the benchmark counts the spectrum's work
+by the ``reduced_purity`` calls; folding them into the chunks waits on the
+per-spectrum span of ROADMAP item 1. No rho larger than the state is
+formed, and real states stay on float64 throughout. Summation orders
+differ from the per-cut route, so values agree with it to a few ulps. The
+plan also holds each cut's bound sqrt(2 (m - 1) / m), m = min(d_S,
+D / d_S), which :class:`ConcurrenceSpectrum` checks every value against.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -52,12 +72,17 @@ from .states import PureState, check_dims
 # Largest reduced dimension the dense oracle will materialize.
 DENSE_ORACLE_CAP = 4096
 
+# A chunk's gathered cut matrices hold at most this many amplitudes (32 KiB
+# of complex128), or one root's when the state is larger.
+_CHUNK_FLOOR = 2**11
+# Plans kept, one per dims tuple; a permuted dims tuple is another key.
+_PLAN_CACHE_SIZE = 64
 
-def _cut_matrix(state: PureState, cut: Bipartition) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The d_S x d_rest amplitude matrix of ``cut`` (a transposed copy) and S's shape."""
+
+def _cut_matrix(state: PureState, cut: Bipartition) -> np.ndarray:
+    """The d_S x d_rest amplitude matrix of ``cut``, a transposed copy."""
     t = state._tensor.transpose(cut.axes)
-    shape = t.shape[: cut.size]
-    return t.reshape(math.prod(shape), -1), shape
+    return t.reshape(math.prod(t.shape[: cut.size]), -1)
 
 
 def _purity(rho: np.ndarray) -> float:
@@ -73,7 +98,7 @@ def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     """Tr(rho_S^2) of the reduced state across ``cut``, clamped to [0, 1]."""
     if not (isinstance(cut, Bipartition) and cut.n == state.n):  # full_spectrum's roots skip the rebuild
         cut = Bipartition(cut, state.n)
-    m, _ = _cut_matrix(state, cut)
+    m = _cut_matrix(state, cut)
     # Gram matrix of the smaller side; its squared Frobenius norm is the purity.
     return _purity(m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m)
 
@@ -109,6 +134,16 @@ class ConcurrenceSpectrum:
         lo, hi = min(self.values), max(self.values)
         if lo < 0.0 or hi > math.sqrt(2.0):
             raise ValueError(f"concurrences lie in [0, sqrt(2)], got {lo if lo < 0.0 else hi!r}")
+        bounds = _plan(self.dims).bounds
+        if not all(map(operator.le, self.values, bounds)):
+            i = next(i for i, (c, b) in enumerate(zip(self.values, bounds)) if c > b)
+            cut = self.cuts[i]
+            d_s = math.prod([self.dims[s - 1] for s in cut.subset])
+            m = min(d_s, math.prod(self.dims) // d_s)
+            raise ValueError(
+                f"concurrence {self.values[i]!r} across cut {cut.label()} exceeds "
+                f"its bound sqrt(2 (m - 1) / m) = {math.sqrt(2.0 * (m - 1) / m)!r} for m = {m}"
+            )
 
     @property
     def n(self) -> int:
@@ -134,44 +169,194 @@ class ConcurrenceSpectrum:
 
 
 def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
-    """Evaluate every canonical cut of ``state``: one Gram product per root of
-    the cut forest that has children, one partial trace per cut below it,
-    and one :func:`reduced_purity` call per other root.
+    """Evaluate every canonical cut of ``state`` by its dims' plan
+    (:func:`_plan`): per chunk of like roots one stack of cut matrices, one
+    batched Gram product, one partial trace per step of their shared
+    subtree and one reduction of the purities; one :func:`concurrence`
+    call per other root.
 
     Each value depends only on the state and its cut's path in the forest,
-    not on the order in which the cuts are visited.
+    not on the other roots of its chunk.
     """
     cuts = canonical_bipartitions(state.n)
-    first, kids, traced = _cut_table(state.n)[1]
-    dims = state.dims
-    values = [0.0] * len(cuts)
+    plan = _plan(state.dims)
+    values = np.empty(len(cuts))
+    if plan.chunks:
+        purities = np.concatenate([_chunk_purities(state, *chunk) for chunk in plan.chunks])
+        values[plan.order] = np.sqrt(2.0 * (1.0 - np.clip(purities, 0.0, 1.0)))
+    for i in plan.direct:
+        values[i] = concurrence(state, cuts[i])
+    return ConcurrenceSpectrum(state.dims, tuple(values.tolist()))
 
-    def descend(i: int, rho: np.ndarray) -> None:
-        # rho is the reduced state of cut i as a tensor: its sites, then their copies.
-        values[i] = _from_purity(_purity(rho))
-        size = rho.ndim // 2
-        for j in range(first[i], first[i + 1]):
-            c = kids[j]
-            descend(c, rho.trace(0, traced[c], size + traced[c]))
 
-    roots = list(range(len(traced), len(cuts)))
-    for i in roots:
-        cut = cuts[i]
-        lo, hi = first[i], first[i + 1]
-        if lo < hi:
-            # Decided before the reshape copies the state.
-            d_s = math.prod([dims[s - 1] for s in cut.subset])
-            if d_s * d_s <= state.dim:
-                m, shape = _cut_matrix(state, cut)
-                rho = m @ m.conj().T
-                del m  # the transposed copy goes before the walk and the next root
-                descend(i, rho.reshape(shape + shape))
-                del rho
-                continue
-            # Its own side's rho would outgrow the state: the children join the roots.
-            roots.extend(kids[lo:hi])
-        values[i] = concurrence(state, cut)
-    return ConcurrenceSpectrum(dims, tuple(values))
+def _chunk_purities(state: PureState, source: Bipartition | np.ndarray, layout: tuple) -> np.ndarray:
+    """Purities of one chunk's reduced states in the order of its buffer.
+    The cut matrices go before the traces, and the buffer on return."""
+    size, starts, runs = layout
+    if isinstance(source, Bipartition):
+        m = _cut_matrix(state, source)[None]
+    else:
+        m = state._tensor.reshape(-1).take(source)
+    batch, d_s, _ = m.shape
+    rhos = np.empty(size, m.dtype)
+    roots = rhos[: batch * d_s * d_s].reshape(batch, d_s, d_s)
+    np.matmul(m, m.conj().transpose(0, 2, 1), out=roots)
+    del m
+    for lo, hi, steps in runs:
+        stack = [roots[lo:hi]]
+        for parent, a, d, b, out in steps:
+            # Trace out the parent's middle site: the sum of its d diagonal slices.
+            x = stack[parent].reshape(-1, a, d, b, a, d, b)
+            y = rhos[out].reshape(-1, a, b, a, b)
+            np.add(x[:, :, 0, :, :, 0], x[:, :, 1, :, :, 1], out=y)
+            for j in range(2, d):
+                y += x[:, :, j, :, :, j]
+            stack.append(y)
+    return np.add.reduceat(np.square(rhos.view(np.float64)), starts[rhos.itemsize])
+
+
+class _Plan(NamedTuple):
+    """What :func:`full_spectrum` does for one dims tuple; see :func:`_plan`
+    for the chunks and :func:`_layout` for a chunk's layout."""
+
+    chunks: tuple[tuple[Bipartition | np.ndarray, tuple], ...]  # (source, layout) each
+    order: np.ndarray  # the cut of each purity that the chunks return, in turn
+    direct: tuple[int, ...]  # the cuts that go through :func:`concurrence`
+    bounds: tuple[float, ...]  # per cut, sqrt(2 (m - 1) / m) and a rounding slack
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(dims: tuple[int, ...]) -> _Plan:
+    """The spectrum plan and the cut bounds of ``dims``, a checked dims tuple.
+
+    A forest root with children whose own side has d_S^2 <= D takes a Gram
+    product; every other root goes through :func:`concurrence`, and a
+    lopsided root's children become roots in turn. The Gram roots are
+    grouped by own-side shape and cut into chunks of max(1, _CHUNK_FLOOR //
+    D) roots; a chunk's source is its one root's cut when D > 2^10, else
+    the (B, d_S, d_rest) flat indices of its roots' cut matrices. Within a
+    chunk, the roots with one subtree id form a run that shares its steps.
+    Built from the forest arrays with Python per root and per cut that has
+    children, none per trace.
+    """
+    n, total = len(dims), math.prod(dims)
+    cuts, (first, kids, traced) = _cut_table(n)
+    first_at, kids_at = np.asarray(first), np.asarray(kids)
+    # Own-side dims of every cut, padded with 1s, one size group at a time.
+    own = np.ones((len(cuts), n // 2), dtype=np.intp)
+    site_dims = np.array((1,) + dims, dtype=np.intp)
+    lo = 0
+    for k in range(1, n // 2 + 1):
+        hi = lo + (math.comb(n, k) if 2 * k < n else math.comb(n, k) // 2)
+        subsets = itertools.chain.from_iterable(cut.subset for cut in cuts[lo:hi])
+        own[lo:hi, :k] = site_dims[np.fromiter(subsets, np.intp, (hi - lo) * k).reshape(-1, k)]
+        lo = hi
+    d_s = own.prod(axis=1)
+    m = np.minimum(d_s, total // d_s)
+    # A value at its bound comes from a purity that may round below 1/m: allow
+    # 2 sqrt(D) ulps, a few at small D, growing with the amplitudes summed.
+    bounds = np.sqrt(2.0 * (m - 1) / m) * (1.0 + 2.0 * math.sqrt(total) * np.finfo(float).eps)
+
+    has_kids, fits = first_at[1:] > first_at[:-1], d_s * d_s <= total
+    roots, batched, direct = np.arange(len(traced), len(cuts)), [], []
+    while roots.size:
+        gram = has_kids[roots] & fits[roots]
+        batched.append(roots[gram])
+        direct.append(roots[~gram])
+        lopsided = roots[has_kids[roots] & ~fits[roots]].tolist()
+        roots = np.array([c for i in lopsided for c in kids[first[i] : first[i + 1]]], dtype=np.intp)
+    batched = np.concatenate(batched)
+
+    # Subtree ids, children first: equal ids, equal traced positions level by level.
+    subtree, tree_ids = [0] * len(cuts), {(): 0}
+    for i in np.flatnonzero(has_kids).tolist():
+        key = tuple([(traced[c], subtree[c]) for c in kids[first[i] : first[i + 1]]])
+        subtree[i] = tree_ids.setdefault(key, len(tree_ids))
+    keys = list(tree_ids)
+    # Roots by own-side shape, then by subtree: a run of like roots shares its steps.
+    groups = {}
+    for r, row in zip(batched.tolist(), own[batched].tolist()):
+        groups.setdefault(tuple(row[: cuts[r].size]), {}).setdefault(subtree[r], []).append(r)
+
+    per_chunk = max(1, _CHUNK_FLOOR // total)
+    if per_chunk > 1:  # D <= 2^10: gathered flat indices fit 16 bits
+        flat_ids = np.arange(total, dtype=np.uint16).reshape(dims)
+    chunks, order = [], []
+    for shape, by_tree in groups.items():
+        d_root = math.prod(shape)
+        runs = [
+            (roots, *_subtree_steps(shape, tree, keys, roots, first_at, kids_at))
+            for tree, roots in by_tree.items()
+        ]
+        if per_chunk == 1:
+            for roots, steps, nodes in runs:
+                layout = _layout(d_root, [(steps, 1)])
+                chunks += zip(map(cuts.__getitem__, roots), itertools.repeat(layout))
+                order.append(nodes.T.ravel())
+            continue
+        members = [r for roots, _, _ in runs for r in roots]
+        for c in range(0, len(members), per_chunk):
+            # Each run's share of members[c : c + per_chunk], as (steps, nodes).
+            parts, at = [], 0
+            for roots, steps, nodes in runs:
+                lo, hi = max(c - at, 0), min(c + per_chunk - at, len(roots))
+                if lo < hi:
+                    parts.append((steps, nodes[:, lo:hi]))
+                at += len(roots)
+            index = [flat_ids.transpose(cuts[r].axes).reshape(d_root, -1) for r in members[c : c + per_chunk]]
+            layout = _layout(d_root, [(steps, nodes.shape[1]) for steps, nodes in parts])
+            chunks.append((np.stack(index), layout))
+            order += [nodes[0] for _, nodes in parts] + [nodes[1:].ravel() for _, nodes in parts]
+    return _Plan(
+        tuple(chunks),
+        np.concatenate(order) if order else np.empty(0, dtype=np.intp),
+        tuple(np.concatenate(direct).tolist()),
+        tuple(bounds.tolist()),
+    )
+
+
+def _subtree_steps(
+    shape: tuple[int, ...], tree: int, keys: list, roots: list[int], first: np.ndarray, kids: np.ndarray
+) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:
+    """The steps below a root of own-side ``shape`` and subtree id ``tree``,
+    and the cut of every slot under each of ``roots``: slot 0 is the root,
+    the others follow breadth first, and a step ``(parent, a, d, b)`` traces
+    the site of dimension d between a and b others out of slot ``parent``."""
+    steps, ranks, slots = [], [], [(shape, tree)]
+    for parent, (sites, node) in enumerate(slots):
+        for rank, (pos, child) in enumerate(keys[node]):
+            steps.append((parent, math.prod(sites[:pos]), sites[pos], math.prod(sites[pos + 1 :])))
+            ranks.append((parent, rank))
+            slots.append((sites[:pos] + sites[pos + 1 :], child))
+    nodes = np.empty((len(slots), len(roots)), dtype=np.intp)
+    nodes[0] = roots
+    for j, (parent, rank) in enumerate(ranks, 1):
+        nodes[j] = kids[first[nodes[parent]] + rank]
+    return steps, nodes
+
+
+def _layout(d_root: int, runs: list[tuple[list, int]]) -> tuple:
+    """``(size, starts, runs)`` of a chunk that holds ``count`` roots of each
+    of its ``(steps, count)`` runs. Its reduced states fill one buffer of
+    ``size`` amplitudes: every root's, then run by run and slot by slot
+    those below, root by root. ``starts[itemsize]`` holds where each state
+    begins in the buffer's float64 view (1 float per float64 amplitude, 2
+    per complex128). A run becomes ``(lo, hi, steps)``: its roots are rows
+    lo:hi of the chunk's, and a step ``(parent, a, d, b, out)`` writes the
+    slice ``out`` of the buffer."""
+    size = sum(count for _, count in runs) * d_root * d_root
+    starts, placed, lo = [range(0, size, d_root * d_root)], [], 0
+    for steps, count in runs:
+        run = []
+        for parent, a, d, b in steps:
+            length = (a * b) ** 2
+            starts.append(range(size, size + count * length, length))
+            run.append((parent, a, d, b, slice(size, size + count * length)))
+            size += count * length
+        placed.append((lo, lo + count, tuple(run)))
+        lo += count
+    at = np.fromiter(itertools.chain.from_iterable(starts), dtype=np.intp)
+    return size, {8: at, 16: 2 * at}, tuple(placed)
 
 
 def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
@@ -206,3 +391,13 @@ def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> f
     a = state.amplitudes[offsets(subset)[:, None] + offsets(comp)]
     rho = a @ a.conj().T
     return float(np.real(np.trace(rho @ rho)))
+
+
+def _clear_shape_caches() -> None:
+    """Empty the cut tables and the spectrum plans built on them."""
+    _cut_table.cache_clear()
+    _plan.cache_clear()
+
+
+# One call empties both shape caches; cache_info still reports the cut tables.
+canonical_bipartitions.cache_clear = _clear_shape_caches

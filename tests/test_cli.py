@@ -216,6 +216,16 @@ class TestBipartitions:
         assert main(["bipartitions", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    # int() alone would read the Arabic-Indic three and "1_0" as 10.
+    @pytest.mark.parametrize("n", ["\u0663", "1_0", "\uff14"], ids=["arabic", "underscore", "fullwidth"])
+    def test_party_count_takes_plain_ascii_digits(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["bipartitions", n])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument n: invalid int value: {n!r}\n")
+
     def test_streams_without_filling_the_cut_cache(self, capsys):
         size = canonical_bipartitions.cache_info().currsize
         assert main(["bipartitions", "16"]) == 0
@@ -313,6 +323,20 @@ class TestRandom:
         args = ["random", "--dims", "2,2,2", "--check", "n4-formula-equivalence"]
         assert main(args) == 2
         assert "4 parties" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--trials", "1_0"), ("--seed", "\u0661"), ("--trials", "\u0661\u0660"), ("--seed", "1_000")],
+        ids=["trials-underscore", "seed-arabic", "trials-arabic", "seed-underscore"],
+    )
+    def test_integer_options_take_plain_ascii_digits(self, capsys, option, value):
+        args = ["random", "--dims", "2,2,2", "--check", "ghz-closed-form", option, value]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
 
     @pytest.mark.parametrize("check", ["ghz-closed-form", "lu-invariance"])
     def test_negative_seed_is_usage_error(self, capsys, check):

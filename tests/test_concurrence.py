@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -422,10 +423,36 @@ def test_spectrum_refuses_a_value_outside_zero_to_sqrt2(bad):
         ConcurrenceSpectrum((2, 2, 2), (0.5, bad, 0.5))
 
 
-def test_spectrum_accepts_both_ends_of_zero_to_sqrt2():
+# No finite cut attains sqrt(2): a qubit cut's bound is 1, a qutrit cut's sqrt(4/3).
+def test_spectrum_accepts_zero_and_each_cut_bound():
     from gmepyramid import ConcurrenceSpectrum
 
-    assert ConcurrenceSpectrum((2, 2, 2), (0.0, math.sqrt(2.0), 0.0)).values[1] == math.sqrt(2.0)
+    assert ConcurrenceSpectrum((2, 2, 2), (0.0, 1.0, 0.0)).values == (0.0, 1.0, 0.0)
+    qutrit = math.sqrt(4.0 / 3.0)
+    assert ConcurrenceSpectrum((3, 3, 3), (qutrit,) * 3).values == (qutrit,) * 3
+    # One ulp over the bound is rounding, and accepted.
+    assert ConcurrenceSpectrum((2, 2, 2), (0.0, math.nextafter(1.0, 2.0), 0.0))
+
+
+@pytest.mark.parametrize(
+    "dims, values, message",
+    [
+        ((2, 2, 2), (1.2, 1.2, 1.2), "1.2 across cut 1 exceeds its bound sqrt(2 (m - 1) / m) = 1.0 for m = 2"),
+        # Cut 1 of (3, 2, 2) is a qutrit, m = min(3, 4); cut 2 a qubit.
+        ((3, 2, 2), (1.15, 1.01, 0.5), "1.01 across cut 2 exceeds its bound sqrt(2 (m - 1) / m) = 1.0 for m = 2"),
+        ((2, 2, 2, 2), (0.5,) * 4 + (1.0, 1.0, 1.3), "1.3 across cut 1,4 exceeds its bound "
+         "sqrt(2 (m - 1) / m) = 1.224744871391589 for m = 4"),
+        ((2, 2, 2), (0.5, 1.0 + 1e-12, 0.5), "1.000000000001 across cut 2 exceeds its bound "
+         "sqrt(2 (m - 1) / m) = 1.0 for m = 2"),
+    ],
+    ids=["qubits", "qutrit-and-qubit", "pair", "just-above"],
+)
+def test_spectrum_refuses_a_value_above_its_cut_bound(dims, values, message):
+    from gmepyramid import ConcurrenceSpectrum
+
+    # Accepted, (1.2, 1.2, 1.2) would classify as GME with volume 0.2078.
+    with pytest.raises(ValueError, match="^concurrence " + re.escape(message) + "$"):
+        ConcurrenceSpectrum(dims, values)
 
 
 def test_spectrum_cuts_are_read_from_the_table_entry(monkeypatch):
@@ -492,6 +519,80 @@ class TestSpectrumForest:
         assert peak <= 1.25 * per_cut_peak
         for cut, p, c in zip(cuts, per_cut, spectrum.values):
             assert abs(1.0 - 0.5 * c * c - p) < 1e-12, cut.label()
+
+
+# N = 2..9 qubits, qutrits in several places and the lopsided dims; (2,) * 9
+# cuts its root groups into chunks of _CHUNK_FLOOR // 512 = 4 roots.
+BATCH_DIMS = [(2,) * n for n in range(2, 10)] + [
+    (2, 3, 2, 2, 3, 2, 2),
+    (3, 3, 2, 2, 2, 2),
+    (3, 2, 2, 2, 2, 2, 2),
+    (6, 6, 2, 2, 2),
+    (2, 2, 2, 6, 6),
+]
+
+
+def batch_state(dims, kind):
+    """A Haar or real Gaussian state, or an exact product across cut {1}, complex or real."""
+    n = len(dims)
+    if kind == "haar":
+        return haar_random_state(dims, seed=[105, n])
+    if kind == "real":
+        return real_gaussian_state(dims, seed=[106, n])
+    if kind == "product":
+        return random_product_state(dims, (1,), seed=[107, n])
+    rng = np.random.default_rng([104, n])
+    first, rest = rng.standard_normal(dims[0]), rng.standard_normal(math.prod(dims[1:]))
+    return PureState(dims, np.kron(first, rest), normalize=True)
+
+
+class TestBatchedSpectrum:
+    """``full_spectrum`` runs its dims' plan: chunks of like forest roots, each
+    one gathered Gram product and one partial trace per step below it."""
+
+    # Both routes round, and so does the way back from a concurrence: cut {6}
+    # of the real product on (3, 2, 2, 2, 2, 2, 2) reads 1.1e-15 on the
+    # per-root recursion this plan replaced as well.
+    @pytest.mark.parametrize("kind", ["haar", "real", "product", "real-product"])
+    @pytest.mark.parametrize("dims", BATCH_DIMS, ids=str)
+    def test_every_purity_matches_the_per_cut_route(self, dims, kind):
+        state = batch_state(dims, kind)
+        spectrum = full_spectrum(state)
+        for cut, c in zip(spectrum.cuts, spectrum.values):
+            assert abs(1.0 - 0.5 * c * c - reduced_purity(state, cut)) <= 2e-15, cut.label()
+
+    @pytest.mark.parametrize("kind", ["haar", "real"])
+    def test_a_group_over_several_chunks_gives_the_row_of_one_chunk(self, monkeypatch, kind):
+        module = importlib.import_module("gmepyramid.concurrence")
+        dims = (2,) * 9
+        state = batch_state(dims, kind)
+        # The 56 roots with children share one own-side shape, (2, 2, 2, 2).
+        chunks = module._plan(dims).chunks
+        assert [len(source) for source, _ in chunks] == [4] * 14
+        chunked = full_spectrum(state).values
+
+        monkeypatch.setattr(module, "_CHUNK_FLOOR", 2**20)
+        module._plan.cache_clear()
+        try:
+            assert [len(source) for source, _ in module._plan(dims).chunks] == [56]
+            whole = full_spectrum(state).values
+        finally:
+            module._plan.cache_clear()
+        per_cut = [reduced_purity(state, cut) for cut in canonical_bipartitions(9)]
+        for a, b, p in zip(chunked, whole, per_cut):
+            assert abs(0.5 * a * a - 0.5 * b * b) <= 1e-15
+            assert abs(1.0 - 0.5 * a * a - p) <= 1e-15
+
+    def test_the_plan_cache_is_bounded_and_cleared_with_the_cut_tables(self):
+        module = importlib.import_module("gmepyramid.concurrence")
+        size = module._plan.cache_info().maxsize
+        assert size == module._PLAN_CACHE_SIZE
+        for d in range(2, size + 5):
+            full_spectrum(haar_random_state((d, 2, 2), seed=[108, d]))
+        assert module._plan.cache_info().currsize == size
+        canonical_bipartitions.cache_clear()
+        assert module._plan.cache_info().currsize == 0
+        assert canonical_bipartitions.cache_info().currsize == 0
 
 
 class TestExactSpectra:
