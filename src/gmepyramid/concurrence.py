@@ -26,30 +26,34 @@ multi-party values ``values[n:]``; a cut-keyed dict is built only when
 It runs the cut forest held in the same table entry as the cuts
 (``bipartitions._cut_table``): every cut T below the top size n // 2
 hangs under a canonical cut P = T + {x} one party larger, and
-rho_T = Tr_x rho_P. A top-size root with children takes one Gram product,
-rho_P = M M^dag of its own side; every cut below it gets its rho by tracing
-one site out of its parent's, a sum of d_x slices of the parent's rho, and
-its purity as ||rho_T||_F^2. The forest becomes a plan once per dims tuple
-(:func:`_plan`; at most ``_PLAN_CACHE_SIZE`` plans are kept, and
-``canonical_bipartitions.cache_clear`` empties them with the cut tables).
-The plan groups those roots by the dims of their own side, cuts each group
-into chunks and, within a chunk, runs the roots of one subtree (the sites
-traced, level by level) together. A chunk's gathered cut matrices hold no
-more amplitudes than the state, or than a floor of 2^11
-(``_CHUNK_FLOOR``), whichever is larger, so a state above 2^10 amplitudes
-takes one root per chunk, cut by a transposed copy as before. A chunk
-takes one gather, one batched Gram product, one partial trace per step of
-each of its subtrees over all of that subtree's roots, and one pass that
-reduces every purity of the chunk from one buffer.
+rho_T = Tr_x rho_P. The top-size cuts are the roots, and every root takes
+one Gram product, as a rule of its own side, rho_P = M M^dag; every cut
+below it gets its rho by tracing one site out of its parent's, a sum of
+d_x slices of the parent's rho, and its purity as ||rho_T||_F^2. A
+lopsided root, whose own side has
+d_S^2 > D (dims such as (2, 2, 2, 64, 64)), takes the Gram product of its
+other side instead, which has the same purity and is smaller than the
+state; its children become roots in turn. So no rho larger than the
+state is formed. The forest becomes a plan once per dims tuple
+(:func:`_plan`; at most ``_PLAN_CACHE_SIZE`` plans are kept), from parts
+built once per party count (:func:`_forest`);
+``canonical_bipartitions.cache_clear`` empties both with the cut tables.
+The plan groups the roots by the dimension of the side whose Gram product
+they take, cuts each group into chunks and, within a chunk, runs the
+roots of one shape and subtree (the sites traced, level by level)
+together; a childless or lopsided root traces nothing. A chunk's gathered
+cut matrices hold no more amplitudes than the state, or than a floor of
+2^11 (``_CHUNK_FLOOR``), whichever is larger, so a state above 2^10
+amplitudes takes one root per chunk, cut by a transposed copy as
+:func:`reduced_purity` cuts it. A chunk takes one gather, one batched
+Gram product, one partial trace per step of each of its subtrees over all
+of that subtree's roots, and one pass that reduces every purity of the
+chunk from one buffer.
 
-A root without children, and a root whose own side has d_S^2 > d_S d_rest
-(lopsided dims such as (2, 2, 2, 64, 64); its children become roots in
-turn), goes through :func:`concurrence`, so :func:`reduced_purity`, which
-keeps the cheaper Gram orientation; at n <= 3 every cut is such a root.
-These stay one call per cut while the benchmark counts the spectrum's work
-by the ``reduced_purity`` calls; folding them into the chunks waits on the
-per-spectrum span of ROADMAP item 1. No rho larger than the state is
-formed, and real states stay on float64 throughout. Summation orders
+At n <= 3 every cut is a childless root, and :func:`full_spectrum` still
+takes one :func:`concurrence` call per cut: the benchmark counts the
+spectrum's work by the ``reduced_purity`` calls and pins three on GHZ3
+(ROADMAP item 1). Real states stay on float64 throughout. Summation orders
 differ from the per-cut route, so values agree with it to a few ulps. The
 plan also holds each cut's bound sqrt(2 (m - 1) / m), m = min(d_S,
 D / d_S), which :class:`ConcurrenceSpectrum` checks every value against.
@@ -62,7 +66,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,36 +174,41 @@ class ConcurrenceSpectrum:
 
 def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
     """Evaluate every canonical cut of ``state`` by its dims' plan
-    (:func:`_plan`): per chunk of like roots one stack of cut matrices, one
-    batched Gram product, one partial trace per step of their shared
-    subtree and one reduction of the purities; one :func:`concurrence`
-    call per other root.
+    (:func:`_plan`): per chunk of roots one stack of cut matrices, one
+    batched Gram product, one partial trace per step of each shared
+    subtree and one reduction of the purities. Every cut of four or more
+    parties is reached so; at n <= 3 each cut takes one :func:`concurrence`
+    call instead.
 
     Each value depends only on the state and its cut's path in the forest,
     not on the other roots of its chunk.
     """
     cuts = canonical_bipartitions(state.n)
+    if state.n <= 3:
+        # Per cut until ROADMAP item 1: bench/test_bench.py counts the three
+        # reduced_purity calls of GHZ3's spectrum.
+        return ConcurrenceSpectrum(state.dims, tuple([concurrence(state, cut) for cut in cuts]))
     plan = _plan(state.dims)
+    purities = np.concatenate([_chunk_purities(state, *chunk) for chunk in plan.chunks])
     values = np.empty(len(cuts))
-    if plan.chunks:
-        purities = np.concatenate([_chunk_purities(state, *chunk) for chunk in plan.chunks])
-        values[plan.order] = np.sqrt(2.0 * (1.0 - np.clip(purities, 0.0, 1.0)))
-    for i in plan.direct:
-        values[i] = concurrence(state, cuts[i])
+    values[plan.order] = np.sqrt(2.0 * (1.0 - np.clip(purities, 0.0, 1.0)))
     return ConcurrenceSpectrum(state.dims, tuple(values.tolist()))
 
 
-def _chunk_purities(state: PureState, source: Bipartition | np.ndarray, layout: tuple) -> np.ndarray:
+def _chunk_purities(
+    state: PureState, source: tuple[tuple[int, ...], int] | np.ndarray, layout: tuple
+) -> np.ndarray:
     """Purities of one chunk's reduced states in the order of its buffer.
     The cut matrices go before the traces, and the buffer on return."""
-    size, starts, runs = layout
-    if isinstance(source, Bipartition):
-        m = _cut_matrix(state, source)[None]
+    d_root, size, starts, runs = layout
+    if isinstance(source, tuple):  # one root, cut as reduced_purity cuts it
+        axes, d_s = source
+        m = state._tensor.transpose(axes).reshape(d_s, -1)
+        m = (m if d_s == d_root else m.T)[None]  # a lopsided root: the Gram of the columns
     else:
         m = state._tensor.reshape(-1).take(source)
-    batch, d_s, _ = m.shape
     rhos = np.empty(size, m.dtype)
-    roots = rhos[: batch * d_s * d_s].reshape(batch, d_s, d_s)
+    roots = rhos[: len(m) * d_root * d_root].reshape(-1, d_root, d_root)
     np.matmul(m, m.conj().transpose(0, 2, 1), out=roots)
     del m
     for lo, hi, steps in runs:
@@ -212,86 +221,108 @@ def _chunk_purities(state: PureState, source: Bipartition | np.ndarray, layout: 
             for j in range(2, d):
                 y += x[:, :, j, :, :, j]
             stack.append(y)
-    return np.add.reduceat(np.square(rhos.view(np.float64)), starts[rhos.itemsize])
+    flat = rhos.view(np.float64)
+    if starts is None:  # one state: one dot product, as cheap as reduced_purity's
+        return np.array([flat @ flat])
+    return np.add.reduceat(np.square(flat), starts[rhos.itemsize])
 
 
 class _Plan(NamedTuple):
-    """What :func:`full_spectrum` does for one dims tuple; see :func:`_plan`
-    for the chunks and :func:`_layout` for a chunk's layout."""
+    """What :func:`full_spectrum` does for one dims tuple, and the bounds
+    that :class:`ConcurrenceSpectrum` checks; see :func:`_plan` for the
+    chunks, which :func:`full_spectrum` does not run at n <= 3, and
+    :func:`_layout` for a chunk's layout."""
 
-    chunks: tuple[tuple[Bipartition | np.ndarray, tuple], ...]  # (source, layout) each
+    chunks: tuple[tuple[tuple[tuple[int, ...], int] | np.ndarray, tuple], ...]  # (source, layout) each
     order: np.ndarray  # the cut of each purity that the chunks return, in turn
-    direct: tuple[int, ...]  # the cuts that go through :func:`concurrence`
     bounds: tuple[float, ...]  # per cut, sqrt(2 (m - 1) / m) and a rounding slack
+
+
+@functools.cache
+def _forest(n: int) -> tuple[np.ndarray, list[bool], list[int], list[tuple]]:
+    """What every plan of ``n`` parties shares, whatever the dims: each
+    cut's subset padded with 0s to n // 2 sites, whether it has children,
+    its subtree id and the key of each id. A key holds the traced position
+    and the subtree id of each child, so equal ids trace equal positions
+    level by level; id 0, key ``()``, has no children."""
+    cuts, (first, kids, traced) = _cut_table(n)
+    subsets = np.zeros((len(cuts), n // 2), dtype=np.intp)
+    lo = 0
+    for k in range(1, n // 2 + 1):
+        hi = lo + (math.comb(n, k) if 2 * k < n else math.comb(n, k) // 2)
+        flat = itertools.chain.from_iterable(cut.subset for cut in cuts[lo:hi])
+        subsets[lo:hi, :k] = np.fromiter(flat, np.intp, (hi - lo) * k).reshape(-1, k)
+        lo = hi
+    has_kids = [a < b for a, b in zip(first, first[1:])]
+    # Children first: a child's id is known when its parent's key is formed.
+    subtree, tree_ids = [0] * len(cuts), {(): 0}
+    for i in itertools.compress(range(len(cuts)), has_kids):
+        key = tuple([(traced[c], subtree[c]) for c in kids[first[i] : first[i + 1]]])
+        subtree[i] = tree_ids.setdefault(key, len(tree_ids))
+    return subsets, has_kids, subtree, list(tree_ids)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(dims: tuple[int, ...]) -> _Plan:
     """The spectrum plan and the cut bounds of ``dims``, a checked dims tuple.
 
-    A forest root with children whose own side has d_S^2 <= D takes a Gram
-    product; every other root goes through :func:`concurrence`, and a
-    lopsided root's children become roots in turn. The Gram roots are
-    grouped by own-side shape and cut into chunks of max(1, _CHUNK_FLOOR //
-    D) roots; a chunk's source is its one root's cut when D > 2^10, else
-    the (B, d_S, d_rest) flat indices of its roots' cut matrices. Within a
-    chunk, the roots with one subtree id form a run that shares its steps.
-    Built from the forest arrays with Python per root and per cut that has
-    children, none per trace.
+    Every root takes one Gram product. A root whose own side has d_S^2 <= D
+    takes its own side's and leads its subtree. A lopsided root (d_S^2 > D)
+    takes its other side's; it traces nothing, and its children become
+    roots in turn. The roots are grouped by the dimension d_root of the side
+    whose Gram product they take and cut into chunks of max(1,
+    _CHUNK_FLOOR // D) roots. When D > 2^10 a chunk holds one root, and its
+    source is the root's transpose order and d_S: its cut matrix is formed
+    as :func:`reduced_purity` forms it, and a lopsided root's Gram side is
+    that matrix's columns. Otherwise the source is the (B, d_root, D /
+    d_root) flat indices of its roots' matrices, the Gram side's sites
+    first. Within a chunk, the roots of one Gram-side shape and one subtree
+    id form a run that shares its steps; a childless or lopsided root has
+    id 0 and no steps. Built from :func:`_forest` with Python per root and
+    per step, none per trace.
     """
     n, total = len(dims), math.prod(dims)
     cuts, (first, kids, traced) = _cut_table(n)
-    first_at, kids_at = np.asarray(first), np.asarray(kids)
-    # Own-side dims of every cut, padded with 1s, one size group at a time.
-    own = np.ones((len(cuts), n // 2), dtype=np.intp)
-    site_dims = np.array((1,) + dims, dtype=np.intp)
-    lo = 0
-    for k in range(1, n // 2 + 1):
-        hi = lo + (math.comb(n, k) if 2 * k < n else math.comb(n, k) // 2)
-        subsets = itertools.chain.from_iterable(cut.subset for cut in cuts[lo:hi])
-        own[lo:hi, :k] = site_dims[np.fromiter(subsets, np.intp, (hi - lo) * k).reshape(-1, k)]
-        lo = hi
+    subsets, has_kids, subtree, keys = _forest(n)
+    own = np.array((1,) + dims, dtype=np.intp)[subsets]
     d_s = own.prod(axis=1)
     m = np.minimum(d_s, total // d_s)
     # A value at its bound comes from a purity that may round below 1/m: allow
     # 2 sqrt(D) ulps, a few at small D, growing with the amplitudes summed.
     bounds = np.sqrt(2.0 * (m - 1) / m) * (1.0 + 2.0 * math.sqrt(total) * np.finfo(float).eps)
 
-    has_kids, fits = first_at[1:] > first_at[:-1], d_s * d_s <= total
-    roots, batched, direct = np.arange(len(traced), len(cuts)), [], []
-    while roots.size:
-        gram = has_kids[roots] & fits[roots]
-        batched.append(roots[gram])
-        direct.append(roots[~gram])
-        lopsided = roots[has_kids[roots] & ~fits[roots]].tolist()
-        roots = np.array([c for i in lopsided for c in kids[first[i] : first[i + 1]]], dtype=np.intp)
-    batched = np.concatenate(batched)
+    sides, flipped = d_s.tolist(), (d_s * d_s > total).tolist()
+    roots = list(range(len(traced), len(cuts)))
+    for r in roots:  # a lopsided root's children join the roots, and are met in turn
+        if flipped[r] and has_kids[r]:
+            roots += kids[first[r] : first[r + 1]]
 
-    # Subtree ids, children first: equal ids, equal traced positions level by level.
-    subtree, tree_ids = [0] * len(cuts), {(): 0}
-    for i in np.flatnonzero(has_kids).tolist():
-        key = tuple([(traced[c], subtree[c]) for c in kids[first[i] : first[i + 1]]])
-        subtree[i] = tree_ids.setdefault(key, len(tree_ids))
-    keys = list(tree_ids)
-    # Roots by own-side shape, then by subtree: a run of like roots shares its steps.
-    groups = {}
-    for r, row in zip(batched.tolist(), own[batched].tolist()):
-        groups.setdefault(tuple(row[: cuts[r].size]), {}).setdefault(subtree[r], []).append(r)
+    # Roots by Gram-side dimension, then by Gram-side shape and subtree: a run
+    # of like roots shares its steps, and a chunk may hold runs of any shape.
+    groups, axes = {}, {}
+    for r, row in zip(roots, own[roots].tolist()):
+        cut = cuts[r]
+        k = len(cut.subset)
+        if flipped[r]:
+            axes[r] = cut.axes[k:] + cut.axes[:k]
+            shape, tree = tuple([dims[a] for a in cut.axes[k:]]), 0
+        else:
+            axes[r], shape, tree = cut.axes, tuple(row[:k]), subtree[r]
+        groups.setdefault(math.prod(shape), {}).setdefault((shape, tree), []).append(r)
 
     per_chunk = max(1, _CHUNK_FLOOR // total)
     if per_chunk > 1:  # D <= 2^10: gathered flat indices fit 16 bits
         flat_ids = np.arange(total, dtype=np.uint16).reshape(dims)
     chunks, order = [], []
-    for shape, by_tree in groups.items():
-        d_root = math.prod(shape)
+    for d_root, by_run in groups.items():
         runs = [
-            (roots, *_subtree_steps(shape, tree, keys, roots, first_at, kids_at))
-            for tree, roots in by_tree.items()
+            (roots, *_subtree_steps(shape, tree, keys, roots, first, kids))
+            for (shape, tree), roots in by_run.items()
         ]
         if per_chunk == 1:
             for roots, steps, nodes in runs:
                 layout = _layout(d_root, [(steps, 1)])
-                chunks += zip(map(cuts.__getitem__, roots), itertools.repeat(layout))
+                chunks += [((cuts[r].axes, sides[r]), layout) for r in roots]
                 order.append(nodes.T.ravel())
             continue
         members = [r for roots, _, _ in runs for r in roots]
@@ -303,47 +334,41 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
                 if lo < hi:
                     parts.append((steps, nodes[:, lo:hi]))
                 at += len(roots)
-            index = [flat_ids.transpose(cuts[r].axes).reshape(d_root, -1) for r in members[c : c + per_chunk]]
+            batch = members[c : c + per_chunk]
+            index = np.concatenate([flat_ids.transpose(axes[r]) for r in batch], axis=None)
             layout = _layout(d_root, [(steps, nodes.shape[1]) for steps, nodes in parts])
-            chunks.append((np.stack(index), layout))
+            chunks.append((index.reshape(-1, d_root, total // d_root), layout))
             order += [nodes[0] for _, nodes in parts] + [nodes[1:].ravel() for _, nodes in parts]
-    return _Plan(
-        tuple(chunks),
-        np.concatenate(order) if order else np.empty(0, dtype=np.intp),
-        tuple(np.concatenate(direct).tolist()),
-        tuple(bounds.tolist()),
-    )
+    return _Plan(tuple(chunks), np.concatenate(order), tuple(bounds.tolist()))
 
 
 def _subtree_steps(
-    shape: tuple[int, ...], tree: int, keys: list, roots: list[int], first: np.ndarray, kids: np.ndarray
+    shape: tuple[int, ...], tree: int, keys: list, roots: list[int], first: Sequence[int], kids: Sequence[int]
 ) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:
-    """The steps below a root of own-side ``shape`` and subtree id ``tree``,
+    """The steps below a root of Gram-side ``shape`` and subtree id ``tree``,
     and the cut of every slot under each of ``roots``: slot 0 is the root,
     the others follow breadth first, and a step ``(parent, a, d, b)`` traces
     the site of dimension d between a and b others out of slot ``parent``."""
-    steps, ranks, slots = [], [], [(shape, tree)]
+    steps, nodes, slots = [], [roots], [(shape, tree)]
     for parent, (sites, node) in enumerate(slots):
         for rank, (pos, child) in enumerate(keys[node]):
             steps.append((parent, math.prod(sites[:pos]), sites[pos], math.prod(sites[pos + 1 :])))
-            ranks.append((parent, rank))
+            nodes.append([kids[first[i] + rank] for i in nodes[parent]])
             slots.append((sites[:pos] + sites[pos + 1 :], child))
-    nodes = np.empty((len(slots), len(roots)), dtype=np.intp)
-    nodes[0] = roots
-    for j, (parent, rank) in enumerate(ranks, 1):
-        nodes[j] = kids[first[nodes[parent]] + rank]
-    return steps, nodes
+    return steps, np.array(nodes, dtype=np.intp)
 
 
 def _layout(d_root: int, runs: list[tuple[list, int]]) -> tuple:
-    """``(size, starts, runs)`` of a chunk that holds ``count`` roots of each
-    of its ``(steps, count)`` runs. Its reduced states fill one buffer of
-    ``size`` amplitudes: every root's, then run by run and slot by slot
-    those below, root by root. ``starts[itemsize]`` holds where each state
-    begins in the buffer's float64 view (1 float per float64 amplitude, 2
-    per complex128). A run becomes ``(lo, hi, steps)``: its roots are rows
-    lo:hi of the chunk's, and a step ``(parent, a, d, b, out)`` writes the
-    slice ``out`` of the buffer."""
+    """``(d_root, size, starts, runs)`` of a chunk of d_root x d_root root
+    states that holds ``count`` roots of each of its ``(steps, count)``
+    runs. Its reduced states fill one buffer of ``size`` amplitudes: every
+    root's, then run by run and slot by slot those below, root by root.
+    ``starts[itemsize]`` holds where each state begins in the buffer's
+    float64 view (1 float per float64 amplitude, 2 per complex128), and
+    ``starts`` is None when the buffer holds one state. A run
+    with steps becomes ``(lo, hi, steps)``: its roots are rows lo:hi of the
+    chunk's, and a step ``(parent, a, d, b, out)`` writes the slice ``out``
+    of the buffer."""
     size = sum(count for _, count in runs) * d_root * d_root
     starts, placed, lo = [range(0, size, d_root * d_root)], [], 0
     for steps, count in runs:
@@ -353,10 +378,13 @@ def _layout(d_root: int, runs: list[tuple[list, int]]) -> tuple:
             starts.append(range(size, size + count * length, length))
             run.append((parent, a, d, b, slice(size, size + count * length)))
             size += count * length
-        placed.append((lo, lo + count, tuple(run)))
+        if run:
+            placed.append((lo, lo + count, tuple(run)))
         lo += count
+    if size == d_root * d_root:
+        return d_root, size, None, ()
     at = np.fromiter(itertools.chain.from_iterable(starts), dtype=np.intp)
-    return size, {8: at, 16: 2 * at}, tuple(placed)
+    return d_root, size, {8: at, 16: 2 * at}, tuple(placed)
 
 
 def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
@@ -394,10 +422,11 @@ def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> f
 
 
 def _clear_shape_caches() -> None:
-    """Empty the cut tables and the spectrum plans built on them."""
+    """Empty the cut tables and the forest parts and spectrum plans built on them."""
     _cut_table.cache_clear()
+    _forest.cache_clear()
     _plan.cache_clear()
 
 
-# One call empties both shape caches; cache_info still reports the cut tables.
+# One call empties every shape cache; cache_info still reports the cut tables.
 canonical_bipartitions.cache_clear = _clear_shape_caches

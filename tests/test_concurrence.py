@@ -522,13 +522,17 @@ class TestSpectrumForest:
 
 
 # N = 2..9 qubits, qutrits in several places and the lopsided dims; (2,) * 9
-# cuts its root groups into chunks of _CHUNK_FLOOR // 512 = 4 roots.
+# cuts its root groups into chunks of _CHUNK_FLOOR // 512 = 4 roots. In
+# (3, 3, 2, 2, 2) and (2, 2, 3, 3, 2) the childless root of the two qutrits
+# takes the Gram product of its other side.
 BATCH_DIMS = [(2,) * n for n in range(2, 10)] + [
     (2, 3, 2, 2, 3, 2, 2),
     (3, 3, 2, 2, 2, 2),
     (3, 2, 2, 2, 2, 2, 2),
     (6, 6, 2, 2, 2),
     (2, 2, 2, 6, 6),
+    (3, 3, 2, 2, 2),
+    (2, 2, 3, 3, 2),
 ]
 
 
@@ -561,20 +565,61 @@ class TestBatchedSpectrum:
         for cut, c in zip(spectrum.cuts, spectrum.values):
             assert abs(1.0 - 0.5 * c * c - reduced_purity(state, cut)) <= 2e-15, cut.label()
 
+    @pytest.mark.parametrize("dims", BATCH_DIMS, ids=str)
+    def test_from_four_parties_no_cut_takes_a_call_of_its_own(self, monkeypatch, dims):
+        module = importlib.import_module("gmepyramid.concurrence")
+        calls = []
+        for name in ("reduced_purity", "concurrence"):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        full_spectrum(batch_state(dims, "haar"))
+        if len(dims) >= 4:
+            assert calls == []
+        else:  # three parties and fewer: one concurrence call per cut
+            cuts = 2 ** (len(dims) - 1) - 1
+            assert calls == ["concurrence", "reduced_purity"] * cuts
+
+    @pytest.mark.parametrize("dims", BATCH_DIMS, ids=str)
+    def test_the_plan_reduces_one_purity_per_cut(self, dims):
+        module = importlib.import_module("gmepyramid.concurrence")
+        order = module._plan(dims).order
+        assert sorted(order.tolist()) == list(range(2 ** (len(dims) - 1) - 1))
+
+    # A lopsided root, d_S^2 > D, takes the Gram product of its other side;
+    # every such cut is a root, since its parent is lopsided too. Each of
+    # these shapes has two sites above 2, and lopsided cuts.
+    @pytest.mark.parametrize("kind", ["haar", "real", "product", "real-product"])
+    @pytest.mark.parametrize("dims", [dims for dims in BATCH_DIMS if sorted(dims)[-2] > 2], ids=str)
+    def test_every_flipped_root_matches_the_dense_oracle(self, dims, kind):
+        state = batch_state(dims, kind)
+        spectrum = full_spectrum(state)
+        total, flipped = math.prod(dims), 0
+        for cut, c in zip(spectrum.cuts, spectrum.values):
+            d_s = math.prod([dims[i - 1] for i in cut.subset])
+            if d_s * d_s > total:
+                flipped += 1
+                assert abs(1.0 - 0.5 * c * c - dense_oracle_purity(state, cut)) <= 1e-14, cut.label()
+        assert flipped
+
     @pytest.mark.parametrize("kind", ["haar", "real"])
     def test_a_group_over_several_chunks_gives_the_row_of_one_chunk(self, monkeypatch, kind):
         module = importlib.import_module("gmepyramid.concurrence")
         dims = (2,) * 9
         state = batch_state(dims, kind)
-        # The 56 roots with children share one own-side shape, (2, 2, 2, 2).
+        # The 126 roots, with children or without, share one own-side shape, (2, 2, 2, 2).
         chunks = module._plan(dims).chunks
-        assert [len(source) for source, _ in chunks] == [4] * 14
+        assert [len(source) for source, _ in chunks] == [4] * 31 + [2]
         chunked = full_spectrum(state).values
 
         monkeypatch.setattr(module, "_CHUNK_FLOOR", 2**20)
         module._plan.cache_clear()
         try:
-            assert [len(source) for source, _ in module._plan(dims).chunks] == [56]
+            assert [len(source) for source, _ in module._plan(dims).chunks] == [126]
             whole = full_spectrum(state).values
         finally:
             module._plan.cache_clear()
@@ -592,6 +637,7 @@ class TestBatchedSpectrum:
         assert module._plan.cache_info().currsize == size
         canonical_bipartitions.cache_clear()
         assert module._plan.cache_info().currsize == 0
+        assert module._forest.cache_info().currsize == 0
         assert canonical_bipartitions.cache_info().currsize == 0
 
 

@@ -336,12 +336,12 @@ def test_evaluate_enumerates_once_and_takes_one_purity_per_cut(monkeypatch):
     """The call pattern a span tracer counts: it swaps the function in every
     gmepyramid module that holds a reference to it, as bench/spans.py does.
 
-    The cuts are enumerated once per state. ``reduced_purity`` runs only for
-    the roots of the cut forest that take no Gram product of their own side:
-    none on six qubits, where every half cut has a child; all three cuts at
-    three parties; and on (2, 3, 2, 2, 2, 2) the four half cuts {1,2,x},
-    whose own side (12) outgrows the rest (8), plus the four of their
-    children that become roots without children of their own.
+    The cuts are enumerated once per state. From four parties on, every
+    root of the cut forest takes its Gram product inside a chunk of the
+    spectrum plan, so ``reduced_purity`` never runs: not on six qubits, and
+    not on (2, 3, 2, 2, 2, 2), whose four half cuts {1,2,x} take the Gram
+    product of their other side (8 < 12). At three parties every cut still
+    takes one call.
     """
     calls: Counter = Counter()
     modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "gmepyramid"]
@@ -359,7 +359,7 @@ def test_evaluate_enumerates_once_and_takes_one_purity_per_cut(monkeypatch):
                 monkeypatch.setattr(m, key, counted)
 
     report = evaluate(haar_random_state((2, 3, 2, 2, 2, 2), seed=[95]))
-    assert calls == {"canonical_bipartitions": 1, "reduced_purity": 8}
+    assert calls == {"canonical_bipartitions": 1}
     assert len(report.spectrum.entries) == 31
 
     calls.clear()
