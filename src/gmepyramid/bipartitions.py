@@ -2,12 +2,13 @@
 
 A cut S | rest is stored by its smaller side; when N is even, the half-size
 class keeps the side that contains subsystem 1 (:class:`Bipartition` maps
-any spelling to it). :func:`iter_bipartitions` yields the 2**(N-1) - 1
-canonical cuts smallest cardinality first, lexicographic within a group.
-One pass over it builds the shared ``canonical_bipartitions`` tuple and,
-in the same cached table entry, the forest of ``concurrence.full_spectrum``'s
-partial traces: a cut's children drop one site of its trailing run
-N, N - 1, ..., and at even N a half-size cut's children also drop subsystem 1.
+any spelling to it). ``_subsets`` yields the 2**(N-1) - 1 canonical subsets
+smallest cardinality first, lexicographic within a group; :func:`iter_bipartitions`
+wraps each in a :class:`Bipartition`. One pass over it builds the per-N table
+entry that every spectrum runs on, with no cut object: the padded subsets,
+their labels, and the forest of ``concurrence.full_spectrum``'s partial traces
+(a cut's children drop one site of its trailing run N, N - 1, ..., and at even
+N a half-size cut's children also drop subsystem 1) with its subtree ids.
 Party counts go through ``states.check_subsystem_count`` before any O(N) work,
 indices through :func:`split`, the one check of a cut's indices.
 """
@@ -17,8 +18,11 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .states import as_index, check_subsystem_count
 
@@ -26,13 +30,12 @@ from .states import as_index, check_subsystem_count
 @dataclass(frozen=True)
 class Bipartition:
     """One canonical cut of ``n`` parties, ``subset`` versus the rest; frozen,
-    it holds its transpose order and label, and stores any spelling that
+    it holds its transpose order, and stores any spelling that
     :func:`split` accepts (either side, in any order) by its canonical side."""
 
     subset: tuple[int, ...]
     n: int
     axes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         subset, rest = split(self.subset, self.n)
@@ -41,7 +44,6 @@ class Bipartition:
         object.__setattr__(self, "subset", subset)
         object.__setattr__(self, "n", len(subset) + len(rest))
         object.__setattr__(self, "axes", tuple([i - 1 for i in subset + rest]))
-        object.__setattr__(self, "_label", ",".join(map(str, subset)))
 
     @property
     def size(self) -> int:
@@ -53,7 +55,7 @@ class Bipartition:
 
     def label(self) -> str:
         """Comma-joined indices, e.g. ``\"1,3\"``; used in reports and keys."""
-        return self._label
+        return _label(self.subset)
 
 
 def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -82,15 +84,24 @@ def split(cut: Bipartition | Iterable[int], n: int) -> tuple[tuple[int, ...], tu
     return subset, tuple([i for i in range(1, n + 1) if i not in inside])
 
 
+def _label(subset: tuple[int, ...]) -> str:
+    return ",".join(map(str, subset))
+
+
+def _subsets(n: int) -> Iterator[tuple[int, ...]]:
+    """The canonical subsets of ``n`` parties, a checked int, in canonical order."""
+    sites = range(1, n + 1)
+    for k in range(1, (n + 1) // 2):
+        yield from itertools.combinations(sites, k)
+    if n % 2 == 0:  # the half-size subsets that hold subsystem 1
+        for rest in itertools.combinations(sites[1:], n // 2 - 1):
+            yield (1,) + rest
+
+
 def iter_bipartitions(n: int) -> Iterator[Bipartition]:
     """The canonical cuts of ``n`` parties, lazily; ``n`` is checked at the call."""
     n = check_subsystem_count(as_index(n, "party count"))
-    return (
-        Bipartition(comb, n)
-        for k in range(1, n // 2 + 1)
-        for comb in itertools.combinations(range(1, n + 1), k)
-        if 2 * k < n or comb[0] == 1
-    )
+    return (Bipartition(subset, n) for subset in _subsets(n))
 
 
 def canonical_bipartitions(n: int) -> tuple[Bipartition, ...]:
@@ -98,32 +109,43 @@ def canonical_bipartitions(n: int) -> tuple[Bipartition, ...]:
     the integer is spelled (``np.int64(5)`` gets the tuple of ``5``): C(n, k)
     cuts per size k < n/2, plus C(n, n/2)/2 at the half size. Up to 26 parties
     (``MAX_PARTIES``, still 2**25 cuts; a refusal by estimated cost is the
-    cost-model item of ROADMAP.md). Refusals are not cached.
+    cost-model item of ROADMAP.md). Built on first use, apart from the table
+    entry that spectra run on; ``cache_info`` reports it. Refusals are not cached.
     """
-    return _cut_table(as_index(n, "party count"))[0]
+    return _cuts(as_index(n, "party count"))
 
 
 @functools.cache
-def _cut_table(n: int) -> tuple[tuple[Bipartition, ...], tuple[array, array, array]]:
-    """The canonical cuts of ``n`` parties and their partial-trace forest
-    ``(first, kids, traced)``, built in one enumeration; ``n`` is an int.
+def _cuts(n: int) -> tuple[Bipartition, ...]:
+    return tuple(iter_bipartitions(n))
 
-    Every cut below the top size ``n // 2`` hangs under one canonical cut P
-    one party larger. P's children drop one site of its trailing run n,
-    n - 1, ...; at even ``n`` a half-size P's children also drop subsystem 1.
-    The children of cut ``i`` are ``kids[first[i]:first[i + 1]]`` in
-    increasing order; ``traced[c]`` is the position of the dropped site in
-    the subset of child ``c``'s parent. The cuts below the top size lead the
-    canonical order, so ``len(traced)`` is the index of the first top-size
-    cut, and the top-size cuts are the roots.
+
+canonical_bipartitions.cache_info = _cuts.cache_info
+_CutTable = namedtuple("_CutTable", "subsets labels first kids traced subtree keys")
+
+
+@functools.cache
+def _cut_table(n: int) -> _CutTable:
+    """The table entry of ``n`` parties (a checked int), shared by every dims
+    tuple and built in one pass over ``_subsets(n)``: each subset padded with
+    0s to n // 2 sites (``subsets``, uint8), its label, the forest ``(first,
+    kids, traced)``, each cut's ``subtree`` id and the ``keys`` of the ids.
+    Every cut below the top size n // 2 hangs under one canonical cut P one
+    party larger, whose children drop one site of its trailing run n, n - 1,
+    ... and, for a half-size P at even n, subsystem 1. The children of cut i
+    are ``kids[first[i]:first[i + 1]]`` in increasing order; ``traced[c]`` is
+    the dropped site's position in the subset of c's parent. The cuts below
+    the top size lead, so ``len(traced)`` is the index of the first root. A
+    key holds each child's traced position and subtree id, so equal ids trace
+    equal positions level by level; id 0, key ``()``, has no children.
     """
     # Canonical order puts every cut before the cuts one party larger, so the
     # subsets indexed so far hold each child of the cut that arrives.
     top, half = n // 2, n % 2 == 0
-    cuts, index = [], {}
+    index, labels, padded, pads = {}, [], array("B"), [(0,) * (top - k) for k in range(top + 1)]
     first, kids, traced = array("l", [0]), array("l"), array("l")
-    for i, cut in enumerate(iter_bipartitions(n)):
-        subset, size = cut.subset, cut.size
+    for i, subset in enumerate(_subsets(n)):
+        size = len(subset)
         if size > 1:
             # A larger dropped site leaves a lesser subset: children in index order.
             pos, site = size - 1, n
@@ -137,13 +159,16 @@ def _cut_table(n: int) -> tuple[tuple[Bipartition, ...], tuple[array, array, arr
                 kids.append(c)
                 traced[c] = 0
         first.append(len(kids))
-        cuts.append(cut)
+        labels.append(_label(subset))
+        padded.extend(subset + pads[size])
         if size < top:
             index[subset] = i
             traced.append(0)  # set when this cut's parent arrives
-    return tuple(cuts), (first, kids, traced)
-
-
-# The one table cache, inspected and cleared through the public name.
-canonical_bipartitions.cache_info = _cut_table.cache_info
-canonical_bipartitions.cache_clear = _cut_table.cache_clear
+    # Children first: a child's id is known when its parent's key is formed.
+    subtree, tree_ids = array("l", [0]) * len(labels), {(): 0}
+    for i in range(len(labels)):
+        if first[i] < first[i + 1]:
+            key = tuple([(traced[c], subtree[c]) for c in kids[first[i] : first[i + 1]]])
+            subtree[i] = tree_ids.setdefault(key, len(tree_ids))
+    subsets = np.frombuffer(padded, dtype=np.uint8).reshape(-1, top)
+    return _CutTable(subsets, tuple(labels), first, kids, traced, subtree, list(tree_ids))

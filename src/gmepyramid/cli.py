@@ -15,13 +15,14 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 
 from . import __version__
-from .bipartitions import Bipartition, iter_bipartitions
+from .bipartitions import _cut_table, _label, _subsets
 from .catalog import PUBLISHED_TOL, PUBLISHED_VALUES, benchmark_states
 from .measures import DEFAULT_ZERO_TOL, MeasureReport, check_tolerance, evaluate
-from .states import StateFormatError, _plain, load_state
+from .states import StateFormatError, _plain, check_subsystem_count, load_state
 from .verify import CHECK_NAMES, TrialConfig, TrialOutcome, run_check
 
 REPORT_SCHEMA = "gme-pyramid-report/1"
@@ -40,7 +41,7 @@ def _state_json(report: MeasureReport) -> dict:
         "c_gme": report.c_gme,
         "triangle": report.triangle,
         "classification": report.classification,
-        "concurrences": dict(zip(map(Bipartition.label, spectrum.cuts), spectrum.values)),
+        "concurrences": dict(zip(_cut_table(spectrum.n).labels, spectrum.values)),
         "zero_cuts": [cut.label() for cut in report.zero_cuts],
         "notes": list(report.notes),
     }
@@ -115,8 +116,8 @@ def _print_report(report: MeasureReport) -> None:
     if report.triangle is not None:
         print(f"triangle: {_fmt(report.triangle)}")
     print("concurrences:")
-    for cut, value in zip(spectrum.cuts, spectrum.values):
-        print(f"  {cut.label():<12} {value:.4f}")
+    for label, value in zip(_cut_table(spectrum.n).labels, spectrum.values):
+        print(f"  {label:<12} {value:.4f}")
     if report.zero_cuts:
         print("zero cuts: " + "; ".join(cut.label() for cut in report.zero_cuts))
     else:
@@ -160,14 +161,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_bipartitions(args: argparse.Namespace) -> int:
     try:
-        cuts = iter_bipartitions(args.n)
+        n = check_subsystem_count(args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for size, group in itertools.groupby(cuts, key=lambda c: c.size):
-        print(f"# k={size}")
-        for cut in group:
-            print(cut.label())
+    # Streamed from the plain subsets: no cut object is built and no cache filled.
+    for size, group in itertools.groupby(_subsets(n), key=len):
+        sys.stdout.write(f"# k={size}\n")
+        sys.stdout.writelines(_label(subset) + "\n" for subset in group)
     return 0
 
 
@@ -285,7 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # reader gone (`| head`): quiet the exit flush (Python's SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -18,12 +18,12 @@ cross-check against indexing mistakes in the fast path.
 
 :func:`full_spectrum` holds a state's spectrum as one row, ``(dims, values)``:
 the concurrences in the order of the shared ``canonical_bipartitions`` tuple,
-which ``cuts`` reads from the table cache. Because the cuts are grouped by
-size, the one-versus-rest values are the slice ``values[:n]`` and the
-multi-party values ``values[n:]``; a cut-keyed dict is built only when
+which is built only when ``cuts`` or ``entries`` is read. Because the cuts are
+grouped by size, the one-versus-rest values are the slice ``values[:n]`` and
+the multi-party values ``values[n:]``; a cut-keyed dict is built only when
 ``entries`` is read.
 
-It runs the cut forest held in the same table entry as the cuts
+It runs the cut forest held in the per-N table entry of plain subsets
 (``bipartitions._cut_table``): every cut T below the top size n // 2
 hangs under a canonical cut P = T + {x} one party larger, and
 rho_T = Tr_x rho_P. The top-size cuts are the roots, and every root takes
@@ -35,9 +35,9 @@ d_S^2 > D (dims such as (2, 2, 2, 64, 64)), takes the Gram product of its
 other side instead, which has the same purity and is smaller than the
 state; its children become roots in turn. So no rho larger than the
 state is formed. The forest becomes a plan once per dims tuple
-(:func:`_plan`; at most ``_PLAN_CACHE_SIZE`` plans are kept), from parts
-built once per party count (:func:`_forest`);
-``canonical_bipartitions.cache_clear`` empties both with the cut tables.
+(:func:`_plan`; at most ``_PLAN_CACHE_SIZE`` plans are kept), which adds to
+the table entry only what depends on dims; ``canonical_bipartitions.cache_clear``
+empties the plans with the table entries and the cut tuples.
 The plan groups the roots by the dimension of the side whose Gram product
 they take, cuts each group into chunks and, within a chunk, runs the
 roots of one shape and subtree (the sites traced, level by level)
@@ -70,7 +70,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bipartitions import Bipartition, _cut_table, canonical_bipartitions, split
+from .bipartitions import Bipartition, _cut_table, _cuts, canonical_bipartitions, split
 from .states import PureState, check_dims
 
 # Largest reduced dimension the dense oracle will materialize.
@@ -83,33 +83,20 @@ _CHUNK_FLOOR = 2**11
 _PLAN_CACHE_SIZE = 64
 
 
-def _cut_matrix(state: PureState, cut: Bipartition) -> np.ndarray:
-    """The d_S x d_rest amplitude matrix of ``cut``, a transposed copy."""
-    t = state._tensor.transpose(cut.axes)
-    return t.reshape(math.prod(t.shape[: cut.size]), -1)
-
-
-def _purity(rho: np.ndarray) -> float:
-    """||rho||_F^2 of a reduced state, clamped to [0, 1] against rounding."""
-    return min(max(float(np.vdot(rho, rho).real), 0.0), 1.0)
-
-
-def _from_purity(purity: float) -> float:
-    return math.sqrt(2.0 * (1.0 - purity))
-
-
 def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     """Tr(rho_S^2) of the reduced state across ``cut``, clamped to [0, 1]."""
-    if not (isinstance(cut, Bipartition) and cut.n == state.n):  # full_spectrum's roots skip the rebuild
+    if not (isinstance(cut, Bipartition) and cut.n == state.n):  # a table cut skips the rebuild
         cut = Bipartition(cut, state.n)
-    m = _cut_matrix(state, cut)
+    t = state._tensor.transpose(cut.axes)
+    m = t.reshape(math.prod(t.shape[: cut.size]), -1)
     # Gram matrix of the smaller side; its squared Frobenius norm is the purity.
-    return _purity(m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m)
+    rho = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
+    return min(max(float(np.vdot(rho, rho).real), 0.0), 1.0)
 
 
 def concurrence(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     """sqrt(2 [1 - Tr(rho_S^2)]) across ``cut``; symmetric under cut <-> complement."""
-    return _from_purity(reduced_purity(state, cut))
+    return math.sqrt(2.0 * (1.0 - reduced_purity(state, cut)))
 
 
 @dataclass(frozen=True)
@@ -141,11 +128,11 @@ class ConcurrenceSpectrum:
         bounds = _plan(self.dims).bounds
         if not all(map(operator.le, self.values, bounds)):
             i = next(i for i, (c, b) in enumerate(zip(self.values, bounds)) if c > b)
-            cut = self.cuts[i]
-            d_s = math.prod([self.dims[s - 1] for s in cut.subset])
+            table = _cut_table(self.n)
+            d_s = math.prod([self.dims[s - 1] for s in table.subsets[i].tolist() if s])
             m = min(d_s, math.prod(self.dims) // d_s)
             raise ValueError(
-                f"concurrence {self.values[i]!r} across cut {cut.label()} exceeds "
+                f"concurrence {self.values[i]!r} across cut {table.labels[i]} exceeds "
                 f"its bound sqrt(2 (m - 1) / m) = {math.sqrt(2.0 * (m - 1) / m)!r} for m = {m}"
             )
 
@@ -155,8 +142,8 @@ class ConcurrenceSpectrum:
 
     @property
     def cuts(self) -> tuple[Bipartition, ...]:
-        """The canonical cuts of n parties, read from the table cache without enumerating."""
-        return _cut_table(self.n)[0]
+        """The shared ``canonical_bipartitions`` tuple of n parties, built on first read."""
+        return _cuts(self.n)
 
     @property
     def entries(self) -> dict[Bipartition, float]:
@@ -183,14 +170,14 @@ def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
     Each value depends only on the state and its cut's path in the forest,
     not on the other roots of its chunk.
     """
-    cuts = canonical_bipartitions(state.n)
     if state.n <= 3:
         # Per cut until ROADMAP item 1: bench/test_bench.py counts the three
         # reduced_purity calls of GHZ3's spectrum.
+        cuts = canonical_bipartitions(state.n)
         return ConcurrenceSpectrum(state.dims, tuple([concurrence(state, cut) for cut in cuts]))
     plan = _plan(state.dims)
     purities = np.concatenate([_chunk_purities(state, *chunk) for chunk in plan.chunks])
-    values = np.empty(len(cuts))
+    values = np.empty(len(plan.bounds))
     values[plan.order] = np.sqrt(2.0 * (1.0 - np.clip(purities, 0.0, 1.0)))
     return ConcurrenceSpectrum(state.dims, tuple(values.tolist()))
 
@@ -238,30 +225,6 @@ class _Plan(NamedTuple):
     bounds: tuple[float, ...]  # per cut, sqrt(2 (m - 1) / m) and a rounding slack
 
 
-@functools.cache
-def _forest(n: int) -> tuple[np.ndarray, list[bool], list[int], list[tuple]]:
-    """What every plan of ``n`` parties shares, whatever the dims: each
-    cut's subset padded with 0s to n // 2 sites, whether it has children,
-    its subtree id and the key of each id. A key holds the traced position
-    and the subtree id of each child, so equal ids trace equal positions
-    level by level; id 0, key ``()``, has no children."""
-    cuts, (first, kids, traced) = _cut_table(n)
-    subsets = np.zeros((len(cuts), n // 2), dtype=np.intp)
-    lo = 0
-    for k in range(1, n // 2 + 1):
-        hi = lo + (math.comb(n, k) if 2 * k < n else math.comb(n, k) // 2)
-        flat = itertools.chain.from_iterable(cut.subset for cut in cuts[lo:hi])
-        subsets[lo:hi, :k] = np.fromiter(flat, np.intp, (hi - lo) * k).reshape(-1, k)
-        lo = hi
-    has_kids = [a < b for a, b in zip(first, first[1:])]
-    # Children first: a child's id is known when its parent's key is formed.
-    subtree, tree_ids = [0] * len(cuts), {(): 0}
-    for i in itertools.compress(range(len(cuts)), has_kids):
-        key = tuple([(traced[c], subtree[c]) for c in kids[first[i] : first[i + 1]]])
-        subtree[i] = tree_ids.setdefault(key, len(tree_ids))
-    return subsets, has_kids, subtree, list(tree_ids)
-
-
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(dims: tuple[int, ...]) -> _Plan:
     """The spectrum plan and the cut bounds of ``dims``, a checked dims tuple.
@@ -278,13 +241,14 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     d_root) flat indices of its roots' matrices, the Gram side's sites
     first. Within a chunk, the roots of one Gram-side shape and one subtree
     id form a run that shares its steps; a childless or lopsided root has
-    id 0 and no steps. Built from :func:`_forest` with Python per root and
-    per step, none per trace.
+    id 0 and no steps. Built from the table entry of ``len(dims)`` parties,
+    whose subsets give every root's transpose order at once, with Python per
+    root and per step, none per trace; no cut object is built.
     """
     n, total = len(dims), math.prod(dims)
-    cuts, (first, kids, traced) = _cut_table(n)
-    subsets, has_kids, subtree, keys = _forest(n)
-    own = np.array((1,) + dims, dtype=np.intp)[subsets]
+    table = _cut_table(n)
+    first, kids = table.first, table.kids
+    own = np.array((1,) + dims, dtype=np.intp)[table.subsets]
     d_s = own.prod(axis=1)
     m = np.minimum(d_s, total // d_s)
     # A value at its bound comes from a purity that may round below 1/m: allow
@@ -292,22 +256,26 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     bounds = np.sqrt(2.0 * (m - 1) / m) * (1.0 + 2.0 * math.sqrt(total) * np.finfo(float).eps)
 
     sides, flipped = d_s.tolist(), (d_s * d_s > total).tolist()
-    roots = list(range(len(traced), len(cuts)))
+    roots = list(range(len(table.traced), len(sides)))
     for r in roots:  # a lopsided root's children join the roots, and are met in turn
-        if flipped[r] and has_kids[r]:
+        if flipped[r] and first[r] < first[r + 1]:
             roots += kids[first[r] : first[r + 1]]
+
+    # Every root's transpose order, its own side's sites then the rest's: a
+    # stable argsort of its membership mask (column 0 takes the padding).
+    inside = np.zeros((len(roots), n + 1), dtype=bool)
+    inside[np.arange(len(roots))[:, None], table.subsets[roots]] = True
+    cut_axes = np.argsort(~inside[:, 1:], axis=1, kind="stable").tolist()
 
     # Roots by Gram-side dimension, then by Gram-side shape and subtree: a run
     # of like roots shares its steps, and a chunk may hold runs of any shape.
     groups, axes = {}, {}
-    for r, row in zip(roots, own[roots].tolist()):
-        cut = cuts[r]
-        k = len(cut.subset)
-        if flipped[r]:
-            axes[r] = cut.axes[k:] + cut.axes[:k]
-            shape, tree = tuple([dims[a] for a in cut.axes[k:]]), 0
+    for r, ax, k in zip(roots, cut_axes, inside[:, 1:].sum(axis=1).tolist()):
+        if flipped[r]:  # the Gram side is the rest: its sites lead the gather
+            gram, k, tree = ax[k:] + ax[:k], n - k, 0
         else:
-            axes[r], shape, tree = cut.axes, tuple(row[:k]), subtree[r]
+            gram, tree = ax, table.subtree[r]
+        axes[r], shape = (ax, gram), tuple([dims[a] for a in gram[:k]])
         groups.setdefault(math.prod(shape), {}).setdefault((shape, tree), []).append(r)
 
     per_chunk = max(1, _CHUNK_FLOOR // total)
@@ -316,13 +284,13 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     chunks, order = [], []
     for d_root, by_run in groups.items():
         runs = [
-            (roots, *_subtree_steps(shape, tree, keys, roots, first, kids))
+            (roots, *_subtree_steps(shape, tree, table.keys, roots, first, kids))
             for (shape, tree), roots in by_run.items()
         ]
         if per_chunk == 1:
             for roots, steps, nodes in runs:
                 layout = _layout(d_root, [(steps, 1)])
-                chunks += [((cuts[r].axes, sides[r]), layout) for r in roots]
+                chunks += [((axes[r][0], sides[r]), layout) for r in roots]
                 order.append(nodes.T.ravel())
             continue
         members = [r for roots, _, _ in runs for r in roots]
@@ -335,7 +303,7 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
                     parts.append((steps, nodes[:, lo:hi]))
                 at += len(roots)
             batch = members[c : c + per_chunk]
-            index = np.concatenate([flat_ids.transpose(axes[r]) for r in batch], axis=None)
+            index = np.concatenate([flat_ids.transpose(axes[r][1]) for r in batch], axis=None)
             layout = _layout(d_root, [(steps, nodes.shape[1]) for steps, nodes in parts])
             chunks.append((index.reshape(-1, d_root, total // d_root), layout))
             order += [nodes[0] for _, nodes in parts] + [nodes[1:].ravel() for _, nodes in parts]
@@ -422,11 +390,10 @@ def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> f
 
 
 def _clear_shape_caches() -> None:
-    """Empty the cut tables and the forest parts and spectrum plans built on them."""
+    """Empty the table entries, the cut tuples and the spectrum plans built on the tables."""
     _cut_table.cache_clear()
-    _forest.cache_clear()
+    _cuts.cache_clear()
     _plan.cache_clear()
 
 
-# One call empties every shape cache; cache_info still reports the cut tables.
-canonical_bipartitions.cache_clear = _clear_shape_caches
+canonical_bipartitions.cache_clear = _clear_shape_caches  # the one place that sets it

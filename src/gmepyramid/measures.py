@@ -157,10 +157,11 @@ def classify(
     A vanishing concurrence across a cut of a pure state is equivalent to
     factorization across that cut, so the zero cuts are the candidate
     factorizations. All cuts positive means GME; all singleton cuts zero
-    means fully separable; anything in between is biseparable.
+    means fully separable; anything in between is biseparable. A cut object
+    is read from ``spectrum.cuts`` only for a zero cut.
     """
     zero_tol = check_tolerance(zero_tol)
-    zero_cuts = tuple(cut for cut, c in zip(spectrum.cuts, spectrum.values) if c <= zero_tol)
+    zero_cuts = tuple([spectrum.cuts[i] for i, c in enumerate(spectrum.values) if c <= zero_tol])
     if not zero_cuts:
         return CLASS_GME, zero_cuts
     if all(c <= zero_tol for c in spectrum.singletons()):

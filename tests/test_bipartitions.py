@@ -252,7 +252,8 @@ class TestCutForest:
     @pytest.mark.parametrize("n", range(2, 15))
     def test_every_smaller_cut_hangs_under_one_cut_one_party_larger(self, n):
         cuts = canonical_bipartitions(n)
-        first, kids, traced = _cut_table(n)[1]
+        table = _cut_table(n)
+        first, kids, traced = table.first, table.kids, table.traced
         top = len(traced)
         assert len(first) == len(cuts) + 1
         assert {cut.size for cut in cuts[top:]} == {n // 2}

@@ -4,10 +4,18 @@ import sys
 
 import pytest
 
-from gmepyramid import CHECK_NAMES, benchmark_states, bipartitions, canonical_bipartitions, cli
-from gmepyramid.cli import dumps_report, main
+from gmepyramid import (
+    CHECK_NAMES,
+    DEFAULT_ZERO_TOL,
+    benchmark_states,
+    bipartitions,
+    canonical_bipartitions,
+    cli,
+    evaluate,
+)
+from gmepyramid.cli import dumps_report, main, report_document
 from gmepyramid.states import serialize_state
-from gmepyramid.verify import haar_random_state
+from gmepyramid.verify import haar_random_state, random_product_state
 
 GHZ4_TEXT = """\
 dims 2 2 2 2
@@ -244,6 +252,46 @@ class TestBipartitions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: subsystem count 27 exceeds the supported maximum 26\n"
+
+    def test_a_closed_pipe_ends_the_listing_quietly(self):
+        # As in `gmepyramid bipartitions 20 | head -1`: no BrokenPipeError traceback.
+        args = [sys.executable, "-m", "gmepyramid.cli", "bipartitions", "20"]
+        with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as run:
+            assert run.stdout.readline() == b"# k=1\n"
+            run.stdout.close()
+            assert run.stderr.read() == b""
+
+
+def _refuse_construction(*args):
+    raise AssertionError("built a cut")
+
+
+class TestCutObjects:
+    """From four parties on, a report is evaluated and rendered from the
+    per-N table of plain subsets; cut objects are built only for zero cuts."""
+
+    @pytest.mark.parametrize("dims", [(2,) * 5, (2, 3, 2, 2, 2, 2)], ids=str)
+    def test_a_report_without_zero_cuts_builds_no_cut(self, monkeypatch, capsys, dims):
+        canonical_bipartitions.cache_clear()
+        # Every Bipartition construction goes through split.
+        monkeypatch.setattr(bipartitions, "split", _refuse_construction)
+        report = evaluate(haar_random_state(dims, seed=[96]))
+        assert report.zero_cuts == ()
+        doc = json.loads(dumps_report(report_document([report], DEFAULT_ZERO_TOL)))
+        cli._print_report(report)
+        printed = capsys.readouterr().out.splitlines()
+        monkeypatch.undo()
+        labels = [cut.label() for cut in canonical_bipartitions(len(dims))]
+        assert list(doc["states"][0]["concurrences"]) == sorted(labels)
+        assert [line.split()[0] for line in printed if line.startswith("  ")] == labels
+
+    def test_zero_cuts_are_the_shared_cut_objects(self):
+        canonical_bipartitions.cache_clear()
+        report = evaluate(random_product_state((2, 3, 2, 2, 2), (1, 3), seed=[97]))
+        cuts = canonical_bipartitions(5)
+        assert report.zero_cuts
+        for cut in report.zero_cuts:
+            assert cut is cuts[cuts.index(cut)]
 
 
 class TestPaper:

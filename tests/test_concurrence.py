@@ -630,14 +630,17 @@ class TestBatchedSpectrum:
 
     def test_the_plan_cache_is_bounded_and_cleared_with_the_cut_tables(self):
         module = importlib.import_module("gmepyramid.concurrence")
+        table = importlib.import_module("gmepyramid.bipartitions")._cut_table
         size = module._plan.cache_info().maxsize
         assert size == module._PLAN_CACHE_SIZE
         for d in range(2, size + 5):
             full_spectrum(haar_random_state((d, 2, 2), seed=[108, d]))
         assert module._plan.cache_info().currsize == size
+        assert table.cache_info().currsize > 0
+        assert canonical_bipartitions.cache_info().currsize > 0
         canonical_bipartitions.cache_clear()
         assert module._plan.cache_info().currsize == 0
-        assert module._forest.cache_info().currsize == 0
+        assert table.cache_info().currsize == 0
         assert canonical_bipartitions.cache_info().currsize == 0
 
 

@@ -336,12 +336,14 @@ def test_evaluate_enumerates_once_and_takes_one_purity_per_cut(monkeypatch):
     """The call pattern a span tracer counts: it swaps the function in every
     gmepyramid module that holds a reference to it, as bench/spans.py does.
 
-    The cuts are enumerated once per state. From four parties on, every
-    root of the cut forest takes its Gram product inside a chunk of the
-    spectrum plan, so ``reduced_purity`` never runs: not on six qubits, and
-    not on (2, 3, 2, 2, 2, 2), whose four half cuts {1,2,x} take the Gram
-    product of their other side (8 < 12). At three parties every cut still
-    takes one call.
+    From four parties on, the spectrum runs on the per-N table of plain
+    subsets and a state with no zero cut asks for no cut object, so
+    ``canonical_bipartitions`` is not called; every root of the cut forest
+    takes its Gram product inside a chunk of the spectrum plan, so
+    ``reduced_purity`` never runs: not on six qubits, and not on
+    (2, 3, 2, 2, 2, 2), whose four half cuts {1,2,x} take the Gram product
+    of their other side (8 < 12). At three parties the cuts are enumerated
+    once and every cut still takes one call.
     """
     calls: Counter = Counter()
     modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "gmepyramid"]
@@ -359,12 +361,12 @@ def test_evaluate_enumerates_once_and_takes_one_purity_per_cut(monkeypatch):
                 monkeypatch.setattr(m, key, counted)
 
     report = evaluate(haar_random_state((2, 3, 2, 2, 2, 2), seed=[95]))
-    assert calls == {"canonical_bipartitions": 1}
+    assert calls == {}
     assert len(report.spectrum.entries) == 31
 
     calls.clear()
     report = evaluate(haar_random_state((2,) * 6, seed=[95]))
-    assert calls == {"canonical_bipartitions": 1}
+    assert calls == {}
     assert len(report.spectrum.entries) == 31
 
     calls.clear()
