@@ -39,16 +39,18 @@ state is formed. The forest becomes a plan once per dims tuple
 the table entry only what depends on dims; ``canonical_bipartitions.cache_clear``
 empties the plans with the table entries and the cut tuples.
 The plan groups the roots by the dimension of the side whose Gram product
-they take, cuts each group into chunks and, within a chunk, runs the
-roots of one shape and subtree (the sites traced, level by level)
-together; a childless or lopsided root traces nothing. A chunk's gathered
-cut matrices hold no more amplitudes than the state, or than a floor of
-2^11 (``_CHUNK_FLOOR``), whichever is larger, so a state above 2^10
-amplitudes takes one root per chunk, cut by a transposed copy as
-:func:`reduced_purity` cuts it. A chunk takes one gather, one batched
-Gram product, one partial trace per step of each of its subtrees over all
-of that subtree's roots, and one pass that reduces every purity of the
-chunk from one buffer.
+they take and cuts each group into chunks, whose gathered cut matrices
+hold no more amplitudes than the state, or than a floor of 2^11
+(``_CHUNK_FLOOR``), whichever is larger: a state above 2^10 amplitudes
+takes one root per chunk, cut by a transposed copy as
+:func:`reduced_purity` cuts it. One builder, :func:`_chunks`, walks the
+runs of a chunk (its roots of one shape and subtree, the sites traced
+level by level) breadth first and makes the chunk one flat record: its
+source, buffer size, state starts and steps. A step traces one site out
+of the states in its parent's buffer slice into its own slice, for all of
+a run's roots at once; a childless or lopsided root takes none. A chunk
+takes one gather, one batched Gram product, its steps in turn, and one
+pass that reduces every purity of the chunk from its buffer.
 
 At n <= 3 every cut is a childless root, and :func:`full_spectrum` still
 takes one :func:`concurrence` call per cut: the benchmark counts the
@@ -66,7 +68,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -162,10 +164,10 @@ class ConcurrenceSpectrum:
 def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
     """Evaluate every canonical cut of ``state`` by its dims' plan
     (:func:`_plan`): per chunk of roots one stack of cut matrices, one
-    batched Gram product, one partial trace per step of each shared
-    subtree and one reduction of the purities. Every cut of four or more
-    parties is reached so; at n <= 3 each cut takes one :func:`concurrence`
-    call instead.
+    batched Gram product, the chunk's steps, each one partial trace from
+    one slice of the chunk's buffer into the next, and one reduction of the
+    purities. Every cut of four or more parties is reached so; at n <= 3
+    each cut takes one :func:`concurrence` call instead.
 
     Each value depends only on the state and its cut's path in the forest,
     not on the other roots of its chunk.
@@ -183,11 +185,10 @@ def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
 
 
 def _chunk_purities(
-    state: PureState, source: tuple[tuple[int, ...], int] | np.ndarray, layout: tuple
+    state: PureState, source: tuple[list[int], int] | np.ndarray, d_root: int, size: int, starts, steps
 ) -> np.ndarray:
     """Purities of one chunk's reduced states in the order of its buffer.
     The cut matrices go before the traces, and the buffer on return."""
-    d_root, size, starts, runs = layout
     if isinstance(source, tuple):  # one root, cut as reduced_purity cuts it
         axes, d_s = source
         m = state._tensor.transpose(axes).reshape(d_s, -1)
@@ -198,16 +199,13 @@ def _chunk_purities(
     roots = rhos[: len(m) * d_root * d_root].reshape(-1, d_root, d_root)
     np.matmul(m, m.conj().transpose(0, 2, 1), out=roots)
     del m
-    for lo, hi, steps in runs:
-        stack = [roots[lo:hi]]
-        for parent, a, d, b, out in steps:
-            # Trace out the parent's middle site: the sum of its d diagonal slices.
-            x = stack[parent].reshape(-1, a, d, b, a, d, b)
-            y = rhos[out].reshape(-1, a, b, a, b)
-            np.add(x[:, :, 0, :, :, 0], x[:, :, 1, :, :, 1], out=y)
-            for j in range(2, d):
-                y += x[:, :, j, :, :, j]
-            stack.append(y)
+    for parent, a, d, b, out in steps:
+        # Trace out the parent's middle site: the sum of its d diagonal slices.
+        x = rhos[parent].reshape(-1, a, d, b, a, d, b)
+        y = rhos[out].reshape(-1, a, b, a, b)
+        np.add(x[:, :, 0, :, :, 0], x[:, :, 1, :, :, 1], out=y)
+        for j in range(2, d):
+            y += x[:, :, j, :, :, j]
     flat = rhos.view(np.float64)
     if starts is None:  # one state: one dot product, as cheap as reduced_purity's
         return np.array([flat @ flat])
@@ -216,11 +214,12 @@ def _chunk_purities(
 
 class _Plan(NamedTuple):
     """What :func:`full_spectrum` does for one dims tuple, and the bounds
-    that :class:`ConcurrenceSpectrum` checks; see :func:`_plan` for the
-    chunks, which :func:`full_spectrum` does not run at n <= 3, and
-    :func:`_layout` for a chunk's layout."""
+    that :class:`ConcurrenceSpectrum` checks. Each chunk is one flat record
+    ``(source, d_root, size, starts, steps)`` made by :func:`_chunks`; see
+    :func:`_plan` for the sources. :func:`full_spectrum` does not run the
+    chunks at n <= 3."""
 
-    chunks: tuple[tuple[tuple[tuple[int, ...], int] | np.ndarray, tuple], ...]  # (source, layout) each
+    chunks: tuple[tuple, ...]  # (source, d_root, size, starts, steps) each
     order: np.ndarray  # the cut of each purity that the chunks return, in turn
     bounds: tuple[float, ...]  # per cut, sqrt(2 (m - 1) / m) and a rounding slack
 
@@ -239,11 +238,13 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     as :func:`reduced_purity` forms it, and a lopsided root's Gram side is
     that matrix's columns. Otherwise the source is the (B, d_root, D /
     d_root) flat indices of its roots' matrices, the Gram side's sites
-    first. Within a chunk, the roots of one Gram-side shape and one subtree
-    id form a run that shares its steps; a childless or lopsided root has
-    id 0 and no steps. Built from the table entry of ``len(dims)`` parties,
-    whose subsets give every root's transpose order at once, with Python per
-    root and per step, none per trace; no cut object is built.
+    first. A chunk's members fall into runs of one Gram-side shape and one
+    subtree id, and :func:`_chunks` builds the chunk from its runs; a
+    childless or lopsided root has id 0 and no steps. A run's one-root
+    chunks are built at once and share all but their sources. Built from
+    the table entry of ``len(dims)`` parties, whose subsets give every
+    root's transpose order at once, with Python per root and per step, none
+    per trace; no cut object is built.
     """
     n, total = len(dims), math.prod(dims)
     table = _cut_table(n)
@@ -283,76 +284,66 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
         flat_ids = np.arange(total, dtype=np.uint16).reshape(dims)
     chunks, order = [], []
     for d_root, by_run in groups.items():
-        runs = [
-            (roots, *_subtree_steps(shape, tree, table.keys, roots, first, kids))
-            for (shape, tree), roots in by_run.items()
-        ]
-        if per_chunk == 1:
-            for roots, steps, nodes in runs:
-                layout = _layout(d_root, [(steps, 1)])
-                chunks += [((axes[r][0], sides[r]), layout) for r in roots]
-                order.append(nodes.T.ravel())
-            continue
-        members = [r for roots, _, _ in runs for r in roots]
-        for c in range(0, len(members), per_chunk):
-            # Each run's share of members[c : c + per_chunk], as (steps, nodes).
-            parts, at = [], 0
-            for roots, steps, nodes in runs:
-                lo, hi = max(c - at, 0), min(c + per_chunk - at, len(roots))
-                if lo < hi:
-                    parts.append((steps, nodes[:, lo:hi]))
-                at += len(roots)
-            batch = members[c : c + per_chunk]
-            index = np.concatenate([flat_ids.transpose(axes[r][1]) for r in batch], axis=None)
-            layout = _layout(d_root, [(steps, nodes.shape[1]) for steps, nodes in parts])
-            chunks.append((index.reshape(-1, d_root, total // d_root), layout))
-            order += [nodes[0] for _, nodes in parts] + [nodes[1:].ravel() for _, nodes in parts]
+        if per_chunk == 1:  # one root per chunk: a run's chunks share one layout
+            parts = [([(axes[r][0], sides[r]) for r in roots], [(run, roots)]) for run, roots in by_run.items()]
+        else:
+            members = [(run, r) for run, roots in by_run.items() for r in roots]
+            parts = []
+            for c in range(0, len(members), per_chunk):
+                batch = members[c : c + per_chunk]
+                index = np.concatenate([flat_ids.transpose(axes[r][1]) for _, r in batch], axis=None)
+                runs = itertools.groupby(batch, operator.itemgetter(0))
+                runs = [(run, [r for _, r in part]) for run, part in runs]
+                parts.append(([index.reshape(-1, d_root, total // d_root)], runs))
+        for sources, runs in parts:
+            built, cuts = _chunks(sources, d_root, runs, table)
+            chunks += built
+            order.append(cuts)
     return _Plan(tuple(chunks), np.concatenate(order), tuple(bounds.tolist()))
 
 
-def _subtree_steps(
-    shape: tuple[int, ...], tree: int, keys: list, roots: list[int], first: Sequence[int], kids: Sequence[int]
-) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:
-    """The steps below a root of Gram-side ``shape`` and subtree id ``tree``,
-    and the cut of every slot under each of ``roots``: slot 0 is the root,
-    the others follow breadth first, and a step ``(parent, a, d, b)`` traces
-    the site of dimension d between a and b others out of slot ``parent``."""
-    steps, nodes, slots = [], [roots], [(shape, tree)]
-    for parent, (sites, node) in enumerate(slots):
-        for rank, (pos, child) in enumerate(keys[node]):
-            steps.append((parent, math.prod(sites[:pos]), sites[pos], math.prod(sites[pos + 1 :])))
-            nodes.append([kids[first[i] + rank] for i in nodes[parent]])
-            slots.append((sites[:pos] + sites[pos + 1 :], child))
-    return steps, np.array(nodes, dtype=np.intp)
+def _chunks(sources: list, d_root: int, runs: list, table) -> tuple[list, np.ndarray]:
+    """The chunks ``(source, d_root, size, starts, steps)`` of ``sources``,
+    one each, and the cut of every state in their buffers, chunk by chunk.
 
-
-def _layout(d_root: int, runs: list[tuple[list, int]]) -> tuple:
-    """``(d_root, size, starts, runs)`` of a chunk of d_root x d_root root
-    states that holds ``count`` roots of each of its ``(steps, count)``
-    runs. Its reduced states fill one buffer of ``size`` amplitudes: every
-    root's, then run by run and slot by slot those below, root by root.
+    A run ``((shape, tree), roots)`` lists like roots: their Gram side has
+    ``shape`` and their subtree id is ``tree``. One source takes all the
+    roots of ``runs``; several share one layout, and each takes one root,
+    source j the run's ``roots[j]``. Each run is walked once, breadth first.
+    A chunk's buffer of ``size`` amplitudes holds its d_root x d_root root
+    states, run by run, then run by run and level by level the states below
+    them, root by root. A step ``(parent, a, d, b, out)`` traces the site
+    of dimension d between a and b others out of the states in the buffer
+    slice ``parent`` into the slice ``out``, which lies after it.
     ``starts[itemsize]`` holds where each state begins in the buffer's
     float64 view (1 float per float64 amplitude, 2 per complex128), and
-    ``starts`` is None when the buffer holds one state. A run
-    with steps becomes ``(lo, hi, steps)``: its roots are rows lo:hi of the
-    chunk's, and a step ``(parent, a, d, b, out)`` writes the slice ``out``
-    of the buffer."""
-    size = sum(count for _, count in runs) * d_root * d_root
-    starts, placed, lo = [range(0, size, d_root * d_root)], [], 0
-    for steps, count in runs:
-        run = []
-        for parent, a, d, b in steps:
-            length = (a * b) ** 2
-            starts.append(range(size, size + count * length, length))
-            run.append((parent, a, d, b, slice(size, size + count * length)))
-            size += count * length
-        if run:
-            placed.append((lo, lo + count, tuple(run)))
-        lo += count
-    if size == d_root * d_root:
-        return d_root, size, None, ()
-    at = np.fromiter(itertools.chain.from_iterable(starts), dtype=np.intp)
-    return d_root, size, {8: at, 16: 2 * at}, tuple(placed)
+    ``starts`` is None when the buffer holds one state.
+    """
+    keys, first, kids = table.keys, table.first, table.kids
+    block, share = d_root * d_root, len(sources)
+    size = block * sum(len(roots) for _, roots in runs) // share
+    starts, steps, cuts, at = [range(0, size, block)], [], [roots for _, roots in runs], 0
+    for (shape, tree), roots in runs:
+        count = len(roots) // share
+        slots = [(shape, tree, slice(at, at + count * block), roots)]
+        at += count * block
+        for sites, node, parent, nodes in slots:  # breadth first: each slot appends its children
+            for rank, (pos, child) in enumerate(keys[node]):
+                a, b = math.prod(sites[:pos]), math.prod(sites[pos + 1 :])
+                length = (a * b) ** 2
+                out = slice(size, size + count * length)
+                steps.append((parent, a, sites[pos], b, out))
+                starts.append(range(size, out.stop, length))
+                cuts.append([kids[first[i] + rank] for i in nodes])
+                slots.append((sites[:pos] + sites[pos + 1 :], child, out, cuts[-1]))
+                size = out.stop
+    if size == block:
+        starts = None
+    else:
+        at = np.fromiter(itertools.chain.from_iterable(starts), dtype=np.intp)
+        starts = {8: at, 16: 2 * at}
+    cuts = np.fromiter(itertools.chain.from_iterable(cuts), np.intp).reshape(-1, share).T.ravel()
+    return [(source, d_root, size, starts, tuple(steps)) for source in sources], cuts
 
 
 def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:

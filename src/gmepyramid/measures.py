@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bipartitions import Bipartition
 from .concurrence import ConcurrenceSpectrum, full_spectrum
 from .states import PureState, as_index
@@ -67,9 +69,10 @@ class MeasureReport:
 
 
 def check_tolerance(value: float | str) -> float:
-    """``value`` as a float; ValueError unless it is finite and >= 0."""
-    tol = float(value)
-    if not (math.isfinite(tol) and tol >= 0.0):
+    """``value`` as a float; ValueError unless it is finite and >= 0. A bool
+    is refused, not converted, as ``as_index`` refuses it for an integer."""
+    tol = value if isinstance(value, (bool, np.bool_)) else float(value)
+    if not (type(tol) is float and math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     return tol
 

@@ -584,11 +584,44 @@ class TestBatchedSpectrum:
             cuts = 2 ** (len(dims) - 1) - 1
             assert calls == ["concurrence", "reduced_purity"] * cuts
 
+    # Under a floor of 1 every root is a chunk of its own, as above 2^10
+    # amplitudes. A chunk's root block and its steps' outputs tile its buffer
+    # in order; each step reads states written before its own, as many as it
+    # writes: an earlier step's output or one run's disjoint share of the
+    # root block; and the state starts are exactly those blocks' state
+    # boundaries.
     @pytest.mark.parametrize("dims", BATCH_DIMS, ids=str)
-    def test_the_plan_reduces_one_purity_per_cut(self, dims):
+    def test_the_plan_reduces_one_purity_per_cut(self, monkeypatch, dims):
         module = importlib.import_module("gmepyramid.concurrence")
-        order = module._plan(dims).order
-        assert sorted(order.tolist()) == list(range(2 ** (len(dims) - 1) - 1))
+        cuts = list(range(2 ** (len(dims) - 1) - 1))
+        for floor in (module._CHUNK_FLOOR, 1):
+            monkeypatch.setattr(module, "_CHUNK_FLOOR", floor)
+            module._plan.cache_clear()
+            try:
+                plan = module._plan(dims)
+            finally:
+                module._plan.cache_clear()
+            assert sorted(plan.order.tolist()) == cuts
+            for source, d_root, size, starts, steps in plan.chunks:
+                block = (1 if isinstance(source, tuple) else len(source)) * d_root * d_root
+                at, bounds, heads, outs = block, list(range(0, block, d_root * d_root)), [], set()
+                for parent, a, d, b, out in steps:
+                    assert out.start == at and parent.stop <= out.start
+                    assert (parent.stop - parent.start) * (a * b) ** 2 == (out.stop - out.start) * (a * d * b) ** 2
+                    if parent.stop <= block:
+                        heads.append((parent.start, parent.stop))
+                    else:
+                        assert (parent.start, parent.stop) in outs
+                    outs.add((out.start, out.stop))
+                    bounds += range(out.start, out.stop, (a * b) ** 2)
+                    at = out.stop
+                assert at == size
+                heads = sorted(set(heads))
+                assert all(lo[1] <= hi[0] for lo, hi in zip(heads, heads[1:]))
+                if starts is None:
+                    assert bounds == [0] and steps == ()
+                else:
+                    assert starts[8].tolist() == bounds and starts[16].tolist() == [2 * x for x in bounds]
 
     # A lopsided root, d_S^2 > D, takes the Gram product of its other side;
     # every such cut is a root, since its parent is lopsided too. Each of
@@ -613,19 +646,28 @@ class TestBatchedSpectrum:
         state = batch_state(dims, kind)
         # The 126 roots, with children or without, share one own-side shape, (2, 2, 2, 2).
         chunks = module._plan(dims).chunks
-        assert [len(source) for source, _ in chunks] == [4] * 31 + [2]
+        assert [len(chunk[0]) for chunk in chunks] == [4] * 31 + [2]
         chunked = full_spectrum(state).values
 
-        monkeypatch.setattr(module, "_CHUNK_FLOOR", 2**20)
-        module._plan.cache_clear()
-        try:
-            assert [len(source) for source, _ in module._plan(dims).chunks] == [126]
-            whole = full_spectrum(state).values
-        finally:
+        # One chunk of every root, then one root per chunk, cut by a
+        # transposed copy as above 2^10 amplitudes.
+        rows = []
+        for floor in (2**20, 1):
+            monkeypatch.setattr(module, "_CHUNK_FLOOR", floor)
             module._plan.cache_clear()
+            try:
+                sources = [chunk[0] for chunk in module._plan(dims).chunks]
+                rows.append(full_spectrum(state).values)
+            finally:
+                module._plan.cache_clear()
+            if floor == 1:
+                assert len(sources) == 126 and all(isinstance(source, tuple) for source in sources)
+            else:
+                assert [len(source) for source in sources] == [126]
         per_cut = [reduced_purity(state, cut) for cut in canonical_bipartitions(9)]
-        for a, b, p in zip(chunked, whole, per_cut):
+        for a, b, c, p in zip(chunked, *rows, per_cut):
             assert abs(0.5 * a * a - 0.5 * b * b) <= 1e-15
+            assert abs(0.5 * a * a - 0.5 * c * c) <= 1e-15
             assert abs(1.0 - 0.5 * a * a - p) <= 1e-15
 
     def test_the_plan_cache_is_bounded_and_cleared_with_the_cut_tables(self):

@@ -309,7 +309,8 @@ class TestEvaluate:
         assert report.triangle is not None
         assert any("qubit" in note for note in report.notes)
 
-    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    # A bool is no tolerance: True would otherwise read as a cutoff of 1.0.
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), True, np.True_])
     def test_rejects_bad_zero_tol(self, tol):
         with pytest.raises(ValueError, match="finite and >= 0"):
             evaluate(ghz_state(4), zero_tol=tol)
