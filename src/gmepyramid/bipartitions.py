@@ -6,9 +6,10 @@ any spelling to it). ``_subsets`` yields the 2**(N-1) - 1 canonical subsets
 smallest cardinality first, lexicographic within a group; :func:`iter_bipartitions`
 wraps each in a :class:`Bipartition`. One pass over it builds the per-N table
 entry that every spectrum runs on, with no cut object: the padded subsets,
-their labels, and the forest of ``concurrence.full_spectrum``'s partial traces
+their labels, the forest of ``concurrence.full_spectrum``'s partial traces
 (a cut's children drop one site of its trailing run N, N - 1, ..., and at even
-N a half-size cut's children also drop subsystem 1) with its subtree ids.
+N a half-size cut's children also drop subsystem 1), the index of its first
+root, and its subtree ids, each formed as its cut arrives, after its children.
 Party counts go through ``states.check_subsystem_count`` before any O(N) work,
 indices through :func:`split`, the one check of a cut's indices.
 """
@@ -121,7 +122,7 @@ def _cuts(n: int) -> tuple[Bipartition, ...]:
 
 
 canonical_bipartitions.cache_info = _cuts.cache_info
-_CutTable = namedtuple("_CutTable", "subsets labels first kids traced subtree keys")
+_CutTable = namedtuple("_CutTable", "subsets labels first kids roots subtree keys")
 
 
 @functools.cache
@@ -129,46 +130,41 @@ def _cut_table(n: int) -> _CutTable:
     """The table entry of ``n`` parties (a checked int), shared by every dims
     tuple and built in one pass over ``_subsets(n)``: each subset padded with
     0s to n // 2 sites (``subsets``, uint8), its label, the forest ``(first,
-    kids, traced)``, each cut's ``subtree`` id and the ``keys`` of the ids.
+    kids)``, ``roots``, each cut's ``subtree`` id and the ``keys`` of the ids.
     Every cut below the top size n // 2 hangs under one canonical cut P one
     party larger, whose children drop one site of its trailing run n, n - 1,
     ... and, for a half-size P at even n, subsystem 1. The children of cut i
-    are ``kids[first[i]:first[i + 1]]`` in increasing order; ``traced[c]`` is
-    the dropped site's position in the subset of c's parent. The cuts below
-    the top size lead, so ``len(traced)`` is the index of the first root. A
-    key holds each child's traced position and subtree id, so equal ids trace
-    equal positions level by level; id 0, key ``()``, has no children.
+    are ``kids[first[i]:first[i + 1]]`` in increasing order. The cuts below
+    the top size lead, so ``roots`` is the index of the first top-size cut.
+    A cut's key holds, child by child, the dropped site's position in the
+    cut's subset (the traced position) and the child's subtree id, so equal
+    ids trace equal positions level by level; id 0, key ``()``, has no
+    children. Each id is formed when its cut arrives.
     """
     # Canonical order puts every cut before the cuts one party larger, so the
-    # subsets indexed so far hold each child of the cut that arrives.
+    # subsets indexed so far hold each child, and its id, of the cut that arrives.
     top, half = n // 2, n % 2 == 0
     index, labels, padded, pads = {}, [], array("B"), [(0,) * (top - k) for k in range(top + 1)]
-    first, kids, traced = array("l", [0]), array("l"), array("l")
+    first, kids, subtree, tree_ids = array("l", [0]), array("l"), array("l"), {(): 0}
     for i, subset in enumerate(_subsets(n)):
-        size = len(subset)
+        size, key = len(subset), []
         if size > 1:
             # A larger dropped site leaves a lesser subset: children in index order.
             pos, site = size - 1, n
             while pos >= 0 and subset[pos] == site:
                 c = index[subset[:pos] + subset[pos + 1 :]]
                 kids.append(c)
-                traced[c] = pos
+                key.append((pos, subtree[c]))
                 pos, site = pos - 1, site - 1
             if half and size == top:  # without subsystem 1: the greatest child
                 c = index[subset[1:]]
                 kids.append(c)
-                traced[c] = 0
+                key.append((0, subtree[c]))
         first.append(len(kids))
+        subtree.append(tree_ids.setdefault(tuple(key), len(tree_ids)))
         labels.append(_label(subset))
         padded.extend(subset + pads[size])
         if size < top:
             index[subset] = i
-            traced.append(0)  # set when this cut's parent arrives
-    # Children first: a child's id is known when its parent's key is formed.
-    subtree, tree_ids = array("l", [0]) * len(labels), {(): 0}
-    for i in range(len(labels)):
-        if first[i] < first[i + 1]:
-            key = tuple([(traced[c], subtree[c]) for c in kids[first[i] : first[i + 1]]])
-            subtree[i] = tree_ids.setdefault(key, len(tree_ids))
     subsets = np.frombuffer(padded, dtype=np.uint8).reshape(-1, top)
-    return _CutTable(subsets, tuple(labels), first, kids, traced, subtree, list(tree_ids))
+    return _CutTable(subsets, tuple(labels), first, kids, len(index), subtree, list(tree_ids))

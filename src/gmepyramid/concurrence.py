@@ -26,31 +26,30 @@ the multi-party values ``values[n:]``; a cut-keyed dict is built only when
 It runs the cut forest held in the per-N table entry of plain subsets
 (``bipartitions._cut_table``): every cut T below the top size n // 2
 hangs under a canonical cut P = T + {x} one party larger, and
-rho_T = Tr_x rho_P. The top-size cuts are the roots, and every root takes
-one Gram product, as a rule of its own side, rho_P = M M^dag; every cut
-below it gets its rho by tracing one site out of its parent's, a sum of
-d_x slices of the parent's rho, and its purity as ||rho_T||_F^2. A
-lopsided root, whose own side has
-d_S^2 > D (dims such as (2, 2, 2, 64, 64)), takes the Gram product of its
-other side instead, which has the same purity and is smaller than the
-state; its children become roots in turn. So no rho larger than the
-state is formed. The forest becomes a plan once per dims tuple
-(:func:`_plan`; at most ``_PLAN_CACHE_SIZE`` plans are kept), which adds to
-the table entry only what depends on dims; ``canonical_bipartitions.cache_clear``
-empties the plans with the table entries and the cut tuples.
-The plan groups the roots by the dimension of the side whose Gram product
-they take and cuts each group into chunks, whose gathered cut matrices
-hold no more amplitudes than the state, or than a floor of 2^11
-(``_CHUNK_FLOOR``), whichever is larger: a state above 2^10 amplitudes
-takes one root per chunk, cut by a transposed copy as
-:func:`reduced_purity` cuts it. One builder, :func:`_chunks`, walks the
-runs of a chunk (its roots of one shape and subtree, the sites traced
-level by level) breadth first and makes the chunk one flat record: its
-source, buffer size, state starts and steps. A step traces one site out
-of the states in its parent's buffer slice into its own slice, for all of
-a run's roots at once; a childless or lopsided root takes none. A chunk
-takes one gather, one batched Gram product, its steps in turn, and one
-pass that reduces every purity of the chunk from its buffer.
+rho_T = Tr_x rho_P. The top-size cuts are the roots. Every root takes one
+Gram product rho = M M^dag of its Gram side: its own side, or the rest
+when m < d_S (a lopsided root, dims such as (2, 2, 2, 64, 64)), which has
+the same purity. Every cut below a root of its own side gets its rho by
+tracing one site out of its parent's, a sum of d_x slices of the parent's
+rho, and its purity as ||rho_T||_F^2; a lopsided root traces nothing, and
+its children become roots in turn. So no rho larger than the state is
+formed. The forest becomes a plan once per dims tuple (:func:`_plan`; at
+most ``_PLAN_CACHE_SIZE`` plans are kept), which adds to the table entry
+only what depends on dims; ``canonical_bipartitions.cache_clear`` empties
+the plans with the table entries and the cut tuples. The plan groups the
+roots by their Gram side's dimension and cuts each group into chunks,
+whose gathered cut matrices hold no more amplitudes than the state, or
+than a floor of 2^11 (``_CHUNK_FLOOR``), whichever is larger: a state
+above 2^10 amplitudes takes one root per chunk, whose cut matrix is one
+transposed copy of the state, the Gram side's sites first. One builder,
+:func:`_chunks`, walks the runs of a chunk (its roots of one shape and
+subtree, the sites traced level by level) breadth first and makes the
+chunk one flat record: its source, buffer size, state starts and steps. A
+step traces one site out of the states in its parent's buffer slice into
+its own slice, for all of a run's roots at once; a childless or lopsided
+root takes none. A chunk takes one gather, one batched Gram product, its
+steps in turn, and one pass that reduces every purity of the chunk from
+its buffer.
 
 At n <= 3 every cut is a childless root, and :func:`full_spectrum` still
 takes one :func:`concurrence` call per cut: the benchmark counts the
@@ -185,14 +184,14 @@ def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
 
 
 def _chunk_purities(
-    state: PureState, source: tuple[list[int], int] | np.ndarray, d_root: int, size: int, starts, steps
+    state: PureState, source: tuple[int, ...] | np.ndarray, d_root: int, size: int, starts, steps
 ) -> np.ndarray:
     """Purities of one chunk's reduced states in the order of its buffer.
-    The cut matrices go before the traces, and the buffer on return."""
-    if isinstance(source, tuple):  # one root, cut as reduced_purity cuts it
-        axes, d_s = source
-        m = state._tensor.transpose(axes).reshape(d_s, -1)
-        m = (m if d_s == d_root else m.T)[None]  # a lopsided root: the Gram of the columns
+    ``source`` is one root's transpose order, its Gram side's sites first,
+    or the chunk's gathered flat indices (:func:`_plan`). The cut matrices
+    go before the traces, and the buffer on return."""
+    if isinstance(source, tuple):  # one root: its transpose order, Gram side first
+        m = state._tensor.transpose(source).reshape(1, d_root, -1)
     else:
         m = state._tensor.reshape(-1).take(source)
     rhos = np.empty(size, m.dtype)
@@ -228,23 +227,21 @@ class _Plan(NamedTuple):
 def _plan(dims: tuple[int, ...]) -> _Plan:
     """The spectrum plan and the cut bounds of ``dims``, a checked dims tuple.
 
-    Every root takes one Gram product. A root whose own side has d_S^2 <= D
-    takes its own side's and leads its subtree. A lopsided root (d_S^2 > D)
-    takes its other side's; it traces nothing, and its children become
-    roots in turn. The roots are grouped by the dimension d_root of the side
-    whose Gram product they take and cut into chunks of max(1,
-    _CHUNK_FLOOR // D) roots. When D > 2^10 a chunk holds one root, and its
-    source is the root's transpose order and d_S: its cut matrix is formed
-    as :func:`reduced_purity` forms it, and a lopsided root's Gram side is
-    that matrix's columns. Otherwise the source is the (B, d_root, D /
-    d_root) flat indices of its roots' matrices, the Gram side's sites
-    first. A chunk's members fall into runs of one Gram-side shape and one
-    subtree id, and :func:`_chunks` builds the chunk from its runs; a
-    childless or lopsided root has id 0 and no steps. A run's one-root
-    chunks are built at once and share all but their sources. Built from
-    the table entry of ``len(dims)`` parties, whose subsets give every
-    root's transpose order at once, with Python per root and per step, none
-    per trace; no cut object is built.
+    Every root is named by its Gram side, whose Gram product it takes: its
+    own side, and it leads its subtree, or the rest when m < d_S, and the
+    root is lopsided: it traces nothing, and its children become roots in
+    turn. The root's one transpose order puts its Gram side's sites first.
+    The roots are grouped by their Gram side's dimension d_root and cut
+    into chunks of max(1, _CHUNK_FLOOR // D) roots. When D > 2^10 a chunk
+    holds one root, and its source is that transpose order, a tuple.
+    Otherwise the source is the (B, d_root, D / d_root) flat indices of its
+    roots' matrices in that order. A chunk's members fall into runs of one
+    Gram-side shape and one subtree id, and :func:`_chunks` builds the chunk
+    from its runs; a childless or lopsided root has id 0 and no steps. A
+    run's one-root chunks are built at once and share all but their
+    sources. Built from the table entry of ``len(dims)`` parties, whose
+    subsets give every root's transpose order at once, with Python per root
+    and per step, none per trace; no cut object is built.
     """
     n, total = len(dims), math.prod(dims)
     table = _cut_table(n)
@@ -256,28 +253,26 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     # 2 sqrt(D) ulps, a few at small D, growing with the amplitudes summed.
     bounds = np.sqrt(2.0 * (m - 1) / m) * (1.0 + 2.0 * math.sqrt(total) * np.finfo(float).eps)
 
-    sides, flipped = d_s.tolist(), (d_s * d_s > total).tolist()
-    roots = list(range(len(table.traced), len(sides)))
+    lopsided = m < d_s
+    roots, flipped = list(range(table.roots, len(m))), lopsided.tolist()
     for r in roots:  # a lopsided root's children join the roots, and are met in turn
         if flipped[r] and first[r] < first[r + 1]:
             roots += kids[first[r] : first[r + 1]]
 
-    # Every root's transpose order, its own side's sites then the rest's: a
-    # stable argsort of its membership mask (column 0 takes the padding).
+    # Every root's Gram side, its own or, when m < d_S, the rest, as a mask
+    # (column 0 takes the padding); its stable argsort is the transpose order.
     inside = np.zeros((len(roots), n + 1), dtype=bool)
     inside[np.arange(len(roots))[:, None], table.subsets[roots]] = True
-    cut_axes = np.argsort(~inside[:, 1:], axis=1, kind="stable").tolist()
+    gram = inside[:, 1:] != lopsided[roots, None]
+    orders = np.argsort(~gram, axis=1, kind="stable").tolist()
 
     # Roots by Gram-side dimension, then by Gram-side shape and subtree: a run
     # of like roots shares its steps, and a chunk may hold runs of any shape.
     groups, axes = {}, {}
-    for r, ax, k in zip(roots, cut_axes, inside[:, 1:].sum(axis=1).tolist()):
-        if flipped[r]:  # the Gram side is the rest: its sites lead the gather
-            gram, k, tree = ax[k:] + ax[:k], n - k, 0
-        else:
-            gram, tree = ax, table.subtree[r]
-        axes[r], shape = (ax, gram), tuple([dims[a] for a in gram[:k]])
-        groups.setdefault(math.prod(shape), {}).setdefault((shape, tree), []).append(r)
+    for r, ax, k in zip(roots, orders, gram.sum(axis=1).tolist()):
+        axes[r], shape = tuple(ax), tuple([dims[a] for a in ax[:k]])
+        run = (shape, 0 if flipped[r] else table.subtree[r])
+        groups.setdefault(math.prod(shape), {}).setdefault(run, []).append(r)
 
     per_chunk = max(1, _CHUNK_FLOOR // total)
     if per_chunk > 1:  # D <= 2^10: gathered flat indices fit 16 bits
@@ -285,13 +280,13 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     chunks, order = [], []
     for d_root, by_run in groups.items():
         if per_chunk == 1:  # one root per chunk: a run's chunks share one layout
-            parts = [([(axes[r][0], sides[r]) for r in roots], [(run, roots)]) for run, roots in by_run.items()]
+            parts = [([axes[r] for r in roots], [(run, roots)]) for run, roots in by_run.items()]
         else:
             members = [(run, r) for run, roots in by_run.items() for r in roots]
             parts = []
             for c in range(0, len(members), per_chunk):
                 batch = members[c : c + per_chunk]
-                index = np.concatenate([flat_ids.transpose(axes[r][1]) for _, r in batch], axis=None)
+                index = np.concatenate([flat_ids.transpose(axes[r]) for _, r in batch], axis=None)
                 runs = itertools.groupby(batch, operator.itemgetter(0))
                 runs = [(run, [r for _, r in part]) for run, part in runs]
                 parts.append(([index.reshape(-1, d_root, total // d_root)], runs))

@@ -70,8 +70,12 @@ class MeasureReport:
 
 def check_tolerance(value: float | str) -> float:
     """``value`` as a float; ValueError unless it is finite and >= 0. A bool
-    is refused, not converted, as ``as_index`` refuses it for an integer."""
-    tol = value if isinstance(value, (bool, np.bool_)) else float(value)
+    is refused, not converted, as ``as_index`` refuses it for an integer, and
+    an integer too large for a float reads as ``inf``."""
+    try:
+        tol = value if isinstance(value, (bool, np.bool_)) else float(value)
+    except OverflowError:
+        tol = math.inf
     if not (type(tol) is float and math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     return tol

@@ -253,20 +253,20 @@ class TestCutForest:
     def test_every_smaller_cut_hangs_under_one_cut_one_party_larger(self, n):
         cuts = canonical_bipartitions(n)
         table = _cut_table(n)
-        first, kids, traced = table.first, table.kids, table.traced
-        top = len(traced)
+        first, kids, keys, top = table.first, table.kids, table.keys, table.roots
         assert len(first) == len(cuts) + 1
         assert {cut.size for cut in cuts[top:]} == {n // 2}
         assert all(cut.size < n // 2 for cut in cuts[:top])
-        parent_of = {kids[j]: i for i in range(len(cuts)) for j in range(first[i], first[i + 1])}
+        # Each child's traced position is read from its parent's key.
+        parent_of = {kids[j]: (i, j - first[i]) for i in range(len(cuts)) for j in range(first[i], first[i + 1])}
         assert len(kids) == top
         assert sorted(parent_of) == list(range(top))
         for i in range(len(cuts)):
             children = kids[first[i] : first[i + 1]]
             assert all(a < b for a, b in zip(children, children[1:]))
-        for c, p in parent_of.items():
+        for c, (p, rank) in parent_of.items():
             child, parent = cuts[c].subset, cuts[p].subset
-            x = parent[traced[c]]
+            x = parent[keys[table.subtree[p]][rank][0]]
             assert child == tuple(s for s in parent if s != x)
             half = n % 2 == 0 and len(parent) == n // 2
             largest_outside = max(s for s in range(1, n + 1) if s not in child)

@@ -625,19 +625,28 @@ class TestBatchedSpectrum:
 
     # A lopsided root, d_S^2 > D, takes the Gram product of its other side;
     # every such cut is a root, since its parent is lopsided too. Each of
-    # these shapes has two sites above 2, and lopsided cuts.
+    # these shapes has two sites above 2, and lopsided cuts. Under a floor
+    # of 1 each root is a chunk of its own, as above 2^10 amplitudes.
     @pytest.mark.parametrize("kind", ["haar", "real", "product", "real-product"])
     @pytest.mark.parametrize("dims", [dims for dims in BATCH_DIMS if sorted(dims)[-2] > 2], ids=str)
-    def test_every_flipped_root_matches_the_dense_oracle(self, dims, kind):
+    def test_every_flipped_root_matches_the_dense_oracle(self, monkeypatch, dims, kind):
+        module = importlib.import_module("gmepyramid.concurrence")
         state = batch_state(dims, kind)
-        spectrum = full_spectrum(state)
-        total, flipped = math.prod(dims), 0
-        for cut, c in zip(spectrum.cuts, spectrum.values):
-            d_s = math.prod([dims[i - 1] for i in cut.subset])
-            if d_s * d_s > total:
-                flipped += 1
-                assert abs(1.0 - 0.5 * c * c - dense_oracle_purity(state, cut)) <= 1e-14, cut.label()
-        assert flipped
+        total = math.prod(dims)
+        for floor in (module._CHUNK_FLOOR, 1):
+            monkeypatch.setattr(module, "_CHUNK_FLOOR", floor)
+            module._plan.cache_clear()
+            try:
+                spectrum = full_spectrum(state)
+            finally:
+                module._plan.cache_clear()
+            flipped = 0
+            for cut, c in zip(spectrum.cuts, spectrum.values):
+                d_s = math.prod([dims[i - 1] for i in cut.subset])
+                if d_s * d_s > total:
+                    flipped += 1
+                    assert abs(1.0 - 0.5 * c * c - dense_oracle_purity(state, cut)) <= 1e-14, cut.label()
+            assert flipped
 
     @pytest.mark.parametrize("kind", ["haar", "real"])
     def test_a_group_over_several_chunks_gives_the_row_of_one_chunk(self, monkeypatch, kind):
