@@ -10,6 +10,8 @@ their labels, the forest of ``concurrence.full_spectrum``'s partial traces
 (a cut's children drop one site of its trailing run N, N - 1, ..., and at even
 N a half-size cut's children also drop subsystem 1), the index of its first
 root, and its subtree ids, each formed as its cut arrives, after its children.
+At odd N it also hangs every top-size cut but those without sites 1 and N
+under one hub, one party larger and holding 1 and N, found in closed form.
 Party counts go through ``states.check_subsystem_count`` before any O(N) work,
 indices through :func:`split`, the one check of a cut's indices.
 """
@@ -122,7 +124,7 @@ def _cuts(n: int) -> tuple[Bipartition, ...]:
 
 
 canonical_bipartitions.cache_info = _cuts.cache_info
-_CutTable = namedtuple("_CutTable", "subsets labels first kids roots subtree keys")
+_CutTable = namedtuple("_CutTable", "subsets labels first kids roots subtree keys hubs")
 
 
 @functools.cache
@@ -130,24 +132,39 @@ def _cut_table(n: int) -> _CutTable:
     """The table entry of ``n`` parties (a checked int), shared by every dims
     tuple and built in one pass over ``_subsets(n)``: each subset padded with
     0s to n // 2 sites (``subsets``, uint8), its label, the forest ``(first,
-    kids)``, ``roots``, each cut's ``subtree`` id and the ``keys`` of the ids.
-    Every cut below the top size n // 2 hangs under one canonical cut P one
-    party larger, whose children drop one site of its trailing run n, n - 1,
-    ... and, for a half-size P at even n, subsystem 1. The children of cut i
-    are ``kids[first[i]:first[i + 1]]`` in increasing order. The cuts below
-    the top size lead, so ``roots`` is the index of the first top-size cut.
-    A cut's key holds, child by child, the dropped site's position in the
+    kids)``, ``roots``, each cut's ``subtree`` id, the ``keys`` of the ids
+    and, at odd n, the ``hubs``. Every cut below the top size n // 2 hangs
+    under one canonical cut P one party larger, whose children drop one site
+    of its trailing run n, n - 1, ... and, for a half-size P at even n,
+    subsystem 1. The children of cut i are the ``len(keys[subtree[i]])``
+    cuts from ``kids[first[i]]`` on, in increasing order. The cuts below the
+    top size lead, so ``roots`` is the index of the first top-size cut. A
+    cut's key holds, child by child, the dropped site's position in the
     cut's subset (the traced position) and the child's subtree id, so equal
     ids trace equal positions level by level; id 0, key ``()``, has no
     children. Each id is formed when its cut arrives.
+
+    At odd n = 2k + 1 each top-size cut R without sites 1 and n names a hub,
+    its rest H: k + 1 sites that hold 1 and n. Every other top-size cut S is
+    H minus one site x for exactly one hub, found in closed form as S
+    arrives: x is n when S lacks n, else 1 when S lacks 1, else the least
+    site outside S. So a hub's children drop n or one site of its leading
+    run 1, 2, ... ``hubs`` holds one row ``(R, id)`` per hub, R in
+    increasing order, where the hub's key holds the traced positions in H.
+    R has no children in the forest (id 0); its hub's children, in
+    increasing order, start at ``kids[first[R]]`` and follow the forest's,
+    hub by hub. A hub's id is formed once the pass is done, since a child
+    may arrive after R. ``hubs`` has no rows at even n.
     """
     # Canonical order puts every cut before the cuts one party larger, so the
     # subsets indexed so far hold each child, and its id, of the cut that arrives.
     top, half = n // 2, n % 2 == 0
     index, labels, padded, pads = {}, [], array("B"), [(0,) * (top - k) for k in range(top + 1)]
-    first, kids, subtree, tree_ids = array("l", [0]), array("l"), array("l"), {(): 0}
+    first, kids, subtree, tree_ids = array("l"), array("l"), array("l"), {(): 0}
+    hubs, under = [], {}
     for i, subset in enumerate(_subsets(n)):
         size, key = len(subset), []
+        first.append(len(kids))
         if size > 1:
             # A larger dropped site leaves a lesser subset: children in index order.
             pos, site = size - 1, n
@@ -160,11 +177,29 @@ def _cut_table(n: int) -> _CutTable:
                 c = index[subset[1:]]
                 kids.append(c)
                 key.append((0, subtree[c]))
-        first.append(len(kids))
         subtree.append(tree_ids.setdefault(tuple(key), len(tree_ids)))
         labels.append(_label(subset))
         padded.extend(subset + pads[size])
         if size < top:
             index[subset] = i
+        elif not half:  # at odd n a top-size cut is a hub's root or a hub's child
+            if subset[-1] != n:
+                if subset[0] != 1:
+                    hubs.append((i, subset))
+                    continue
+                pos, hub = top, subset + (n,)
+            else:  # x at position x - 1: the least site outside the subset, 1 or more
+                pos = 0
+                while subset[pos] == pos + 1:
+                    pos += 1
+                hub = subset[:pos] + (pos + 1,) + subset[pos:]
+            under.setdefault(hub, []).append((i, (pos, subtree[i])))
+    rows, sites = [], frozenset(range(1, n + 1))
+    for r, rest in hubs:
+        children = under[tuple(sorted(sites.difference(rest)))]
+        first[r] = len(kids)
+        kids.extend([c for c, _ in children])
+        rows.append((r, tree_ids.setdefault(tuple([k for _, k in children]), len(tree_ids))))
     subsets = np.frombuffer(padded, dtype=np.uint8).reshape(-1, top)
-    return _CutTable(subsets, tuple(labels), first, kids, len(index), subtree, list(tree_ids))
+    hubs = np.array(rows, dtype=np.intp).reshape(-1, 2)
+    return _CutTable(subsets, tuple(labels), first, kids, len(index), subtree, list(tree_ids), hubs)

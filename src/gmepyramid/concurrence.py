@@ -32,16 +32,25 @@ when m < d_S (a lopsided root, dims such as (2, 2, 2, 64, 64)), which has
 the same purity. Every cut below a root of its own side gets its rho by
 tracing one site out of its parent's, a sum of d_x slices of the parent's
 rho, and its purity as ||rho_T||_F^2; a lopsided root traces nothing, and
-its children become roots in turn. So no rho larger than the state is
-formed. The forest becomes a plan once per dims tuple (:func:`_plan`; at
-most ``_PLAN_CACHE_SIZE`` plans are kept), which adds to the table entry
-only what depends on dims; ``canonical_bipartitions.cache_clear`` empties
-the plans with the table entries and the cut tuples. The plan groups the
-roots by their Gram side's dimension and cuts each group into chunks,
-whose gathered cut matrices hold no more amplitudes than the state, or
-than a floor of 2^11 (``_CHUNK_FLOOR``), whichever is larger: a state
-above 2^10 amplitudes takes one root per chunk, whose cut matrix is one
-transposed copy of the state, the Gram side's sites first. One builder,
+its children become roots in turn. At odd n = 2k + 1 a state above 2^10
+amplitudes goes one level higher: a top-size cut R without sites 1 and n
+takes the Gram product of its rest H, a hub of k + 1 sites, and every
+other top-size cut is H minus one site for one hub, so it takes a trace
+of rho_H in place of a Gram product of its own (13 qubits: 462 Gram
+products in place of 1716). A hub is taken only when d_H^2 <= 2 D, its
+rho fits ``_HUB_CAP`` (2^14 amplitudes) and none of its children is
+lopsided; otherwise R and its children stay roots. So no rho larger than
+the state is formed, apart from a hub's, which holds at most twice the
+state and at most 2^14 amplitudes. The forest becomes a plan once per
+dims tuple (:func:`_plan`; at most ``_PLAN_CACHE_SIZE`` plans are kept),
+which adds to the table entry only what depends on dims;
+``canonical_bipartitions.cache_clear`` empties the plans with the table
+entries and the cut tuples. The plan groups the roots by their Gram
+side's dimension and cuts each group into chunks, whose gathered cut
+matrices hold no more amplitudes than the state, or than a floor of 2^11
+(``_CHUNK_FLOOR``), whichever is larger: a state above 2^10 amplitudes
+takes one root per chunk, whose cut matrix is one transposed copy of the
+state, the Gram side's sites first. One builder,
 :func:`_chunks`, walks the runs of a chunk (its roots of one shape and
 subtree, the sites traced level by level) breadth first and makes the
 chunk one flat record: its source, buffer size, state starts and steps. A
@@ -82,6 +91,11 @@ DENSE_ORACLE_CAP = 4096
 _CHUNK_FLOOR = 2**11
 # Plans kept, one per dims tuple; a permuted dims tuple is another key.
 _PLAN_CACHE_SIZE = 64
+# A hub's rho holds at most this many amplitudes (256 KiB of complex128), as
+# well as at most twice the state's. Without it (64, 64, 2, 2, 2) would take
+# hubs of 2^16 amplitudes, and the spectrum's peak memory would reach 1.8-2x
+# the per-cut route's, where the lopsided-dims test allows 1.25x.
+_HUB_CAP = 2**14
 
 
 def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
@@ -208,7 +222,7 @@ def _chunk_purities(
     flat = rhos.view(np.float64)
     if starts is None:  # one state: one dot product, as cheap as reduced_purity's
         return np.array([flat @ flat])
-    return np.add.reduceat(np.square(flat), starts[rhos.itemsize])
+    return np.add.reduceat(np.square(flat, out=flat), starts[rhos.itemsize])
 
 
 class _Plan(NamedTuple):
@@ -230,22 +244,28 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     Every root is named by its Gram side, whose Gram product it takes: its
     own side, and it leads its subtree, or the rest when m < d_S, and the
     root is lopsided: it traces nothing, and its children become roots in
-    turn. The root's one transpose order puts its Gram side's sites first.
+    turn. When a chunk holds one root (below), a hub's root R, a top-size
+    cut without sites 1 and n at odd n, takes the rest H instead and leads
+    the hub's subtree, if d_H^2 <= min(2 D, _HUB_CAP) and no child of the
+    hub is lopsided; the top-size cuts under it are then no roots. The
+    other hubs' roots and children stay roots, as every hub's do when D <=
+    2^10. The root's one transpose order puts its Gram side's sites first.
     The roots are grouped by their Gram side's dimension d_root and cut
     into chunks of max(1, _CHUNK_FLOOR // D) roots. When D > 2^10 a chunk
     holds one root, and its source is that transpose order, a tuple.
     Otherwise the source is the (B, d_root, D / d_root) flat indices of its
     roots' matrices in that order. A chunk's members fall into runs of one
-    Gram-side shape and one subtree id, and :func:`_chunks` builds the chunk
-    from its runs; a childless or lopsided root has id 0 and no steps. A
-    run's one-root chunks are built at once and share all but their
-    sources. Built from the table entry of ``len(dims)`` parties, whose
-    subsets give every root's transpose order at once, with Python per root
-    and per step, none per trace; no cut object is built.
+    Gram-side shape and one subtree id (a taken hub's id for its root), and
+    :func:`_chunks` builds the chunk from its runs; a childless or lopsided
+    root has id 0 and no steps. A run's one-root chunks are built at once
+    and share all but their sources. Built from the table entry of
+    ``len(dims)`` parties, whose subsets give every root's transpose order
+    at once, with Python per root and per step, none per trace or hub; no
+    cut object is built.
     """
     n, total = len(dims), math.prod(dims)
     table = _cut_table(n)
-    first, kids = table.first, table.kids
+    first, kids, keys = table.first, table.kids, table.keys
     own = np.array((1,) + dims, dtype=np.intp)[table.subsets]
     d_s = own.prod(axis=1)
     m = np.minimum(d_s, total // d_s)
@@ -254,16 +274,34 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     bounds = np.sqrt(2.0 * (m - 1) / m) * (1.0 + 2.0 * math.sqrt(total) * np.finfo(float).eps)
 
     lopsided = m < d_s
-    roots, flipped = list(range(table.roots, len(m))), lopsided.tolist()
+    per_chunk = max(1, _CHUNK_FLOOR // total)
+    roots, hubs = range(table.roots, len(m)), {}
+    if per_chunk == 1 and len(table.hubs):
+        # A hub is taken when its rho fits the caps and none of its children
+        # is lopsided; the top-size cuts under a taken hub leave the roots.
+        hub_roots, hub_trees = table.hubs.T
+        at = np.asarray(first)[hub_roots]
+        under = np.asarray(kids)[at[0] :]
+        d_hub = total // d_s[hub_roots]
+        taken = d_hub * d_hub <= min(2 * total, _HUB_CAP)
+        taken &= ~np.logical_or.reduceat(lopsided[under], at - at[0])
+        covered = np.zeros(len(m), dtype=bool)
+        covered[under[np.repeat(taken, np.diff(at, append=len(kids)))]] = True
+        roots = np.flatnonzero(~covered[table.roots :]) + table.roots
+        hubs = dict(zip(hub_roots[taken].tolist(), hub_trees[taken].tolist()))
+    roots, flipped = list(roots), lopsided.tolist()
     for r in roots:  # a lopsided root's children join the roots, and are met in turn
-        if flipped[r] and first[r] < first[r + 1]:
-            roots += kids[first[r] : first[r + 1]]
+        if flipped[r]:
+            roots += kids[first[r] : first[r] + len(keys[table.subtree[r]])]
 
-    # Every root's Gram side, its own or, when m < d_S, the rest, as a mask
-    # (column 0 takes the padding); its stable argsort is the transpose order.
+    # Every root's Gram side, its own or, when m < d_S or its hub is taken,
+    # the rest, as a mask (column 0 takes the padding); its stable argsort is
+    # the transpose order.
+    rest = lopsided.copy()
+    rest[list(hubs)] = True
     inside = np.zeros((len(roots), n + 1), dtype=bool)
     inside[np.arange(len(roots))[:, None], table.subsets[roots]] = True
-    gram = inside[:, 1:] != lopsided[roots, None]
+    gram = inside[:, 1:] != rest[roots, None]
     orders = np.argsort(~gram, axis=1, kind="stable").tolist()
 
     # Roots by Gram-side dimension, then by Gram-side shape and subtree: a run
@@ -271,10 +309,9 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     groups, axes = {}, {}
     for r, ax, k in zip(roots, orders, gram.sum(axis=1).tolist()):
         axes[r], shape = tuple(ax), tuple([dims[a] for a in ax[:k]])
-        run = (shape, 0 if flipped[r] else table.subtree[r])
+        run = (shape, hubs.get(r, 0 if flipped[r] else table.subtree[r]))
         groups.setdefault(math.prod(shape), {}).setdefault(run, []).append(r)
 
-    per_chunk = max(1, _CHUNK_FLOOR // total)
     if per_chunk > 1:  # D <= 2^10: gathered flat indices fit 16 bits
         flat_ids = np.arange(total, dtype=np.uint16).reshape(dims)
     chunks, order = [], []
@@ -302,9 +339,11 @@ def _chunks(sources: list, d_root: int, runs: list, table) -> tuple[list, np.nda
     one each, and the cut of every state in their buffers, chunk by chunk.
 
     A run ``((shape, tree), roots)`` lists like roots: their Gram side has
-    ``shape`` and their subtree id is ``tree``. One source takes all the
-    roots of ``runs``; several share one layout, and each takes one root,
-    source j the run's ``roots[j]``. Each run is walked once, breadth first.
+    ``shape`` and their subtree id is ``tree``, a hub's for a hub's root,
+    whose children are read from the table as a cut's are. One source takes
+    all the roots of ``runs``; several share one layout, and each takes one
+    root, source j the run's ``roots[j]``. Each run is walked once, breadth
+    first.
     A chunk's buffer of ``size`` amplitudes holds its d_root x d_root root
     states, run by run, then run by run and level by level the states below
     them, root by root. A step ``(parent, a, d, b, out)`` traces the site

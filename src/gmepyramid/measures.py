@@ -71,11 +71,11 @@ class MeasureReport:
 def check_tolerance(value: float | str) -> float:
     """``value`` as a float; ValueError unless it is finite and >= 0. A bool
     is refused, not converted, as ``as_index`` refuses it for an integer, and
-    an integer too large for a float reads as ``inf``."""
+    an integer too large for a float reads as ``inf`` of its sign."""
     try:
         tol = value if isinstance(value, (bool, np.bool_)) else float(value)
     except OverflowError:
-        tol = math.inf
+        tol = -math.inf if value < 0 else math.inf
     if not (type(tol) is float and math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     return tol

@@ -254,16 +254,17 @@ class TestCutForest:
         cuts = canonical_bipartitions(n)
         table = _cut_table(n)
         first, kids, keys, top = table.first, table.kids, table.keys, table.roots
-        assert len(first) == len(cuts) + 1
+        assert len(first) == len(cuts)
         assert {cut.size for cut in cuts[top:]} == {n // 2}
         assert all(cut.size < n // 2 for cut in cuts[:top])
         # Each child's traced position is read from its parent's key.
-        parent_of = {kids[j]: (i, j - first[i]) for i in range(len(cuts)) for j in range(first[i], first[i + 1])}
-        assert len(kids) == top
-        assert sorted(parent_of) == list(range(top))
+        parent_of = {}
         for i in range(len(cuts)):
-            children = kids[first[i] : first[i + 1]]
+            children = kids[first[i] : first[i] + len(keys[table.subtree[i]])]
             assert all(a < b for a, b in zip(children, children[1:]))
+            parent_of.update((c, (i, rank)) for rank, c in enumerate(children))
+        assert sum(len(keys[tree]) for tree in table.subtree) == top
+        assert sorted(parent_of) == list(range(top))
         for c, (p, rank) in parent_of.items():
             child, parent = cuts[c].subset, cuts[p].subset
             x = parent[keys[table.subtree[p]][rank][0]]
@@ -271,3 +272,31 @@ class TestCutForest:
             half = n % 2 == 0 and len(parent) == n // 2
             largest_outside = max(s for s in range(1, n + 1) if s not in child)
             assert x == (1 if half and 1 not in child else largest_outside)
+
+    # At odd n the hubs' children follow the forest's in kids, hub by hub.
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_every_other_top_size_cut_hangs_under_one_hub_at_odd_n(self, n):
+        cuts = canonical_bipartitions(n)
+        table = _cut_table(n)
+        top, keys = table.roots, table.keys
+        if n % 2 == 0:
+            assert table.hubs.shape == (0, 2)
+            return
+        rests = table.hubs[:, 0].tolist()
+        assert rests == [i for i in range(top, len(cuts)) if 1 not in cuts[i].subset and n not in cuts[i].subset]
+        assert len(rests) == math.comb(n - 2, n // 2)
+        hub_of = {}
+        for r, tree in table.hubs.tolist():
+            assert table.subtree[r] == 0
+            hub = cuts[r].complement()
+            children = table.kids[table.first[r] : table.first[r] + len(keys[tree])]
+            assert all(a < b for a, b in zip(children, children[1:]))
+            for c, (pos, child) in zip(children, keys[tree]):
+                x, subset = hub[pos], cuts[c].subset
+                assert subset == tuple(s for s in hub if s != x)
+                assert table.subtree[c] == child
+                outside = [s for s in range(1, n + 1) if s not in subset]
+                assert x == (n if n in outside else 1 if 1 in outside else outside[0])
+                hub_of[c] = r
+        assert sorted(hub_of) == sorted(set(range(top, len(cuts))) - set(rests))
+        assert len(table.kids) == top + len(hub_of)

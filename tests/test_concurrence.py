@@ -39,7 +39,10 @@ GRAM_DIMS = [(2, 2, 2, 2), (3, 2, 2), (3, 3, 2, 2), (2,) * 6]
 
 # Deep qubit forests, a qutrit under every tree, and lopsided dims; in
 # (2, 2, 2, 6, 6) the root {4,5} would need a rho larger than the state, so
-# its child {4} becomes a root.
+# its child {4} becomes a root. The last two shapes hold more than 2^10
+# amplitudes at odd N, so their top-size cuts hang under hubs; in the second
+# a hub that holds site 10 as well as the qutrit at site N = 11 would outgrow
+# twice the state, so its root and children stay roots.
 TREE_DIMS = GRAM_DIMS + [
     (2,) * 8,
     (2,) * 9,
@@ -47,6 +50,8 @@ TREE_DIMS = GRAM_DIMS + [
     (3, 2, 2, 2, 2, 2, 2),
     (6, 6, 2, 2, 2),
     (2, 2, 2, 6, 6),
+    (2,) * 11,
+    (2,) * 9 + (3, 3),
 ]
 
 
@@ -659,7 +664,8 @@ class TestBatchedSpectrum:
         chunked = full_spectrum(state).values
 
         # One chunk of every root, then one root per chunk, cut by a
-        # transposed copy as above 2^10 amplitudes.
+        # transposed copy as above 2^10 amplitudes: there the 35 hubs, the
+        # rests of the top-size cuts without sites 1 and 9, reach all 126.
         rows = []
         for floor in (2**20, 1):
             monkeypatch.setattr(module, "_CHUNK_FLOOR", floor)
@@ -670,7 +676,7 @@ class TestBatchedSpectrum:
             finally:
                 module._plan.cache_clear()
             if floor == 1:
-                assert len(sources) == 126 and all(isinstance(source, tuple) for source in sources)
+                assert len(sources) == 35 and all(isinstance(source, tuple) for source in sources)
             else:
                 assert [len(source) for source in sources] == [126]
         per_cut = [reduced_purity(state, cut) for cut in canonical_bipartitions(9)]
@@ -678,6 +684,29 @@ class TestBatchedSpectrum:
             assert abs(0.5 * a * a - 0.5 * b * b) <= 1e-15
             assert abs(0.5 * a * a - 0.5 * c * c) <= 1e-15
             assert abs(1.0 - 0.5 * a * a - p) <= 1e-15
+
+    # At odd N above 2^10 amplitudes each hub, the rest H of a top-size cut
+    # without sites 1 and N, takes one Gram product for its root and every
+    # top-size cut under it. On (3, 3, 2, ..., 2) a hub that holds site 2 too
+    # would outgrow twice the state: 70 of the 126 hubs are taken, and the
+    # other 56 leave their roots and children to today's roots.
+    @pytest.mark.parametrize(
+        "dims, grams, hubs", [((2,) * 11, 126, 126), ((2,) * 13, 462, 462), ((3, 3) + (2,) * 9, 358, 70)], ids=str
+    )
+    def test_odd_n_takes_one_gram_product_per_hub(self, dims, grams, hubs):
+        module = importlib.import_module("gmepyramid.concurrence")
+        n, total, k = len(dims), math.prod(dims), len(dims) // 2 + 1
+        chunks = module._plan(dims).chunks
+        assert len(chunks) == grams
+        taken = 0
+        for source, d_root, *_ in chunks:
+            assert isinstance(source, tuple)
+            assert d_root * d_root <= min(2 * total, module._HUB_CAP)
+            if d_root * d_root > total:  # a hub: its Gram side holds sites 1 and N
+                assert d_root == math.prod([dims[a] for a in source[:k]])
+                assert {0, n - 1} <= set(source[:k])
+                taken += 1
+        assert taken == hubs
 
     def test_the_plan_cache_is_bounded_and_cleared_with_the_cut_tables(self):
         module = importlib.import_module("gmepyramid.concurrence")

@@ -310,8 +310,8 @@ class TestEvaluate:
         assert any("qubit" in note for note in report.notes)
 
     # A bool is no tolerance: True would otherwise read as a cutoff of 1.0.
-    # An integer too large for a float reads as inf.
-    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), True, np.True_, 10**400])
+    # An integer too large for a float reads as inf of its sign.
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), True, np.True_, 10**400, -(10**400)])
     def test_rejects_bad_zero_tol(self, tol):
         with pytest.raises(ValueError, match="finite and >= 0"):
             evaluate(ghz_state(4), zero_tol=tol)

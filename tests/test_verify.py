@@ -166,8 +166,9 @@ class TestRunCheck:
             TrialConfig(dims=(2, 2), trials=0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TrialConfig(dims=(2, 2, 2), seed=-1)
-        # A bool is refused, not read as a cutoff of 1.0; 10**400 reads as inf.
-        for tol in (-1.0, float("nan"), float("inf"), True, np.True_, 10**400):
+        # A bool is refused, not read as a cutoff of 1.0; 10**400 reads as
+        # inf and -10**400 as -inf.
+        for tol in (-1.0, float("nan"), float("inf"), True, np.True_, 10**400, -(10**400)):
             with pytest.raises(ValueError, match="finite and >= 0"):
                 TrialConfig(dims=(2, 2, 2), tol=tol)
 
