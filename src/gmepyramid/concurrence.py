@@ -58,7 +58,8 @@ step traces one site out of the states in its parent's buffer slice into
 its own slice, for all of a run's roots at once; a childless or lopsided
 root takes none. A chunk takes one gather, one batched Gram product, its
 steps in turn, and one pass that reduces every purity of the chunk from
-its buffer.
+its buffer. The chunks take their buffers in turn from one allocation per
+spectrum, the size of the largest.
 
 At n <= 3 every cut is a childless root, and :func:`full_spectrum` still
 takes one :func:`concurrence` call per cut: the benchmark counts the
@@ -191,24 +192,34 @@ def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
         cuts = canonical_bipartitions(state.n)
         return ConcurrenceSpectrum(state.dims, tuple([concurrence(state, cut) for cut in cuts]))
     plan = _plan(state.dims)
-    purities = np.concatenate([_chunk_purities(state, *chunk) for chunk in plan.chunks])
+    # One buffer serves every chunk in turn: a fresh one per chunk, once it
+    # outgrows malloc's mmap threshold, faults in all its pages again.
+    buffer = np.empty(plan.buffer, state._tensor.dtype)
+    purities = np.concatenate([_chunk_purities(state, buffer, *chunk) for chunk in plan.chunks])
     values = np.empty(len(plan.bounds))
     values[plan.order] = np.sqrt(2.0 * (1.0 - np.clip(purities, 0.0, 1.0)))
     return ConcurrenceSpectrum(state.dims, tuple(values.tolist()))
 
 
 def _chunk_purities(
-    state: PureState, source: tuple[int, ...] | np.ndarray, d_root: int, size: int, starts, steps
+    state: PureState,
+    buffer: np.ndarray,
+    source: tuple[int, ...] | np.ndarray,
+    d_root: int,
+    size: int,
+    starts,
+    steps,
 ) -> np.ndarray:
-    """Purities of one chunk's reduced states in the order of its buffer.
+    """Purities of one chunk's reduced states in the order of its buffer,
+    the first ``size`` amplitudes of ``buffer``, which the chunk overwrites.
     ``source`` is one root's transpose order, its Gram side's sites first,
     or the chunk's gathered flat indices (:func:`_plan`). The cut matrices
-    go before the traces, and the buffer on return."""
+    go before the traces."""
     if isinstance(source, tuple):  # one root: its transpose order, Gram side first
         m = state._tensor.transpose(source).reshape(1, d_root, -1)
     else:
         m = state._tensor.reshape(-1).take(source)
-    rhos = np.empty(size, m.dtype)
+    rhos = buffer[:size]
     roots = rhos[: len(m) * d_root * d_root].reshape(-1, d_root, d_root)
     np.matmul(m, m.conj().transpose(0, 2, 1), out=roots)
     del m
@@ -233,6 +244,7 @@ class _Plan(NamedTuple):
     chunks at n <= 3."""
 
     chunks: tuple[tuple, ...]  # (source, d_root, size, starts, steps) each
+    buffer: int  # the largest chunk's buffer size, in amplitudes
     order: np.ndarray  # the cut of each purity that the chunks return, in turn
     bounds: tuple[float, ...]  # per cut, sqrt(2 (m - 1) / m) and a rounding slack
 
@@ -331,7 +343,8 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
             built, cuts = _chunks(sources, d_root, runs, table)
             chunks += built
             order.append(cuts)
-    return _Plan(tuple(chunks), np.concatenate(order), tuple(bounds.tolist()))
+    buffer = max(size for _, _, size, _, _ in chunks)
+    return _Plan(tuple(chunks), buffer, np.concatenate(order), tuple(bounds.tolist()))
 
 
 def _chunks(sources: list, d_root: int, runs: list, table) -> tuple[list, np.ndarray]:

@@ -283,7 +283,8 @@ class TestCutForest:
             assert table.hubs.shape == (0, 2)
             return
         rests = table.hubs[:, 0].tolist()
-        assert rests == [i for i in range(top, len(cuts)) if 1 not in cuts[i].subset and n not in cuts[i].subset]
+        subsets = [cut.subset for cut in cuts]
+        assert rests == [i for i in range(top, len(cuts)) if 1 not in subsets[i] and n not in subsets[i]]
         assert len(rests) == math.comb(n - 2, n // 2)
         hub_of = {}
         for r, tree in table.hubs.tolist():

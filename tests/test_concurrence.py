@@ -691,7 +691,9 @@ class TestBatchedSpectrum:
     # would outgrow twice the state: 70 of the 126 hubs are taken, and the
     # other 56 leave their roots and children to today's roots.
     @pytest.mark.parametrize(
-        "dims, grams, hubs", [((2,) * 11, 126, 126), ((2,) * 13, 462, 462), ((3, 3) + (2,) * 9, 358, 70)], ids=str
+        "dims, grams, hubs",
+        [((2,) * 11, 126, 126), ((2,) * 13, 462, 462), ((3, 3) + (2,) * 9, 358, 70)],
+        ids=str,
     )
     def test_odd_n_takes_one_gram_product_per_hub(self, dims, grams, hubs):
         module = importlib.import_module("gmepyramid.concurrence")
