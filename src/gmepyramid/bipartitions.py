@@ -10,8 +10,9 @@ their labels, the forest of ``concurrence.full_spectrum``'s partial traces
 (a cut's children drop one site of its trailing run N, N - 1, ..., and at even
 N a half-size cut's children also drop subsystem 1), the index of its first
 root, and its subtree ids, each formed as its cut arrives, after its children.
-At odd N it also hangs every top-size cut but those without sites 1 and N
-under one hub, one party larger and holding 1 and N, found in closed form.
+At odd N up to 13 it also hangs every top-size cut but those without sites
+1 and N under one hub, one party larger and holding 1 and N, found in
+closed form.
 Party counts go through ``states.check_subsystem_count`` before any O(N) work,
 indices through :func:`split`, the one check of a cut's indices.
 """
@@ -124,6 +125,13 @@ def _cuts(n: int) -> tuple[Bipartition, ...]:
 
 
 canonical_bipartitions.cache_info = _cuts.cache_info
+# A hub's rho holds at most this many amplitudes (256 KiB of complex128);
+# ``concurrence._plan`` also keeps it within twice the state's. Without it
+# (64, 64, 2, 2, 2) would take hubs of 2^16 amplitudes, and the spectrum's
+# peak memory would reach 1.8-2x the per-cut route's, where the lopsided-dims
+# test allows 1.25x. A hub of n parties holds (n + 1) / 2 sites, so its rho
+# holds at least 2^(n + 1) amplitudes: the table forms hubs up to n = 13 only.
+_HUB_CAP = 2**14
 _CutTable = namedtuple("_CutTable", "subsets labels first kids roots subtree keys hubs")
 
 
@@ -144,7 +152,8 @@ def _cut_table(n: int) -> _CutTable:
     ids trace equal positions level by level; id 0, key ``()``, has no
     children. Each id is formed when its cut arrives.
 
-    At odd n = 2k + 1 each top-size cut R without sites 1 and n names a hub,
+    At odd n = 2k + 1, when a hub's rho of at least 2^(n + 1) amplitudes
+    fits ``_HUB_CAP``, each top-size cut R without sites 1 and n names a hub,
     its rest H: k + 1 sites that hold 1 and n. Every other top-size cut S is
     H minus one site x for exactly one hub, found in closed form as S
     arrives: x is n when S lacks n, else 1 when S lacks 1, else the least
@@ -154,11 +163,12 @@ def _cut_table(n: int) -> _CutTable:
     R has no children in the forest (id 0); its hub's children, in
     increasing order, start at ``kids[first[R]]`` and follow the forest's,
     hub by hub. A hub's id is formed once the pass is done, since a child
-    may arrive after R. ``hubs`` has no rows at even n.
+    may arrive after R. Otherwise, and at even n, ``hubs`` has no rows.
     """
     # Canonical order puts every cut before the cuts one party larger, so the
     # subsets indexed so far hold each child, and its id, of the cut that arrives.
     top, half = n // 2, n % 2 == 0
+    hubbed = not half and 2 ** (n + 1) <= _HUB_CAP
     index, labels, padded, pads = {}, [], array("B"), [(0,) * (top - k) for k in range(top + 1)]
     first, kids, subtree, tree_ids = array("l"), array("l"), array("l"), {(): 0}
     hubs, under = [], {}
@@ -182,7 +192,7 @@ def _cut_table(n: int) -> _CutTable:
         padded.extend(subset + pads[size])
         if size < top:
             index[subset] = i
-        elif not half:  # at odd n a top-size cut is a hub's root or a hub's child
+        elif hubbed:  # a top-size cut is a hub's root or a hub's child
             if subset[-1] != n:
                 if subset[0] != 1:
                     hubs.append((i, subset))

@@ -81,7 +81,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .bipartitions import Bipartition, _cut_table, _cuts, canonical_bipartitions, split
+from .bipartitions import _HUB_CAP, Bipartition, _cut_table, _cuts, canonical_bipartitions, split
 from .states import PureState, check_dims
 
 # Largest reduced dimension the dense oracle will materialize.
@@ -92,11 +92,6 @@ DENSE_ORACLE_CAP = 4096
 _CHUNK_FLOOR = 2**11
 # Plans kept, one per dims tuple; a permuted dims tuple is another key.
 _PLAN_CACHE_SIZE = 64
-# A hub's rho holds at most this many amplitudes (256 KiB of complex128), as
-# well as at most twice the state's. Without it (64, 64, 2, 2, 2) would take
-# hubs of 2^16 amplitudes, and the spectrum's peak memory would reach 1.8-2x
-# the per-cut route's, where the lopsided-dims test allows 1.25x.
-_HUB_CAP = 2**14
 
 
 def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
