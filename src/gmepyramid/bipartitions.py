@@ -141,16 +141,17 @@ def _cut_table(n: int) -> _CutTable:
     tuple and built in one pass over ``_subsets(n)``: each subset padded with
     0s to n // 2 sites (``subsets``, uint8), its label, the forest ``(first,
     kids)``, ``roots``, each cut's ``subtree`` id, the ``keys`` of the ids
-    and, at odd n, the ``hubs``. Every cut below the top size n // 2 hangs
-    under one canonical cut P one party larger, whose children drop one site
-    of its trailing run n, n - 1, ... and, for a half-size P at even n,
-    subsystem 1. The children of cut i are the ``len(keys[subtree[i]])``
-    cuts from ``kids[first[i]]`` on, in increasing order. The cuts below the
-    top size lead, so ``roots`` is the index of the first top-size cut. A
-    cut's key holds, child by child, the dropped site's position in the
-    cut's subset (the traced position) and the child's subtree id, so equal
-    ids trace equal positions level by level; id 0, key ``()``, has no
-    children. Each id is formed when its cut arrives.
+    and, at odd n up to 13, the ``hubs``. Every cut below the top size
+    n // 2 hangs under one canonical cut P one party larger, whose children
+    drop one site of its trailing run n, n - 1, ... and, for a half-size P
+    at even n, subsystem 1. The children of cut i are the
+    ``len(keys[subtree[i]])`` cuts from ``kids[first[i]]`` on, in
+    increasing order. The cuts below the top size lead, so ``roots`` is the
+    index of the first top-size cut. A cut's key holds, child by child, the
+    dropped site's position in the cut's subset (the traced position) and
+    the child's subtree id, so equal ids trace equal positions level by
+    level; id 0, key ``()``, has no children. Each id is formed when its
+    cut arrives.
 
     At odd n = 2k + 1, when a hub's rho of at least 2^(n + 1) amplitudes
     fits ``_HUB_CAP``, each top-size cut R without sites 1 and n names a hub,
