@@ -15,6 +15,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 
@@ -34,6 +35,11 @@ def _fmt(value: float | None) -> str:
 
 def _state_json(report: MeasureReport) -> dict:
     spectrum = report.spectrum
+    labels = _cut_table(spectrum.n).labels
+    if len(labels) not in _frames:
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        keys = [_encode_str(labels[i]) + ": %r" for i in order]  # labels hold no %
+        _frames[len(labels)] = (labels, operator.itemgetter(*order) if len(order) > 1 else tuple, keys, {})
     return {
         "id": report.state_id,
         "dims": list(spectrum.dims),
@@ -41,7 +47,7 @@ def _state_json(report: MeasureReport) -> dict:
         "c_gme": report.c_gme,
         "triangle": report.triangle,
         "classification": report.classification,
-        "concurrences": dict(zip(_cut_table(spectrum.n).labels, spectrum.values)),
+        "concurrences": dict(zip(labels, spectrum.values)),
         "zero_cuts": [cut.label() for cut in report.zero_cuts],
         "notes": list(report.notes),
     }
@@ -67,6 +73,11 @@ def report_document(
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+# The concurrence block's frame of each party count reported, by its cut count:
+# the key tuple, the label-sorted order of the row (``tuple`` for one cut: an
+# itemgetter of one index returns the value itself), the "label": %r keys and
+# the block's %-template per indent.
+_frames: dict[int, tuple] = {}
 
 
 def _render(value, indent: str) -> str:
@@ -74,12 +85,21 @@ def _render(value, indent: str) -> str:
         return float.__repr__(value) if -math.inf < value < math.inf else json.dumps(value)
     if isinstance(value, str):
         return _encode_str(value)
-    if type(value) is int:  # bool and other int subclasses go to json.dumps
+    if type(value) is int:  # a bool is named below, other int subclasses go to json.dumps
         return int.__repr__(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = indent + "  "
+        frame = _frames.get(len(value)) if type(value) is dict else None
+        if frame is not None and tuple(value) == frame[0]:
+            # A concurrence block; a float sum is finite only if every term is.
+            _, order, keys, templates = frame
+            row = order(tuple(value.values()))
+            if set(map(type, row)) == {float} and math.isfinite(sum(row)):
+                if indent not in templates:
+                    templates[indent] = f"{{\n{inner}" + (",\n" + inner).join(keys) + f"\n{indent}}}"
+                return templates[indent] % row
         body = (",\n" + inner).join(
             [f"{_encode_str(k)}: {_render(v, inner)}" for k, v in sorted(value.items())]
         )
@@ -90,6 +110,8 @@ def _render(value, indent: str) -> str:
         inner = indent + "  "
         body = (",\n" + inner).join([_render(v, inner) for v in value])
         return f"[\n{inner}{body}\n{indent}]"
+    if value is None or type(value) is bool:
+        return {None: "null", True: "true", False: "false"}[value]
     return json.dumps(value)
 
 
@@ -99,9 +121,12 @@ def dumps_report(doc: dict) -> str:
     is), so parsing and re-dumping is byte-identical too.
 
     One recursive join: keys and strings go through json's C string encoder,
-    finite floats and plain ints through their ``__repr__`` and every other
-    scalar through ``json.dumps``; ``indent`` alone would select json's
-    pure-Python encoder.
+    finite floats and plain ints through their ``__repr__``, None and bools
+    to their names and every other scalar through ``json.dumps``; ``indent``
+    alone would select json's pure-Python encoder. A plain dict whose key
+    tuple is a report's concurrence block, and whose values are all finite
+    floats of type ``float``, is rendered from the frame that
+    :func:`report_document` built for its party count: one %-format.
     """
     return _render(doc, "")
 

@@ -46,11 +46,11 @@ dims tuple (:func:`_plan`; at most ``_PLAN_CACHE_SIZE`` plans are kept),
 which adds to the table entry only what depends on dims;
 ``canonical_bipartitions.cache_clear`` empties the plans with the table
 entries and the cut tuples. The plan groups the roots by their Gram
-side's dimension and cuts each group into chunks, whose gathered cut
-matrices hold no more amplitudes than the state, or than a floor of 2^11
-(``_CHUNK_FLOOR``), whichever is larger: a state above 2^10 amplitudes
-takes one root per chunk, whose cut matrix is one transposed copy of the
-state, the Gram side's sites first. One builder,
+side's dimension and cuts each group into chunks of q^2 roots, q = 2^11 // D
+the number of states that fit in the floor ``_CHUNK_FLOOR``: a chunk gathers
+2^13 amplitudes at D = 2^9 and 2^12 at 2^10, and a state above 2^10
+amplitudes takes one root per chunk, whose cut matrix is one transposed
+copy of the state, the Gram side's sites first. One builder,
 :func:`_chunks`, walks the runs of a chunk (its roots of one shape and
 subtree, the sites traced level by level) breadth first and makes the
 chunk one flat record: its source, buffer size, state starts and steps. A
@@ -87,8 +87,9 @@ from .states import PureState, check_dims
 # Largest reduced dimension the dense oracle will materialize.
 DENSE_ORACLE_CAP = 4096
 
-# A chunk's gathered cut matrices hold at most this many amplitudes (32 KiB
-# of complex128), or one root's when the state is larger.
+# A chunk of a state of D amplitudes holds (_CHUNK_FLOOR // D)^2 roots, and
+# one root above _CHUNK_FLOOR / 2: the smaller the state, the more a chunk's
+# fixed Python and numpy calls cost per flop, so the more roots it takes.
 _CHUNK_FLOOR = 2**11
 # Plans kept, one per dims tuple; a permuted dims tuple is another key.
 _PLAN_CACHE_SIZE = 64
@@ -118,7 +119,8 @@ class ConcurrenceSpectrum:
     the shared ``canonical_bipartitions`` tuple of n = len(dims) parties:
     smallest cut first, lexicographic within a size group, so the n
     one-versus-rest values lead the row in subsystem order. Every value
-    lies in [0, sqrt(2)].
+    lies in [0, b], b its cut's bound (below sqrt(2)), checked in one pass;
+    only a row that fails it takes the passes that name the fault.
     """
 
     dims: tuple[int, ...]
@@ -130,22 +132,23 @@ class ConcurrenceSpectrum:
         expected = 2 ** (self.n - 1) - 1
         if len(self.values) != expected:
             raise ValueError(f"expected {expected} values, got {len(self.values)}")
-        # Three C-level passes. sqrt(2) is the value of a purity clamped to 0.
+        # NaN fails the comparison. sqrt(2) is the value of a purity clamped to 0.
+        bounds = _plan(self.dims).bounds
+        if min(self.values) >= 0.0 and all(map(operator.le, self.values, bounds)):
+            return
         if any(map(math.isnan, self.values)):
             raise ValueError("a concurrence value is NaN")
         lo, hi = min(self.values), max(self.values)
         if lo < 0.0 or hi > math.sqrt(2.0):
             raise ValueError(f"concurrences lie in [0, sqrt(2)], got {lo if lo < 0.0 else hi!r}")
-        bounds = _plan(self.dims).bounds
-        if not all(map(operator.le, self.values, bounds)):
-            i = next(i for i, (c, b) in enumerate(zip(self.values, bounds)) if c > b)
-            table = _cut_table(self.n)
-            d_s = math.prod([self.dims[s - 1] for s in table.subsets[i].tolist() if s])
-            m = min(d_s, math.prod(self.dims) // d_s)
-            raise ValueError(
-                f"concurrence {self.values[i]!r} across cut {table.labels[i]} exceeds "
-                f"its bound sqrt(2 (m - 1) / m) = {math.sqrt(2.0 * (m - 1) / m)!r} for m = {m}"
-            )
+        i = next(i for i, (c, b) in enumerate(zip(self.values, bounds)) if c > b)
+        table = _cut_table(self.n)
+        d_s = math.prod([self.dims[s - 1] for s in table.subsets[i].tolist() if s])
+        m = min(d_s, math.prod(self.dims) // d_s)
+        raise ValueError(
+            f"concurrence {self.values[i]!r} across cut {table.labels[i]} exceeds "
+            f"its bound sqrt(2 (m - 1) / m) = {math.sqrt(2.0 * (m - 1) / m)!r} for m = {m}"
+        )
 
     @property
     def n(self) -> int:
@@ -258,7 +261,7 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     other hubs' roots and children stay roots, as every hub's do when D <=
     2^10. The root's one transpose order puts its Gram side's sites first.
     The roots are grouped by their Gram side's dimension d_root and cut
-    into chunks of max(1, _CHUNK_FLOOR // D) roots. When D > 2^10 a chunk
+    into chunks of max(1, (_CHUNK_FLOOR // D)^2) roots. When D > 2^10 a chunk
     holds one root, and its source is that transpose order, a tuple.
     Otherwise the source is the (B, d_root, D / d_root) flat indices of its
     roots' matrices in that order. A chunk's members fall into runs of one
@@ -281,7 +284,7 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     bounds = np.sqrt(2.0 * (m - 1) / m) * (1.0 + 2.0 * math.sqrt(total) * np.finfo(float).eps)
 
     lopsided = m < d_s
-    per_chunk = max(1, _CHUNK_FLOOR // total)
+    per_chunk = max(1, (_CHUNK_FLOOR // total) ** 2)
     roots, hubs = range(table.roots, len(m)), {}
     if per_chunk == 1 and len(table.hubs):
         # A hub is taken when its rho fits the caps and none of its children

@@ -18,6 +18,8 @@ Every measure reads the spectrum's row directly: ``a`` from the slice
 ``singletons()`` (the first N values), ``h`` from ``multis()`` (the rest),
 C_GME and the zero cuts from the whole row. A report carries the spectrum
 itself as ``MeasureReport.spectrum``; its ``entries`` is the cut-keyed view.
+Each public entry checks ``zero_tol`` once, by :func:`check_tolerance`, and
+hands the checked value to the private helpers it shares with the others.
 """
 
 from __future__ import annotations
@@ -82,17 +84,16 @@ def check_tolerance(value: float | str) -> float:
 
 
 def _geometric_mean(values: tuple[float, ...], zero_tol: float) -> float:
-    zero_tol = check_tolerance(zero_tol)
     # Short-circuit before taking logarithms: a single (numerically) zero
     # factor annihilates the product, and log(0) is -inf.
-    if any(v <= zero_tol for v in values):
+    if values and min(values) <= zero_tol:
         return 0.0
     return math.exp(math.fsum(map(math.log, values)) / max(len(values), 1))
 
 
 def base_edge(spectrum: ConcurrenceSpectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
     """Geometric mean of the N one-versus-rest concurrences."""
-    return _geometric_mean(spectrum.singletons(), zero_tol)
+    return _geometric_mean(spectrum.singletons(), check_tolerance(zero_tol))
 
 
 def height(spectrum: ConcurrenceSpectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
@@ -104,7 +105,7 @@ def height(spectrum: ConcurrenceSpectrum, zero_tol: float = DEFAULT_ZERO_TOL) ->
     """
     if spectrum.n == 2:
         raise ValueError("a 2-party system has no multi-party cuts")
-    return _geometric_mean(spectrum.multis(), zero_tol)
+    return _geometric_mean(spectrum.multis(), check_tolerance(zero_tol))
 
 
 def base_area(n: int, edge: float) -> float:
@@ -125,13 +126,18 @@ def volume(spectrum: ConcurrenceSpectrum, zero_tol: float = DEFAULT_ZERO_TOL) ->
     For N = 4 this equals a^2 h / 3 (cot(pi/4) = 1); for N = 3 the height
     is fixed to 1 and the volume reduces to (sqrt(3)/12) a^2.
     """
-    n = spectrum.n
-    if n < 3:
+    if spectrum.n < 3:
         raise ValueError("the pyramid measure is defined for 3 or more parties")
-    a = base_edge(spectrum, zero_tol)
-    h = height(spectrum, zero_tol)
+    return PyramidGeometry(*_pyramid(spectrum, check_tolerance(zero_tol)))
+
+
+def _pyramid(spectrum: ConcurrenceSpectrum, zero_tol: float) -> tuple:
+    """``volume``'s fields (n, a, h, area, V) for N >= 3 and a checked tolerance."""
+    n = spectrum.n
+    a = _geometric_mean(spectrum.singletons(), zero_tol)
+    h = _geometric_mean(spectrum.multis(), zero_tol)
     area = base_area(n, a)
-    return PyramidGeometry(n=n, base_edge=a, height=h, base_area=area, volume=area * h / 3.0)
+    return n, a, h, area, area * h / 3.0
 
 
 def triangle_measure(spectrum: ConcurrenceSpectrum) -> float:
@@ -167,11 +173,14 @@ def classify(
     means fully separable; anything in between is biseparable. A cut object
     is read from ``spectrum.cuts`` only for a zero cut.
     """
-    zero_tol = check_tolerance(zero_tol)
+    return _classify(spectrum, check_tolerance(zero_tol))
+
+
+def _classify(spectrum: ConcurrenceSpectrum, zero_tol: float) -> tuple[str, tuple[Bipartition, ...]]:
+    if min(spectrum.values) > zero_tol:
+        return CLASS_GME, ()
     zero_cuts = tuple([spectrum.cuts[i] for i, c in enumerate(spectrum.values) if c <= zero_tol])
-    if not zero_cuts:
-        return CLASS_GME, zero_cuts
-    if all(c <= zero_tol for c in spectrum.singletons()):
+    if max(spectrum.singletons()) <= zero_tol:
         return CLASS_FULLY_SEPARABLE, zero_cuts
     return CLASS_BISEPARABLE, zero_cuts
 
@@ -183,13 +192,13 @@ def evaluate(
 
     The pyramid volume needs at least 3 parties and the triangle measure
     exactly 3; fields that do not apply are None. ``zero_tol`` must be
-    finite and >= 0.
+    finite and >= 0; it is checked here once.
     """
     zero_tol = check_tolerance(zero_tol)
     spectrum = full_spectrum(state)
-    classification, zero_cuts = classify(spectrum, zero_tol)
+    classification, zero_cuts = _classify(spectrum, zero_tol)
     notes: list[str] = []
-    vol = volume(spectrum, zero_tol).volume if spectrum.n >= 3 else None
+    vol = _pyramid(spectrum, zero_tol)[-1] if spectrum.n >= 3 else None
     tri = None
     if spectrum.n == 3:
         tri = triangle_measure(spectrum)

@@ -2,11 +2,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gmepyramid import (
     CHECK_NAMES,
     DEFAULT_ZERO_TOL,
+    ConcurrenceSpectrum,
+    MeasureReport,
     benchmark_states,
     bipartitions,
     canonical_bipartitions,
@@ -492,6 +495,77 @@ class TestRenderer:
         assert text == _reference_dump(doc)
         assert "NaN,\n" in text and "Infinity,\n" in text and "-Infinity\n" in text
         assert dumps_report({}) == "{}" and dumps_report([]) == "[]"
+
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        """The strings the renderer encodes one by one: the generic path
+        encodes every key, a concurrence block's frame none."""
+        seen = []
+
+        def record(text):
+            seen.append(text)
+            return encode(text)
+
+        encode = cli._encode_str
+        monkeypatch.setattr(cli, "_encode_str", record)
+        return seen
+
+    @staticmethod
+    def block(dims, seed):
+        """A report's concurrence block of ``dims``, its frame built by
+        ``report_document``, with values of many magnitudes, 0.0 and 1.0."""
+        n = len(dims)
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 1.0, 2 ** (n - 1) - 1) * 10.0 ** -rng.integers(0, 17, 2 ** (n - 1) - 1)
+        values[:2] = [0.0, 1.0][: len(values)]
+        spectrum = ConcurrenceSpectrum(dims, tuple(values.tolist()))
+        report = MeasureReport("s", spectrum, None, min(spectrum.values), None, "GME", (), DEFAULT_ZERO_TOL)
+        doc = report_document([report], DEFAULT_ZERO_TOL)
+        return doc, doc["states"][0]["concurrences"]
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(2,) * n for n in range(2, 14)] + [(3, 2), (2, 3, 2), (3, 3, 2, 2), (2, 3, 2, 2, 3), (2, 2, 3, 2, 3, 2, 2)],
+        ids=str,
+    )
+    def test_a_concurrence_block_renders_from_its_frame(self, encoded, dims):
+        doc, block = self.block(dims, [131, len(dims)])
+        assert dumps_report(doc) == _reference_dump(doc)
+        encoded.clear()
+        for nested in (block, [block], {"a": [{"b": block}]}):
+            assert dumps_report(nested) == _reference_dump(nested)
+        assert encoded == ["a", "b"]
+
+    # Only a plain dict whose key tuple is a frame's and whose values are all
+    # finite values of type float takes the frame.
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda d: dict(reversed(d.items())),
+            lambda d: {**d, "1": float("nan")},
+            lambda d: {**d, "1,2": float("inf")},
+            lambda d: {**d, "2": float("-inf")},
+            lambda d: {**d, "1": 1},
+            lambda d: {**d, "1": True},
+            lambda d: {**d, "1": "0.5"},
+            lambda d: {**d, "1": np.float64(0.5)},
+            lambda d: type("Row", (dict,), {})(d),
+        ],
+        ids=["reordered", "nan", "inf", "-inf", "int", "bool", "str", "np.float64", "dict-subclass"],
+    )
+    def test_a_block_that_only_looks_like_a_report_takes_the_generic_path(self, encoded, change):
+        _, block = self.block((2, 2, 2, 2), [132])
+        lookalike = change(block)
+        encoded.clear()
+        assert dumps_report(lookalike) == _reference_dump(lookalike)
+        assert [text for text in encoded if text != "0.5"] == sorted(lookalike)
+
+    def test_a_dict_of_seven_floats_builds_no_frame_and_no_cut_table(self, encoded):
+        row = {key: 0.125 * i for i, key in enumerate("abcdefg")}
+        before = bipartitions._cut_table.cache_info()
+        assert dumps_report(row) == _reference_dump(row)
+        assert bipartitions._cut_table.cache_info() == before
+        assert encoded == list(row)
 
     def test_refuses_what_json_refuses(self):
         with pytest.raises(TypeError, match="is not JSON serializable"):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import json
@@ -31,6 +32,7 @@ from gmepyramid.catalog import phi_biseparable, psi_a
 from gmepyramid.cli import dumps_report, report_document
 from gmepyramid.measures import DEFAULT_ZERO_TOL, evaluate
 from gmepyramid.verify import random_product_state
+from minors import minor_concurrence, minor_purity
 
 SQRT3_OVER_2 = math.sqrt(3) / 2
 SQRT5_OVER_2 = math.sqrt(5) / 2
@@ -460,6 +462,26 @@ def test_spectrum_refuses_a_value_above_its_cut_bound(dims, values, message):
         ConcurrenceSpectrum(dims, values)
 
 
+# A sound row takes one pass; a row with two faults still names the one
+# that the diagnostic passes meet first: NaN, then the range, then a bound.
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((math.nan, -0.5, 0.3), "^a concurrence value is NaN$"),
+        ((-0.5, math.nan, 0.3), "^a concurrence value is NaN$"),
+        ((0.3, 1.2, math.nan), "^a concurrence value is NaN$"),
+        ((-0.5, 1.2, 0.3), r"^concurrences lie in \[0, sqrt\(2\)\], got -0.5$"),
+        ((1.2, 0.3, -1e-300), r"^concurrences lie in \[0, sqrt\(2\)\], got -1e-300$"),
+    ],
+    ids=["nan-then-negative", "negative-then-nan", "over-bound-and-nan", "negative-and-over-bound", "over-bound-then-negative"],
+)
+def test_spectrum_names_the_first_of_two_faults(values, message):
+    from gmepyramid import ConcurrenceSpectrum
+
+    with pytest.raises(ValueError, match=message):
+        ConcurrenceSpectrum((2, 2, 2), values)
+
+
 def test_spectrum_cuts_are_read_from_the_table_entry(monkeypatch):
     from gmepyramid import ConcurrenceSpectrum
 
@@ -527,7 +549,7 @@ class TestSpectrumForest:
 
 
 # N = 2..9 qubits, qutrits in several places and the lopsided dims; (2,) * 9
-# cuts its root groups into chunks of _CHUNK_FLOOR // 512 = 4 roots. In
+# cuts its root groups into chunks of (_CHUNK_FLOOR // 512)^2 = 16 roots. In
 # (3, 3, 2, 2, 2) and (2, 2, 3, 3, 2) the childless root of the two qutrits
 # takes the Gram product of its other side.
 BATCH_DIMS = [(2,) * n for n in range(2, 10)] + [
@@ -658,9 +680,10 @@ class TestBatchedSpectrum:
         module = importlib.import_module("gmepyramid.concurrence")
         dims = (2,) * 9
         state = batch_state(dims, kind)
-        # The 126 roots, with children or without, share one own-side shape, (2, 2, 2, 2).
+        # The 126 roots, with children or without, share one own-side shape,
+        # (2, 2, 2, 2), and go (2^11 // 2^9)^2 = 16 to a chunk.
         chunks = module._plan(dims).chunks
-        assert [len(chunk[0]) for chunk in chunks] == [4] * 31 + [2]
+        assert [len(chunk[0]) for chunk in chunks] == [16] * 7 + [14]
         chunked = full_spectrum(state).values
 
         # One chunk of every root, then one root per chunk, cut by a
@@ -684,6 +707,38 @@ class TestBatchedSpectrum:
             assert abs(0.5 * a * a - 0.5 * b * b) <= 1e-15
             assert abs(0.5 * a * a - 0.5 * c * c) <= 1e-15
             assert abs(1.0 - 0.5 * a * a - p) <= 1e-15
+
+    # Above 2^10 amplitudes a chunk holds one root, as under a floor of 1,
+    # and the plan is the one these digests were recorded from before the
+    # chunk size came to depend on D: its chunks, order and bounds.
+    @pytest.mark.parametrize(
+        "dims, digest",
+        [
+            ((2,) * 11, "1d9b81dc92f9cb9336ad204e4cfeb963f515da980e978674bd694674394ed3bb"),
+            ((3, 3) + (2,) * 9, "b61ff9e4728cbc5120a162277dbd1fd352ae1d3b8cdd493b7dda784adbfd6e53"),
+        ],
+        ids=["2^11", "mixed11"],
+    )
+    def test_a_plan_above_2_to_the_10_amplitudes_is_unchanged(self, monkeypatch, dims, digest):
+        module = importlib.import_module("gmepyramid.concurrence")
+
+        def record(plan):
+            h = hashlib.sha256()
+            for source, d_root, size, starts, steps in plan.chunks:
+                assert isinstance(source, tuple)
+                steps = [(p.start, p.stop, a, d, b, o.start, o.stop) for p, a, d, b, o in steps]
+                starts = None if starts is None else starts[8].tolist()
+                h.update(repr((source, d_root, size, starts, steps)).encode())
+            h.update(repr((plan.buffer, plan.order.tolist(), plan.bounds)).encode())
+            return h.hexdigest()
+
+        assert record(module._plan(dims)) == digest
+        monkeypatch.setattr(module, "_CHUNK_FLOOR", 1)
+        module._plan.cache_clear()
+        try:
+            assert record(module._plan(dims)) == digest
+        finally:
+            module._plan.cache_clear()
 
     # At odd N above 2^10 amplitudes each hub, the rest H of a top-size cut
     # without sites 1 and N, takes one Gram product for its root and every
@@ -775,6 +830,121 @@ class TestExactSpectra:
         d = dims[0]
         values = full_spectrum(qudit_ghz_state(dims)).values
         assert max(abs(c - math.sqrt(2.0 * (d - 1) / d)) for c in values) <= 4.4e-16
+
+
+def real_product_state(dims, sites, seed):
+    """Exact product of real Gaussian factors on ``sites`` and on the rest."""
+    rng = np.random.default_rng(seed)
+    rest = tuple(i for i in range(1, len(dims) + 1) if i not in sites)
+    joint = np.multiply.outer(
+        rng.standard_normal([dims[i - 1] for i in sites]),
+        rng.standard_normal([dims[i - 1] for i in rest]),
+    )
+    order = tuple(sites) + rest
+    joint = joint.transpose([order.index(s) for s in range(1, len(dims) + 1)])
+    return PureState(dims, joint.ravel(), normalize=True)
+
+
+class TestMinorsOracle:
+    """The sum of squared 2x2 minors (``tests/minors.py``) reads a zero cut
+    near eps, where both purity routes read near sqrt(eps). Against it the
+    plan's near-zero error is pinned at the bound measured when the oracle
+    came in (2 vCPUs, OpenBLAS 0.3.31 Haswell kernel), so a change that moves
+    it shows; the bounds are not the true error of a correct spectrum."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2,) * 5, (3, 2, 2, 3), (2,) * 8], ids=str)
+    def test_matches_the_dense_oracle_on_haar_states(self, dims):
+        state = haar_random_state(dims, seed=[121, len(dims)])
+        for cut in canonical_bipartitions(len(dims)):
+            assert abs(minor_purity(state, cut) - dense_oracle_purity(state, cut)) <= 1e-14, cut.label()
+
+    # Unrotated, every amplitude is +-1/8 and the cut between two components
+    # reads exactly 0.
+    @pytest.mark.parametrize("rotated", [False, True], ids=["graph", "rotated"])
+    @pytest.mark.parametrize(
+        "n, edges", [GRAPHS[0], (6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)])], ids=["G(6)", "two-components"]
+    )
+    def test_matches_graph_state_closed_forms(self, n, edges, rotated):
+        state = graph_state(n, edges)
+        if rotated:
+            for site in range(1, n + 1):
+                state = apply_local_unitary(state, site, random_local_unitary(2, seed=[122, n, site]))
+        for cut in canonical_bipartitions(n):
+            rank = cut_rank(edges, cut.subset)
+            oracle = minor_concurrence(state, cut)
+            assert abs(oracle - math.sqrt(2.0 * (1.0 - 2.0**-rank))) <= 1e-15, cut.label()
+            assert rank or rotated or oracle == 0.0, cut.label()
+
+    @pytest.mark.parametrize("n, m", [(6, 2), (8, 3)])
+    def test_matches_dicke_closed_forms(self, n, m):
+        state = dicke_state(n, m)
+        for cut in canonical_bipartitions(n):
+            k = cut.size
+            weights = [math.comb(k, j) * math.comb(n - k, m - j) for j in range(min(k, m) + 1)]
+            exact = math.sqrt(2.0 * (1.0 - sum(w * w for w in weights) / math.comb(n, m) ** 2))
+            assert abs(minor_concurrence(state, cut) - exact) <= 1e-15, cut.label()
+
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (3, 3, 3, 3), (4, 4, 4, 4)], ids=str)
+    def test_matches_the_qudit_ghz_cut_bound(self, dims):
+        d = dims[0]
+        for cut in canonical_bipartitions(len(dims)):
+            assert abs(minor_concurrence(qudit_ghz_state(dims), cut) - math.sqrt(2.0 * (d - 1) / d)) <= 1e-15
+
+    def test_refuses_a_state_above_its_cap(self):
+        with pytest.raises(ValueError, match="^512 amplitudes exceed the minors oracle's cap 256$"):
+            minor_concurrence(ghz_state(9), (1,))
+
+    # The product's own cut reads at most 1.6e-16 on the oracle, and up to
+    # 4.71e-8 (10 ulps of purity) on the plan: bound 2^-24, 16 ulps. Every
+    # other cut agrees to 4.7e-14.
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2), (2, 2, 3, 2, 2), (2, 3, 2, 3, 2, 2), (2,) * 8], ids=str)
+    def test_plan_error_on_products_across_every_cut(self, dims):
+        n, errors = len(dims), []
+        for k, cut in enumerate(canonical_bipartitions(n)):
+            for state in (
+                random_product_state(dims, cut.subset, seed=[123, n, k]),
+                real_product_state(dims, cut.subset, seed=[124, n, k]),
+            ):
+                spectrum = full_spectrum(state)
+                oracle = minor_concurrence(state, cut)
+                assert oracle <= 2e-16, cut.label()
+                errors.append(abs(spectrum.values[k] - oracle))
+                if n <= 6:
+                    for other, c in zip(spectrum.cuts, spectrum.values):
+                        if other != cut:
+                            assert abs(c - minor_concurrence(state, other)) <= 1e-13, (cut.label(), other.label())
+        assert max(errors) <= 2.0**-24
+
+    # One amplitude, rescaled by normalize=True to 0.9999999999999999: every
+    # minor is exactly 0, while the plan reads 2^-25 = 2.98e-8 on every cut
+    # (purity 4 ulps below 1).
+    @pytest.mark.parametrize("dims", [(2,) * 4, (2, 3, 2), (3, 3, 2, 2), (2,) * 8], ids=str)
+    def test_plan_error_on_basis_states(self, dims):
+        total = math.prod(dims)
+        for index in range(0, total, max(1, total // 4)):
+            amps = np.zeros(total)
+            amps[index] = math.cos(0.1) * math.sqrt(1.0 - math.tan(0.1) ** 2)
+            state = PureState(dims, amps, normalize=True)
+            spectrum = full_spectrum(state)
+            for cut, c in zip(spectrum.cuts, spectrum.values):
+                assert minor_concurrence(state, cut) == 0.0
+                assert c <= 2.0**-25, (index, cut.label())
+
+    # (1 + eps/sqrt(2))|0000> + (eps/sqrt(2))|1111>, normalized: every cut is
+    # 2ab / (a^2 + b^2). The oracle holds it to 1e-15 relative; the plan reads
+    # 1.460e-7 at eps = 1e-7 (4.6e-9 off) and 0.0 below: bound 2^-27 = 7.5e-9.
+    @pytest.mark.parametrize("eps", [1e-7, 1e-9, 1e-11])
+    def test_plan_error_on_a_near_product_ghz4(self, eps):
+        amps = np.zeros(16)
+        amps[0] = 1.0
+        state = PureState((2,) * 4, amps + eps * ghz_state(4).amplitudes, normalize=True)
+        a, b = 1.0 + eps / math.sqrt(2.0), eps / math.sqrt(2.0)
+        exact = 2.0 * a * b / (a * a + b * b)
+        spectrum = full_spectrum(state)
+        for cut, c in zip(spectrum.cuts, spectrum.values):
+            oracle = minor_concurrence(state, cut)
+            assert abs(oracle - exact) <= 1e-15 * exact, cut.label()
+            assert abs(c - oracle) <= 2.0**-27, cut.label()
 
 
 def dynamic_openblas():

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from collections import Counter
 
@@ -25,6 +26,7 @@ from gmepyramid import (
     w_state,
 )
 from gmepyramid.catalog import benchmark_states, phi_biseparable, psi_a, psi_b, psi_c
+from gmepyramid.measures import check_tolerance
 
 SQRT3_OVER_2 = math.sqrt(3) / 2
 
@@ -321,6 +323,39 @@ class TestEvaluate:
             volume(spectrum, zero_tol=tol)
         with pytest.raises(ValueError, match=message):
             classify(spectrum, zero_tol=tol)
+
+    ENTRIES = {
+        "evaluate": lambda tol: evaluate(phi_biseparable(), zero_tol=tol),
+        "classify": lambda tol: classify(full_spectrum(phi_biseparable()), zero_tol=tol),
+        "volume": lambda tol: volume(full_spectrum(phi_biseparable()), zero_tol=tol),
+        "base_edge": lambda tol: base_edge(full_spectrum(phi_biseparable()), zero_tol=tol),
+        "height": lambda tol: height(full_spectrum(phi_biseparable()), zero_tol=tol),
+    }
+
+    @pytest.mark.parametrize(
+        "tol, shown",
+        [(float("nan"), "nan"), (-1.0, "-1.0"), (float("inf"), "inf"), (True, "True"), (10**400, "inf"), (-(10**400), "-inf")],
+        ids=["nan", "negative", "inf", "bool", "huge", "huge-negative"],
+    )
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_each_public_entry_refuses_a_bad_tolerance(self, entry, tol, shown):
+        with pytest.raises(ValueError, match=f"^tolerance must be finite and >= 0, got {re.escape(shown)}$"):
+            self.ENTRIES[entry](tol)
+
+    # The helpers behind the entries take the checked value: one check per
+    # call, also where a state has zero cuts, as phi_biseparable does.
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_each_public_entry_checks_the_tolerance_once(self, monkeypatch, entry):
+        module = sys.modules["gmepyramid.measures"]
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return check_tolerance(value)
+
+        monkeypatch.setattr(module, "check_tolerance", counted)
+        assert self.ENTRIES[entry]("1e-7") == self.ENTRIES[entry](1e-7)
+        assert calls == ["1e-7", 1e-7]
 
     @pytest.mark.parametrize("measure", [classify, volume, base_edge, height])
     @pytest.mark.parametrize("build", [phi_biseparable, psi_a])
