@@ -10,9 +10,9 @@ their labels, the forest of ``concurrence.full_spectrum``'s partial traces
 (a cut's children drop one site of its trailing run N, N - 1, ..., and at even
 N a half-size cut's children also drop subsystem 1), the index of its first
 root, and its subtree ids, each formed as its cut arrives, after its children.
-At odd N up to 13 it also hangs every top-size cut but those without sites
-1 and N under one hub, one party larger and holding 1 and N, found in
-closed form.
+At odd N up to 13 a top-size cut R without sites 1 and N is a forest node
+too, whose children hang on its rest, a hub one party larger that holds 1
+and N: every other top-size cut is a child of one hub, found in closed form.
 Party counts go through ``states.check_subsystem_count`` before any O(N) work,
 indices through :func:`split`, the one check of a cut's indices.
 """
@@ -159,12 +159,14 @@ def _cut_table(n: int) -> _CutTable:
     H minus one site x for exactly one hub, found in closed form as S
     arrives: x is n when S lacks n, else 1 when S lacks 1, else the least
     site outside S. So a hub's children drop n or one site of its leading
-    run 1, 2, ... ``hubs`` holds one row ``(R, id)`` per hub, R in
-    increasing order, where the hub's key holds the traced positions in H.
-    R has no children in the forest (id 0); its hub's children, in
-    increasing order, start at ``kids[first[R]]`` and follow the forest's,
-    hub by hub. A hub's id is formed once the pass is done, since a child
-    may arrive after R. Otherwise, and at even n, ``hubs`` has no rows.
+    run 1, 2, ... R lacks n, so it has no children of its own side; it is
+    a forest node whose children hang on its rest: ``subtree[R]`` is the
+    hub's id, whose key holds the traced positions in H, and the hub's
+    children, in increasing order, start at ``kids[first[R]]`` and follow
+    the forest's, hub by hub. ``hubs`` holds the hub roots R in increasing
+    order; they are the top-size cuts with no parent. A hub's id is formed
+    once the pass is done, since a child may arrive after R. Otherwise, and
+    at even n, ``hubs`` is empty.
     """
     # Canonical order puts every cut before the cuts one party larger, so the
     # subsets indexed so far hold each child, and its id, of the cut that arrives.
@@ -205,12 +207,11 @@ def _cut_table(n: int) -> _CutTable:
                     pos += 1
                 hub = subset[:pos] + (pos + 1,) + subset[pos:]
             under.setdefault(hub, []).append((i, (pos, subtree[i])))
-    rows, sites = [], frozenset(range(1, n + 1))
-    for r, rest in hubs:
-        children = under[tuple(sorted(sites.difference(rest)))]
+    for r, subset in hubs:  # the hub of R is its rest
+        children = under[tuple([s for s in range(1, n + 1) if s not in subset])]
         first[r] = len(kids)
         kids.extend([c for c, _ in children])
-        rows.append((r, tree_ids.setdefault(tuple([k for _, k in children]), len(tree_ids))))
+        subtree[r] = tree_ids.setdefault(tuple([k for _, k in children]), len(tree_ids))
     subsets = np.frombuffer(padded, dtype=np.uint8).reshape(-1, top)
-    hubs = np.array(rows, dtype=np.intp).reshape(-1, 2)
+    hubs = np.array([r for r, _ in hubs], dtype=np.intp)
     return _CutTable(subsets, tuple(labels), first, kids, len(index), subtree, list(tree_ids), hubs)

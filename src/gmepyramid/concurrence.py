@@ -26,24 +26,26 @@ the multi-party values ``values[n:]``; a cut-keyed dict is built only when
 It runs the cut forest held in the per-N table entry of plain subsets
 (``bipartitions._cut_table``): every cut T below the top size n // 2
 hangs under a canonical cut P = T + {x} one party larger, and
-rho_T = Tr_x rho_P. The top-size cuts are the roots. Every root takes one
-Gram product rho = M M^dag of its Gram side: its own side, or the rest
-when m < d_S (a lopsided root, dims such as (2, 2, 2, 64, 64)), which has
-the same purity. Every cut below a root of its own side gets its rho by
-tracing one site out of its parent's, a sum of d_x slices of the parent's
-rho, and its purity as ||rho_T||_F^2; a lopsided root traces nothing, and
-its children become roots in turn. At odd n = 2k + 1 a state above 2^10
-amplitudes goes one level higher: a top-size cut R without sites 1 and n
-takes the Gram product of its rest H, a hub of k + 1 sites, and every
-other top-size cut is H minus one site for one hub, so it takes a trace
-of rho_H in place of a Gram product of its own (13 qubits: 462 Gram
-products in place of 1716). A hub is taken only when d_H^2 <= 2 D, its
-rho fits ``_HUB_CAP`` (2^14 amplitudes) and none of its children is
-lopsided; otherwise R and its children stay roots. So no rho larger than
-the state is formed, apart from a hub's, which holds at most twice the
-state and at most 2^14 amplitudes. The forest becomes a plan once per
-dims tuple (:func:`_plan`; at most ``_PLAN_CACHE_SIZE`` plans are kept),
-which adds to the table entry only what depends on dims;
+rho_T = Tr_x rho_P. At odd n = 2k + 1 up to 13 the forest reaches one
+level higher: a top-size cut R without sites 1 and n is a node whose
+children hang on its rest H, a hub of k + 1 sites that holds 1 and n, and
+every other top-size cut is H minus one site for exactly one hub. The
+cuts with no parent, the hub roots or else the top-size cuts, are the
+roots. Every root takes one Gram product rho = M M^dag of its Gram side:
+its own side, or the rest, which has the same purity, when m < d_S (a
+lopsided root, dims such as (2, 2, 2, 64, 64)) or when it is a hub root
+whose hub is taken. A hub is taken above 2^10 amplitudes when d_H^2 <=
+min(2 D, ``_HUB_CAP``), 2^14 amplitudes; its children then take a trace
+of rho_H in place of a Gram product of their own (13 qubits: 462 Gram
+products in place of 1716), and, each a site of dimension >= 2 smaller,
+none of them is lopsided. A lopsided root, or a hub root whose hub is not
+taken, traces nothing, and its children become roots in turn. Every other
+cut gets its rho by tracing one site out of its parent's, a sum of d_x
+slices of the parent's rho, and its purity as ||rho_T||_F^2. So no rho
+larger than the state is formed, apart from a taken hub's, which holds at
+most twice the state and at most 2^14 amplitudes. The forest becomes a
+plan once per dims tuple (:func:`_plan`; at most ``_PLAN_CACHE_SIZE``
+plans are kept), which adds to the table entry only what depends on dims;
 ``canonical_bipartitions.cache_clear`` empties the plans with the table
 entries and the cut tuples. The plan groups the roots by their Gram
 side's dimension and cuts each group into chunks of q^2 roots, q = 2^11 // D
@@ -55,19 +57,19 @@ copy of the state, the Gram side's sites first. One builder,
 subtree, the sites traced level by level) breadth first and makes the
 chunk one flat record: its source, buffer size, state starts and steps. A
 step traces one site out of the states in its parent's buffer slice into
-its own slice, for all of a run's roots at once; a childless or lopsided
-root takes none. A chunk takes one gather, one batched Gram product, its
-steps in turn, and one pass that reduces every purity of the chunk from
-its buffer. The chunks take their buffers in turn from one allocation per
-spectrum, the size of the largest.
+its own slice, for all of a run's roots at once; a root that is
+childless or traces nothing takes none. A chunk takes one gather, one
+batched Gram product, its steps in turn, and one pass that reduces every
+purity of the chunk from its buffer. The chunks take their buffers in
+turn from one allocation per spectrum, the size of the largest.
 
-At n <= 3 every cut is a childless root, and :func:`full_spectrum` still
-takes one :func:`concurrence` call per cut: the benchmark counts the
-spectrum's work by the ``reduced_purity`` calls and pins three on GHZ3
-(ROADMAP item 1). Real states stay on float64 throughout. Summation orders
-differ from the per-cut route, so values agree with it to a few ulps. The
-plan also holds each cut's bound sqrt(2 (m - 1) / m), m = min(d_S,
-D / d_S), which :class:`ConcurrenceSpectrum` checks every value against.
+At n <= 3 :func:`full_spectrum` runs no plan and still takes one
+:func:`concurrence` call per cut: the benchmark counts the spectrum's work
+by the ``reduced_purity`` calls and pins three on GHZ3 (ROADMAP item 1).
+Real states stay on float64 throughout. Summation orders differ from the
+per-cut route, so values agree with it to a few ulps. The plan also holds
+each cut's bound sqrt(2 (m - 1) / m), m = min(d_S, D / d_S), which
+:class:`ConcurrenceSpectrum` checks every value against.
 """
 
 from __future__ import annotations
@@ -251,23 +253,22 @@ class _Plan(NamedTuple):
 def _plan(dims: tuple[int, ...]) -> _Plan:
     """The spectrum plan and the cut bounds of ``dims``, a checked dims tuple.
 
-    Every root is named by its Gram side, whose Gram product it takes: its
-    own side, and it leads its subtree, or the rest when m < d_S, and the
-    root is lopsided: it traces nothing, and its children become roots in
-    turn. When a chunk holds one root (below), a hub's root R, a top-size
-    cut without sites 1 and n at odd n, takes the rest H instead and leads
-    the hub's subtree, if d_H^2 <= min(2 D, _HUB_CAP) and no child of the
-    hub is lopsided; the top-size cuts under it are then no roots. The
-    other hubs' roots and children stay roots, as every hub's do when D <=
-    2^10. The root's one transpose order puts its Gram side's sites first.
+    The roots start as the table's hub roots, or as every top-size cut when
+    it has none. Every root is named by its Gram side, whose Gram product
+    it takes: the rest when it is lopsided, m < d_S, or a hub root whose
+    hub is taken, else its own side. A hub is taken when a chunk holds one
+    root (below) and d_H^2 <= min(2 D, _HUB_CAP). A lopsided root, or a hub
+    root whose hub is not taken, traces nothing, and its children become
+    roots in turn; every other root traces its subtree. The root's one
+    transpose order puts its Gram side's sites first.
     The roots are grouped by their Gram side's dimension d_root and cut
     into chunks of max(1, (_CHUNK_FLOOR // D)^2) roots. When D > 2^10 a chunk
     holds one root, and its source is that transpose order, a tuple.
     Otherwise the source is the (B, d_root, D / d_root) flat indices of its
     roots' matrices in that order. A chunk's members fall into runs of one
-    Gram-side shape and one subtree id (a taken hub's id for its root), and
-    :func:`_chunks` builds the chunk from its runs; a childless or lopsided
-    root has id 0 and no steps. A run's one-root chunks are built at once
+    Gram-side shape and one subtree id, and :func:`_chunks` builds the chunk
+    from its runs; a root that traces nothing runs as id 0, with no steps,
+    as a childless one does. A run's one-root chunks are built at once
     and share all but their sources. Built from the table entry of
     ``len(dims)`` parties, whose subsets give every root's transpose order
     at once, with Python per root and per step, none per trace or hub; no
@@ -278,37 +279,30 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     first, kids, keys = table.first, table.kids, table.keys
     own = np.array((1,) + dims, dtype=np.intp)[table.subsets]
     d_s = own.prod(axis=1)
-    m = np.minimum(d_s, total // d_s)
+    d_rest = total // d_s
+    m = np.minimum(d_s, d_rest)
     # A value at its bound comes from a purity that may round below 1/m: allow
     # 2 sqrt(D) ulps, a few at small D, growing with the amplitudes summed.
     bounds = np.sqrt(2.0 * (m - 1) / m) * (1.0 + 2.0 * math.sqrt(total) * np.finfo(float).eps)
 
+    # A root's Gram side is its rest when it is lopsided, m < d_S, or its hub
+    # is taken. A lopsided hub root whose hub is not taken still traces
+    # nothing, though its children hang on its rest: only a taken hub
+    # replaces its children's Gram products with traces.
     lopsided = m < d_s
     per_chunk = max(1, (_CHUNK_FLOOR // total) ** 2)
-    roots, hubs = range(table.roots, len(m)), {}
-    if per_chunk == 1 and len(table.hubs):
-        # A hub is taken when its rho fits the caps and none of its children
-        # is lopsided; the top-size cuts under a taken hub leave the roots.
-        hub_roots, hub_trees = table.hubs.T
-        at = np.asarray(first)[hub_roots]
-        under = np.asarray(kids)[at[0] :]
-        d_hub = total // d_s[hub_roots]
-        taken = d_hub * d_hub <= min(2 * total, _HUB_CAP)
-        taken &= ~np.logical_or.reduceat(lopsided[under], at - at[0])
-        covered = np.zeros(len(m), dtype=bool)
-        covered[under[np.repeat(taken, np.diff(at, append=len(kids)))]] = True
-        roots = np.flatnonzero(~covered[table.roots :]) + table.roots
-        hubs = dict(zip(hub_roots[taken].tolist(), hub_trees[taken].tolist()))
-    roots, flipped = list(roots), lopsided.tolist()
-    for r in roots:  # a lopsided root's children join the roots, and are met in turn
+    hub = np.zeros(len(m), dtype=bool)
+    hub[table.hubs] = True
+    taken = hub & (d_rest * d_rest <= min(2 * total, _HUB_CAP)) & (per_chunk == 1)
+    rest = lopsided | taken
+    flipped = ((lopsided | hub) & ~taken).tolist()
+    roots = table.hubs.tolist() if len(table.hubs) else list(range(table.roots, len(m)))
+    for r in roots:  # a root that traces nothing hands its children to the roots, met in turn
         if flipped[r]:
             roots += kids[first[r] : first[r] + len(keys[table.subtree[r]])]
 
-    # Every root's Gram side, its own or, when m < d_S or its hub is taken,
-    # the rest, as a mask (column 0 takes the padding); its stable argsort is
-    # the transpose order.
-    rest = lopsided.copy()
-    rest[list(hubs)] = True
+    # Every root's Gram side as a mask (column 0 takes the padding); its
+    # stable argsort is the transpose order.
     inside = np.zeros((len(roots), n + 1), dtype=bool)
     inside[np.arange(len(roots))[:, None], table.subsets[roots]] = True
     gram = inside[:, 1:] != rest[roots, None]
@@ -319,7 +313,7 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     groups, axes = {}, {}
     for r, ax, k in zip(roots, orders, gram.sum(axis=1).tolist()):
         axes[r], shape = tuple(ax), tuple([dims[a] for a in ax[:k]])
-        run = (shape, hubs.get(r, 0 if flipped[r] else table.subtree[r]))
+        run = (shape, 0 if flipped[r] else table.subtree[r])
         groups.setdefault(math.prod(shape), {}).setdefault(run, []).append(r)
 
     if per_chunk > 1:  # D <= 2^10: gathered flat indices fit 16 bits
@@ -350,8 +344,8 @@ def _chunks(sources: list, d_root: int, runs: list, table) -> tuple[list, np.nda
     one each, and the cut of every state in their buffers, chunk by chunk.
 
     A run ``((shape, tree), roots)`` lists like roots: their Gram side has
-    ``shape`` and their subtree id is ``tree``, a hub's for a hub's root,
-    whose children are read from the table as a cut's are. One source takes
+    ``shape`` and their subtree id is ``tree``, whose traced positions lie
+    in that side (a hub's, in H, for a taken hub's root). One source takes
     all the roots of ``runs``; several share one layout, and each takes one
     root, source j the run's ``roots[j]``. Each run is walked once, breadth
     first.

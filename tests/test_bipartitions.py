@@ -257,13 +257,16 @@ class TestCutForest:
         assert len(first) == len(cuts)
         assert {cut.size for cut in cuts[top:]} == {n // 2}
         assert all(cut.size < n // 2 for cut in cuts[:top])
-        # Each child's traced position is read from its parent's key.
+        # Each child's traced position is read from its parent's key. A hub
+        # root's children hang on its rest (the next test), so it is skipped.
+        hubs = set(table.hubs.tolist())
+        own = [i for i in range(len(cuts)) if i not in hubs]
         parent_of = {}
-        for i in range(len(cuts)):
+        for i in own:
             children = kids[first[i] : first[i] + len(keys[table.subtree[i]])]
             assert all(a < b for a, b in zip(children, children[1:]))
             parent_of.update((c, (i, rank)) for rank, c in enumerate(children))
-        assert sum(len(keys[tree]) for tree in table.subtree) == top
+        assert sum(len(keys[table.subtree[i]]) for i in own) == top
         assert sorted(parent_of) == list(range(top))
         for c, (p, rank) in parent_of.items():
             child, parent = cuts[c].subset, cuts[p].subset
@@ -273,7 +276,9 @@ class TestCutForest:
             largest_outside = max(s for s in range(1, n + 1) if s not in child)
             assert x == (1 if half and 1 not in child else largest_outside)
 
-    # At odd n the hubs' children follow the forest's in kids, hub by hub.
+    # At odd n a hub root R is a forest node whose children hang on its rest
+    # H: its subtree id is the hub's, and its children follow the forest's in
+    # kids, hub by hub.
     # From n = 15 on a hub's rho would exceed the cap: the table forms none.
     @pytest.mark.parametrize("n", range(2, 16))
     def test_every_other_top_size_cut_hangs_under_one_hub_at_odd_n(self, n):
@@ -281,16 +286,17 @@ class TestCutForest:
         table = _cut_table(n)
         top, keys = table.roots, table.keys
         if n % 2 == 0 or n > 13:
-            assert table.hubs.shape == (0, 2)
+            assert table.hubs.shape == (0,)
             assert len(table.kids) == top
             return
-        rests = table.hubs[:, 0].tolist()
+        rests = table.hubs.tolist()
         subsets = [cut.subset for cut in cuts]
         assert rests == [i for i in range(top, len(cuts)) if 1 not in subsets[i] and n not in subsets[i]]
         assert len(rests) == math.comb(n - 2, n // 2)
         hub_of = {}
-        for r, tree in table.hubs.tolist():
-            assert table.subtree[r] == 0
+        for r in rests:
+            tree = table.subtree[r]
+            assert tree != 0
             hub = cuts[r].complement()
             children = table.kids[table.first[r] : table.first[r] + len(keys[tree])]
             assert all(a < b for a, b in zip(children, children[1:]))

@@ -710,12 +710,15 @@ class TestBatchedSpectrum:
 
     # Above 2^10 amplitudes a chunk holds one root, as under a floor of 1,
     # and the plan is the one these digests were recorded from before the
-    # chunk size came to depend on D: its chunks, order and bounds.
+    # chunk size came to depend on D: its chunks, order and bounds. mixed11's
+    # was recorded again once hub roots became forest nodes: its roots start
+    # from the hub roots, so the same chunks, each with the same cuts, come
+    # in another order, and every value is bit-identical.
     @pytest.mark.parametrize(
         "dims, digest",
         [
             ((2,) * 11, "1d9b81dc92f9cb9336ad204e4cfeb963f515da980e978674bd694674394ed3bb"),
-            ((3, 3) + (2,) * 9, "b61ff9e4728cbc5120a162277dbd1fd352ae1d3b8cdd493b7dda784adbfd6e53"),
+            ((3, 3) + (2,) * 9, "a0308d6a31fd06b13ae7d87df68454850138a9d8a2578fc51cafd3edc541c242"),
         ],
         ids=["2^11", "mixed11"],
     )
@@ -764,6 +767,43 @@ class TestBatchedSpectrum:
                 assert {0, n - 1} <= set(source[:k])
                 taken += 1
         assert taken == hubs
+
+    # At D <= 2^10 no hub is taken, and a hub root traces nothing, lopsided
+    # or not: R = {3, 4} of (2, 2, 3, 3, 2) takes the Gram product of its
+    # rest (81 > 72), and the hub's children stay roots of their own. Were
+    # it to trace its hub, these plans would take 7, 8 and 27 products.
+    @pytest.mark.parametrize(
+        "dims, grams",
+        [((2, 2, 3, 3, 2), 10), ((2, 3, 3, 2, 2), 10), ((2, 2, 2, 3, 3, 2, 2), 36)],
+        ids=str,
+    )
+    def test_a_lopsided_hub_root_of_a_small_state_traces_nothing(self, dims, grams):
+        module = importlib.import_module("gmepyramid.concurrence")
+        chunks = module._plan(dims).chunks
+        assert sum(1 if isinstance(source, tuple) else len(source) for source, *_ in chunks) == grams
+
+    # A hub is taken when d_H^2 <= min(2 D, _HUB_CAP); each of its children
+    # drops a site of dimension >= 2, so d_S^2 <= d_H^2 / 4 <= D / 2: no child
+    # of a taken hub is lopsided. In (2,)*5 + (8,) + (2,)*5 the hubs without
+    # site 6 fit and those holding it do not.
+    @pytest.mark.parametrize(
+        "dims, fit",
+        [((2,) * 11, 126), ((2,) * 13, 462), ((3, 3) + (2,) * 9, 70), ((2,) * 5 + (8,) + (2,) * 5, 70)],
+        ids=str,
+    )
+    def test_no_child_of_a_hub_that_fits_is_lopsided(self, dims, fit):
+        module = importlib.import_module("gmepyramid.concurrence")
+        table = module._cut_table(len(dims))
+        total = math.prod(dims)
+        size = [math.prod([dims[s - 1] for s in subset if s]) for subset in table.subsets.tolist()]
+        fits = 0
+        for r in table.hubs.tolist():
+            d_rest = total // size[r]
+            if d_rest * d_rest <= min(2 * total, module._HUB_CAP):
+                fits += 1
+                children = table.kids[table.first[r] : table.first[r] + len(table.keys[table.subtree[r]])]
+                assert all(size[c] * size[c] <= total for c in children)
+        assert fits == fit
 
     def test_the_plan_cache_is_bounded_and_cleared_with_the_cut_tables(self):
         module = importlib.import_module("gmepyramid.concurrence")
