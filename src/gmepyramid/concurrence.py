@@ -14,7 +14,11 @@ matrix of the given side from flat indices built by explicit digit-stride
 arithmetic: it gathers the cut-by-rest amplitude matrix A in one step (one
 transient copy of the state), forms rho_S = A A^dag and takes Tr(rho_S^2).
 It never reshapes or transposes the state tensor, and serves as a
-cross-check against indexing mistakes in the fast path.
+cross-check against indexing mistakes in the fast path. The offsets of a
+side's digit tuples are computed once per (dims, side) and kept, at most
+``_ORACLE_CACHE_SIZE`` pairs, every cut of one 13-party shape;
+``canonical_bipartitions.cache_clear`` empties them with the other shape
+caches.
 
 :func:`full_spectrum` holds a state's spectrum as one row, ``(dims, values)``:
 the concurrences in the order of the shared ``canonical_bipartitions`` tuple,
@@ -95,6 +99,9 @@ DENSE_ORACLE_CAP = 4096
 _CHUNK_FLOOR = 2**11
 # Plans kept, one per dims tuple; a permuted dims tuple is another key.
 _PLAN_CACHE_SIZE = 64
+# Dense-oracle offsets kept, one pair per (dims, side): every cut of one
+# 13-party shape fits, about 12.7 MB at 13 qubits.
+_ORACLE_CACHE_SIZE = 4095
 
 
 def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
@@ -393,37 +400,51 @@ def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> f
     :func:`reduced_purity`: the d_S x d_rest amplitude matrix A of the
     given side is gathered from the flat vector in one indexing step, and
     rho_S = A A^dag is one product whose Tr(rho_S^2) is returned. The
-    gather holds one transient copy of the state plus its index array.
-    Intended for verification; refuses reduced dimensions above
-    ``DENSE_ORACLE_CAP``.
+    row and column offsets of A are computed once per (dims, side) and
+    kept (:func:`_oracle_offsets`); the gather holds one transient copy of
+    the state plus its index array. Intended for verification; refuses
+    reduced dimensions above ``DENSE_ORACLE_CAP``.
     """
     subset, comp = split(cut, state.n)
     d_s = math.prod(state.dims[i - 1] for i in subset)
     if d_s > DENSE_ORACLE_CAP:
         raise ValueError(f"reduced dimension {d_s} exceeds the dense cap {DENSE_ORACLE_CAP}")
-
-    strides = [0] * state.n
-    acc = 1
-    for i in range(state.n - 1, -1, -1):
-        strides[i] = acc
-        acc *= state.dims[i]
-
-    def offsets(sites: tuple[int, ...]) -> np.ndarray:
-        # One column per digit tuple, in row-major order: the first site varies slowest.
-        digits = np.indices([state.dims[i - 1] for i in sites], dtype=np.intp)
-        site_strides = np.array([strides[i - 1] for i in sites], dtype=np.intp)
-        return site_strides @ digits.reshape(len(sites), -1)
-
-    a = state.amplitudes[offsets(subset)[:, None] + offsets(comp)]
+    rows, cols = _oracle_offsets(state.dims, subset, comp)
+    a = state.amplitudes[rows[:, None] + cols]
     rho = a @ a.conj().T
     return float(np.real(np.trace(rho @ rho)))
 
 
+@functools.lru_cache(maxsize=_ORACLE_CACHE_SIZE)
+def _oracle_offsets(
+    dims: tuple[int, ...], subset: tuple[int, ...], comp: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The flat offsets of the digit tuples of ``subset`` and of ``comp``,
+    the two sides of a cut of ``dims``, by digit-stride arithmetic; kept
+    read-only, since every call on that side shares them."""
+    strides = [0] * len(dims)
+    acc = 1
+    for i in range(len(dims) - 1, -1, -1):
+        strides[i] = acc
+        acc *= dims[i]
+    sides = []
+    for sites in (subset, comp):
+        # One column per digit tuple, in row-major order: the first site varies slowest.
+        digits = np.indices([dims[i - 1] for i in sites], dtype=np.intp)
+        site_strides = np.array([strides[i - 1] for i in sites], dtype=np.intp)
+        offsets = site_strides @ digits.reshape(len(sites), -1)
+        offsets.setflags(write=False)
+        sides.append(offsets)
+    return tuple(sides)
+
+
 def _clear_shape_caches() -> None:
-    """Empty the table entries, the cut tuples and the spectrum plans built on the tables."""
+    """Empty the table entries, the cut tuples, the spectrum plans built on
+    the tables and the dense oracle's offsets."""
     _cut_table.cache_clear()
     _cuts.cache_clear()
     _plan.cache_clear()
+    _oracle_offsets.cache_clear()
 
 
 canonical_bipartitions.cache_clear = _clear_shape_caches  # the one place that sets it

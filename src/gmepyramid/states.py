@@ -278,23 +278,52 @@ def serialize_state(state: PureState) -> str:
 
 
 def apply_local_unitary(state: PureState, site: int, u: np.ndarray) -> PureState:
-    """Apply a unitary on one subsystem (1-based ``site``)."""
-    site = as_index(site, "site")
-    if not 1 <= site <= state.n:
-        raise ValueError(f"site {site} out of range 1..{state.n}")
-    d = state.dims[site - 1]
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (d, d):
-        raise ValueError(f"unitary shape {u.shape} does not match subsystem dimension {d}")
-    # A nan entry would pass the defect test below (nan > tol is False).
-    if not np.isfinite(u).all():
-        raise ValueError("matrix entries must be finite (no nan or inf)")
-    defect = float(np.max(np.abs(u @ u.conj().T - np.eye(d))))
-    if defect > _UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3g})")
-    tensor = state.amplitudes.reshape(state.dims)
-    tensor = np.moveaxis(np.tensordot(u, tensor, axes=([1], [site - 1])), 0, site - 1)
-    return PureState(state.dims, tensor.ravel())
+    """Apply a unitary on one subsystem (1-based ``site``); the one-site
+    case of :func:`apply_local_unitaries`."""
+    return apply_local_unitaries(state, [site], [u])
+
+
+def apply_local_unitaries(
+    state: PureState, sites: Sequence[int], us: Sequence[np.ndarray]
+) -> PureState:
+    """Apply ``us[k]`` on subsystem ``sites[k]`` (1-based), in the order given.
+
+    The matrices of each local dimension are checked as one stack: shape,
+    finite entries and unitarity within 1e-10. Each step is one
+    ``tensordot`` on the flat vector the step before left, renormalized by
+    its computed norm, as a state built per step would be; the result is
+    built once, from the last step.
+    """
+    sites = [as_index(site, "site") for site in sites]
+    if len(us) != len(sites):
+        raise ValueError(f"expected {len(sites)} unitaries, got {len(us)}")
+    if not sites:
+        return state
+    for site in sites:
+        if not 1 <= site <= state.n:
+            raise ValueError(f"site {site} out of range 1..{state.n}")
+    us = [np.asarray(u, dtype=complex) for u in us]
+    stacks: dict[int, list[np.ndarray]] = {}
+    for site, u in zip(sites, us):
+        d = state.dims[site - 1]
+        if u.shape != (d, d):
+            raise ValueError(f"unitary shape {u.shape} does not match subsystem dimension {d}")
+        stacks.setdefault(d, []).append(u)
+    for d, stack in stacks.items():
+        stack = np.stack(stack)
+        # A nan entry would pass the defect test below (nan > tol is False).
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix entries must be finite (no nan or inf)")
+        defect = float(np.max(np.abs(stack @ stack.conj().transpose(0, 2, 1) - np.eye(d))))
+        if defect > _UNITARY_TOL:
+            raise ValueError(f"matrix is not unitary (defect {defect:.3g})")
+    amps = state.amplitudes
+    for k, (site, u) in enumerate(zip(sites, us)):
+        if k:  # the step before's renormalization; the result makes the last
+            amps /= float(np.linalg.norm(amps))
+        tensor = np.tensordot(u, amps.reshape(state.dims), axes=([1], [site - 1]))
+        amps = np.moveaxis(tensor, 0, site - 1).ravel()
+    return PureState(state.dims, _Owned(amps))
 
 
 def permute_subsystems(state: PureState, perm: Iterable[int]) -> PureState:

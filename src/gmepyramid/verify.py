@@ -8,6 +8,12 @@ through one trial loop. A trial draws only from substreams keyed by
 and a failing trial replays alone: ``_CHECKS[name].trial(config,
 worst_trial)`` returns the reported maximum deviation.
 
+In ``lu-invariance`` each trial rotates every site s by a Haar unitary
+drawn from its own substream (seed, trial, s); the draws of one local
+dimension are factored as one stack (one QR call), and the rotations are
+applied site by site in order, so the rotated state does not depend on how
+the sites are grouped.
+
 Checks cover invariance of the volume under local unitaries and subsystem
 relabeling, agreement of every value of ``full_spectrum`` with the dense
 oracle, vanishing volume on product constructions, the closed form on GHZ
@@ -35,7 +41,7 @@ from .measures import check_tolerance, volume
 from .states import (
     PureState,
     _Owned,
-    apply_local_unitary,
+    apply_local_unitaries,
     as_index,
     check_dims,
     permute_subsystems,
@@ -74,18 +80,27 @@ def random_product_state(dims: Sequence[int], cut_sites: Sequence[int], seed) ->
 
 
 def random_local_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed d x d unitary.
+    """Haar-distributed d x d unitary; the one-matrix case of :func:`_haar_unitaries`."""
+    return _haar_unitaries(d, [seed])[0]
 
-    QR of a complex Ginibre matrix; folding the phases of R's diagonal into
-    Q removes the sign ambiguity and makes the distribution Haar.
+
+def _haar_unitaries(d: int, seeds: Sequence) -> np.ndarray:
+    """Haar-distributed d x d unitaries, one per seed, as one stack.
+
+    Each complex Ginibre matrix is drawn from its own seed's stream, and
+    the stack takes one QR factorization; folding the phases of each R's
+    diagonal into its Q removes the sign ambiguity and makes the
+    distribution Haar (Mezzadri, Notices AMS 54, 592, 2007).
     """
     if as_index(d, "dimension") < 2:
         raise ValueError("dimension must be at least 2")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
+    z = np.empty((len(seeds), d, d), dtype=complex)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[k] = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -131,13 +146,22 @@ def _volume(state: PureState) -> float:
     return volume(full_spectrum(state)).volume
 
 
+def _rotate_locally(state: PureState, seed: int, t: int) -> PureState:
+    """``state`` with every site s rotated, in turn, by a Haar unitary drawn
+    from substream (seed, t, s); the unitaries of one local dimension are
+    factored as one stack."""
+    sites = range(1, state.n + 1)
+    us = {}
+    for d in set(state.dims):
+        group = [s for s in sites if state.dims[s - 1] == d]
+        us.update(zip(group, _haar_unitaries(d, [[seed, t, s] for s in group])))
+    return apply_local_unitaries(state, sites, [us[s] for s in sites])
+
+
 def _lu_invariance(config: TrialConfig, t: int) -> float:
     state = _haar_trial(config, t)
     before = _volume(state)
-    for site in range(1, state.n + 1):
-        u = random_local_unitary(state.dims[site - 1], [config.seed, t, site])
-        state = apply_local_unitary(state, site, u)
-    return abs(_volume(state) - before)
+    return abs(_volume(_rotate_locally(state, config.seed, t)) - before)
 
 
 def _permutation_invariance(config: TrialConfig, t: int) -> float:

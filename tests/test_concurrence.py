@@ -84,6 +84,26 @@ def loop_oracle_purity(state, cut):
     return float(np.real(np.trace(rho @ rho)))
 
 
+def uncached_oracle_purity(state, cut):
+    """The dense oracle's arithmetic with its offsets rebuilt on every call:
+    strides, two digit grids, one gather, A A^dag and Tr(rho^2)."""
+    subset, comp = split(cut, state.n)
+    strides = [0] * state.n
+    acc = 1
+    for i in range(state.n - 1, -1, -1):
+        strides[i] = acc
+        acc *= state.dims[i]
+
+    def offsets(sites):
+        digits = np.indices([state.dims[i - 1] for i in sites], dtype=np.intp)
+        site_strides = np.array([strides[i - 1] for i in sites], dtype=np.intp)
+        return site_strides @ digits.reshape(len(sites), -1)
+
+    a = state.amplitudes[offsets(subset)[:, None] + offsets(comp)]
+    rho = a @ a.conj().T
+    return float(np.real(np.trace(rho @ rho)))
+
+
 def graph_state(n, edges):
     """2^(-n/2) sum_x (-1)^(sum over edges (i, j) of x_i x_j) |x>, site 1 the slowest bit."""
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
@@ -314,6 +334,76 @@ class TestDenseOracle:
                 gram = reduced_purity(state, cut)
                 dense = dense_oracle_purity(state, cut)
                 assert abs(gram - dense) < 1e-12
+
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2, 3, 3), (3, 2, 2, 3)], ids=str)
+    def test_kept_offsets_give_the_uncached_purities_bit_for_bit(self, dims):
+        offsets = importlib.import_module("gmepyramid.concurrence")._oracle_offsets
+        n = len(dims)
+        states = [haar_random_state(dims, seed=[125, n, trial]) for trial in range(3)]
+        states.append(real_gaussian_state(dims, seed=[126, n]))
+        spellings = [s for cut in canonical_bipartitions(n) for s in (cut, cut.complement())]
+        offsets.cache_clear()
+        for spelling in spellings:  # cold: each side's offsets are built by this call
+            for state in states:
+                offsets.cache_clear()
+                assert dense_oracle_purity(state, spelling) == uncached_oracle_purity(state, spelling)
+        for spelling in spellings:  # warm: every call reads the kept offsets
+            dense_oracle_purity(states[0], spelling)
+        hits = offsets.cache_info().hits
+        for spelling in spellings:
+            for state in states:
+                assert dense_oracle_purity(state, spelling) == uncached_oracle_purity(state, spelling)
+        assert offsets.cache_info().hits == hits + len(spellings) * len(states)
+
+    @pytest.mark.parametrize(
+        "dims, cut, message",
+        [
+            ((2, 3, 2, 2), (), "cut subset is empty"),
+            ((2, 3, 2, 2), (1, 5), r"cut indices \(1, 5\) out of range 1..4"),
+            ((2, 3, 2, 2), (2, 2), r"cut indices must be distinct, got \(2, 2\)"),
+            ((2, 3, 2, 2), (1, 2, 3, 4), "cut must leave at least one subsystem on each side"),
+            ((2, 3, 2, 2), Bipartition((1,), 3), "cut is for 3 parties, state has 4"),
+            ((2,) * 14, tuple(range(1, 14)), "reduced dimension 8192 exceeds the dense cap 4096"),
+        ],
+        ids=["empty", "range", "repeat", "whole", "parties", "cap"],
+    )
+    def test_a_refused_cut_keeps_nothing(self, dims, cut, message):
+        offsets = importlib.import_module("gmepyramid.concurrence")._oracle_offsets
+        amps = np.zeros(math.prod(dims))
+        amps[0] = 1.0
+        state = PureState(dims, amps)
+        dense_oracle_purity(state, (1,))
+        size = offsets.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                dense_oracle_purity(state, cut)
+        assert offsets.cache_info().currsize == size
+
+    def test_the_offsets_are_emptied_with_the_shape_caches(self):
+        offsets = importlib.import_module("gmepyramid.concurrence")._oracle_offsets
+        dense_oracle_purity(haar_random_state((2, 3, 2), seed=127), (1,))
+        assert offsets.cache_info().currsize > 0
+        canonical_bipartitions.cache_clear()
+        assert offsets.cache_info().currsize == 0
+
+    def test_every_cut_of_a_13_party_shape_fits_the_bound(self):
+        module = importlib.import_module("gmepyramid.concurrence")
+        offsets = module._oracle_offsets
+        assert offsets.cache_info().maxsize == module._ORACLE_CACHE_SIZE == 4095
+        sides = [split(cut, 13) for cut in canonical_bipartitions(13)]
+        assert len(sides) == 4095
+        offsets.cache_clear()
+        try:
+            for subset, comp in sides:  # the keys dense_oracle_purity looks up
+                offsets((2,) * 13, subset, comp)
+            assert offsets.cache_info().currsize == 4095
+            misses = offsets.cache_info().misses
+            for subset, comp in sides:  # a second sweep finds every cut kept
+                offsets((2,) * 13, subset, comp)
+            assert offsets.cache_info().misses == misses
+        finally:
+            offsets.cache_clear()
 
 
 class TestInvariances:
@@ -747,10 +837,17 @@ class TestBatchedSpectrum:
     # without sites 1 and N, takes one Gram product for its root and every
     # top-size cut under it. On (3, 3, 2, ..., 2) a hub that holds site 2 too
     # would outgrow twice the state: 70 of the 126 hubs are taken, and the
-    # other 56 leave their roots and children to today's roots.
+    # other 56 leave their roots and children to today's roots. On
+    # (2,)*5 + (8,) + (2,)*5 the 70 hubs without site 6 are taken, each a rho
+    # smaller than the state (d_H^2 = 4096 < D = 8192).
     @pytest.mark.parametrize(
         "dims, grams, hubs",
-        [((2,) * 11, 126, 126), ((2,) * 13, 462, 462), ((3, 3) + (2,) * 9, 358, 70)],
+        [
+            ((2,) * 11, 126, 126),
+            ((2,) * 13, 462, 462),
+            ((3, 3) + (2,) * 9, 358, 70),
+            ((2,) * 5 + (8,) + (2,) * 5, 386, 70),
+        ],
         ids=str,
     )
     def test_odd_n_takes_one_gram_product_per_hub(self, dims, grams, hubs):
@@ -759,12 +856,14 @@ class TestBatchedSpectrum:
         chunks = module._plan(dims).chunks
         assert len(chunks) == grams
         taken = 0
-        for source, d_root, *_ in chunks:
+        for source, d_root, _, _, steps in chunks:
             assert isinstance(source, tuple)
             assert d_root * d_root <= min(2 * total, module._HUB_CAP)
-            if d_root * d_root > total:  # a hub: its Gram side holds sites 1 and N
-                assert d_root == math.prod([dims[a] for a in source[:k]])
-                assert {0, n - 1} <= set(source[:k])
+            # The Gram side is the leading run of the transpose order whose
+            # dimensions multiply to d_root; a taken hub's holds k sites, 1 and N.
+            sites = next(source[:g] for g in range(1, n) if math.prod([dims[a] for a in source[:g]]) == d_root)
+            if len(sites) == k and {0, n - 1} <= set(sites):
+                assert steps  # it traces its children
                 taken += 1
         assert taken == hubs
 

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from gmepyramid import (
+    PureState,
     TrialConfig,
+    apply_local_unitary,
     TrialOutcome,
     haar_random_state,
     random_local_unitary,
@@ -10,6 +14,7 @@ from gmepyramid import (
     run_check,
 )
 from gmepyramid import verify
+from gmepyramid.states import apply_local_unitaries
 from gmepyramid.verify import CHECK_NAMES, DEFAULT_TOLERANCES
 
 
@@ -53,6 +58,112 @@ class TestRandomLocalUnitary:
     def test_rejects_scalar_dimension(self):
         with pytest.raises(ValueError):
             random_local_unitary(1, seed=0)
+
+
+def one_site_step(state, site, u):
+    """One unitary on one site as a state of its own: tensordot, then PureState."""
+    tensor = state.amplitudes.reshape(state.dims)
+    tensor = np.moveaxis(np.tensordot(u, tensor, axes=([1], [site - 1])), 0, site - 1)
+    return PureState(state.dims, tensor.ravel())
+
+
+def per_site_rotation(state, seed, t):
+    """The local-unitary stage of lu-invariance as a loop over the sites: per
+    site one draw from substream (seed, t, site), one QR, one phase fold and
+    one step."""
+    for site in range(1, state.n + 1):
+        d = state.dims[site - 1]
+        rng = np.random.default_rng([seed, t, site])
+        z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r)
+        state = one_site_step(state, site, q * (diag / np.abs(diag)))
+    return state
+
+
+class TestStackedLocalUnitaries:
+    """The stacked draw and the multi-site apply against the per-site loop."""
+
+    KEYS = [(0, 0), (1, 1), (7, 3), (11, 0), (1234567, 41)]
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2, 2, 2, 3, 2), (2, 3, 2, 3)], ids=str)
+    def test_rotation_is_bit_identical_to_the_per_site_loop(self, dims):
+        for seed, t in self.KEYS:
+            state = haar_random_state(dims, [seed, t, 0])
+            rotated = verify._rotate_locally(state, seed, t)
+            expected = per_site_rotation(state, seed, t)
+            assert rotated.dims == expected.dims
+            np.testing.assert_array_equal(rotated.amplitudes, expected.amplitudes)
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2, 2, 2, 3, 2), (2, 3, 2, 3)], ids=str)
+    def test_one_matrix_draw_equals_its_row_of_the_stack(self, dims):
+        for seed, t in self.KEYS:
+            for d in set(dims):
+                group = [s for s in range(1, len(dims) + 1) if dims[s - 1] == d]
+                stack = verify._haar_unitaries(d, [[seed, t, s] for s in group])
+                assert stack.shape == (len(group), d, d)
+                for u, site in zip(stack, group):
+                    np.testing.assert_array_equal(random_local_unitary(d, [seed, t, site]), u)
+
+    def test_one_site_apply_is_bit_identical_to_one_step(self):
+        state = haar_random_state((2, 3, 2), seed=130)
+        for site, d in enumerate(state.dims, start=1):
+            u = random_local_unitary(d, seed=[131, site])
+            expected = one_site_step(state, site, u).amplitudes
+            np.testing.assert_array_equal(apply_local_unitary(state, site, u).amplitudes, expected)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(
+                lambda s: apply_local_unitary(s, 2, np.eye(3)),
+                r"unitary shape \(3, 3\) does not match subsystem dimension 2",
+                id="shape",
+            ),
+            pytest.param(
+                lambda s: apply_local_unitary(s, 1, np.diag([1.0, math.nan])),
+                r"matrix entries must be finite \(no nan or inf\)",
+                id="non-finite",
+            ),
+            pytest.param(
+                lambda s: apply_local_unitary(s, 1, np.diag([1.0, 2.0])),
+                r"matrix is not unitary \(defect 3\)",
+                id="not-unitary",
+            ),
+            pytest.param(
+                lambda s: apply_local_unitary(s, 4, np.eye(2)), r"site 4 out of range 1..3", id="site"
+            ),
+            pytest.param(
+                lambda s: apply_local_unitaries(
+                    s, [1, 2, 3], [np.eye(2), np.diag([1.0, 2.0]), np.eye(2)]
+                ),
+                r"matrix is not unitary \(defect 3\)",
+                id="not-unitary-in-a-stack",
+            ),
+            pytest.param(
+                lambda s: apply_local_unitaries(s, [1, 3], [np.eye(2), np.diag([1.0, math.inf])]),
+                r"matrix entries must be finite \(no nan or inf\)",
+                id="non-finite-in-a-stack",
+            ),
+            pytest.param(
+                lambda s: apply_local_unitaries(s, [1, 2], [np.eye(2)]),
+                r"expected 2 unitaries, got 1",
+                id="count",
+            ),
+        ],
+    )
+    def test_refusal_texts(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(haar_random_state((2, 2, 2), seed=132))
+
+    @pytest.mark.parametrize("d", [1, 0, -2])
+    def test_draw_refuses_a_dimension_below_two(self, d):
+        with pytest.raises(ValueError, match="^dimension must be at least 2$"):
+            random_local_unitary(d, seed=0)
+
+    def test_no_sites_leave_the_state(self):
+        state = haar_random_state((2, 2), seed=133)
+        assert apply_local_unitaries(state, [], []) is state
 
 
 def test_volume_nonnegative_on_1000_draws():
