@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .bipartitions import _cut_table, _label, _subsets
-from .catalog import PUBLISHED_TOL, PUBLISHED_VALUES, benchmark_states
+from .catalog import PAPER_STATES, PUBLISHED_TOL, benchmark_states
 from .measures import DEFAULT_ZERO_TOL, MeasureReport, check_tolerance, evaluate
 from .states import StateFormatError, _plain, check_subsystem_count, load_state
 from .verify import CHECK_NAMES, TrialConfig, TrialOutcome, run_check
@@ -160,14 +160,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except StateFormatError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
-    if state.n == 2 and args.measure in ("volume", "all"):
+    # --json prints the full report, whose undefined measures are null.
+    if not args.json and state.n == 2 and args.measure in ("volume", "all"):
         print(
             "error: no pyramid volume is defined for 2 parties; "
             "rerun with --measure cgme for the single-cut concurrence",
             file=sys.stderr,
         )
         return 2
-    if state.n != 3 and args.measure == "triangle":
+    if not args.json and state.n != 3 and args.measure == "triangle":
         print("error: the triangle measure needs exactly 3 parties", file=sys.stderr)
         return 2
     report = evaluate(state, state_id=str(args.file), zero_tol=args.tol)
@@ -203,7 +204,7 @@ def cmd_paper(args: argparse.Namespace) -> int:
     for state_id, state in benchmark_states().items():
         report = evaluate(state, state_id=state_id, zero_tol=args.tol)
         reports.append(report)
-        for quantity, expected in PUBLISHED_VALUES[state_id].items():
+        for quantity, expected in PAPER_STATES[state_id][1].items():
             value = getattr(report, quantity)
             deviation = abs(value - expected)
             rows.append(

@@ -1,20 +1,23 @@
 """Concurrence of pure-state bipartitions via reduced-state purity.
 
-Two independent evaluation paths are kept on purpose. The fast route
-(:func:`reduced_purity`) reshapes the amplitude tensor into a cut-by-rest
-matrix M and takes the squared Frobenius norm of the Gram matrix M M^dag,
-which equals Tr(rho_S^2) without any eigendecomposition. A state whose
+Three purity routes are kept. The spectrum plan of
+:func:`full_spectrum`, described below, serves every cut of a state of four
+or more parties. :func:`reduced_purity` serves each cut at n <= 3 and every
+single-cut call (:func:`concurrence`): it reshapes the amplitude tensor into
+a cut-by-rest matrix M and takes the squared Frobenius norm of the Gram
+matrix M M^dag, which equals Tr(rho_S^2) without any eigendecomposition.
+:func:`dense_oracle_purity` is the cross-check of both. A state whose
 amplitudes all have an exactly zero imaginary part is decided real when it
 is constructed, and its Gram products run on a float64 view (a real
 symmetric rank-k update) instead of complex128. Every spelling of a cut is
 mapped by ``Bipartition`` to one canonical cut, which carries its
 transpose order, so all spellings give a bit-identical purity.
-The naive route (:func:`dense_oracle_purity`) rebuilds the reduced density
+The oracle, a deliberately naive route, rebuilds the reduced density
 matrix of the given side from flat indices built by explicit digit-stride
 arithmetic: it gathers the cut-by-rest amplitude matrix A in one step (one
 transient copy of the state), forms rho_S = A A^dag and takes Tr(rho_S^2).
-It never reshapes or transposes the state tensor, and serves as a
-cross-check against indexing mistakes in the fast path. The offsets of a
+It never reshapes or transposes the state tensor, and so cross-checks the
+indexing of the other two routes. The offsets of a
 side's digit tuples are computed once per (dims, side) and kept, at most
 ``_ORACLE_CACHE_SIZE`` pairs, every cut of one 13-party shape;
 ``canonical_bipartitions.cache_clear`` empties them with the other shape

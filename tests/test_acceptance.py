@@ -29,7 +29,7 @@ from gmepyramid import (
     volume,
     w_state,
 )
-from gmepyramid.catalog import PUBLISHED_VALUES, benchmark_states
+from gmepyramid.catalog import PAPER_STATES, benchmark_states
 
 
 def _criterion(name: str, ok: bool, detail: str) -> None:
@@ -82,7 +82,7 @@ def test_criterion_2_benchmark_reproduction():
         spectrum = full_spectrum(state)
         report_volume = volume(spectrum).volume
         cgme = c_gme(spectrum)
-        published = PUBLISHED_VALUES[name]
+        published = PAPER_STATES[name][1]
         v_dev = abs(report_volume - published["volume"])
         c_dev = abs(cgme - published["c_gme"])
         if c_dev > 1e-4:

@@ -130,6 +130,26 @@ class TestEval:
         assert main(["eval", str(path)]) == 2
         assert "cgme" in capsys.readouterr().err
 
+    # --json prints the full report, a measure the state lacks null, whatever --measure asks.
+    @pytest.mark.parametrize(
+        "text, measure, lacking",
+        [
+            (BELL_TEXT, "volume", "volume"),
+            (BELL_TEXT, "all", "volume"),
+            (BELL_TEXT, "triangle", "triangle"),
+            (GHZ4_TEXT, "triangle", "triangle"),
+        ],
+        ids=["2-volume", "2-all", "2-triangle", "4-triangle"],
+    )
+    def test_json_reports_a_measure_the_state_lacks(self, tmp_path, capsys, text, measure, lacking):
+        path = tmp_path / "state.txt"
+        path.write_text(text)
+        assert main(["eval", str(path), "--measure", "cgme", "--json"]) == 0
+        expected = capsys.readouterr().out
+        assert json.loads(expected)["states"][0][lacking] is None
+        assert main(["eval", str(path), "--measure", measure, "--json"]) == 0
+        assert capsys.readouterr() == (expected, "")
+
     def test_two_parties_cgme_works(self, tmp_path, capsys):
         path = tmp_path / "bell.txt"
         path.write_text(BELL_TEXT)
@@ -162,11 +182,8 @@ class TestEval:
         assert f"amps.txt: {message}" in captured.err
 
     def test_biseparable_fixture_file(self, tmp_path, capsys):
-        from gmepyramid import serialize_state
-        from gmepyramid.catalog import phi_biseparable
-
         path = tmp_path / "phi.txt"
-        path.write_text(serialize_state(phi_biseparable()))
+        path.write_text(serialize_state(benchmark_states()["phi_12345"]))
         assert main(["eval", str(path)]) == 0
         out = capsys.readouterr().out
         assert "classification: biseparable" in out
@@ -559,6 +576,22 @@ class TestRenderer:
         encoded.clear()
         assert dumps_report(lookalike) == _reference_dump(lookalike)
         assert [text for text in encoded if text != "0.5"] == sorted(lookalike)
+
+    def test_a_frame_outlives_a_cache_clear(self, encoded):
+        """After ``canonical_bipartitions.cache_clear`` the rebuilt cut table
+        holds new label strings; the kept frame matches them by value."""
+        report = evaluate(haar_random_state((2,) * 5, seed=[133]))
+        doc = report_document([report], DEFAULT_ZERO_TOL)
+        text = dumps_report(doc)
+        frame = cli._frames[15]
+        canonical_bipartitions.cache_clear()
+        again = report_document([report], DEFAULT_ZERO_TOL)
+        labels = tuple(again["states"][0]["concurrences"])
+        assert labels == frame[0] and any(a is not b for a, b in zip(labels, frame[0]))
+        encoded.clear()
+        assert dumps_report(again) == text == _reference_dump(doc) == _reference_dump(again)
+        assert not set(labels) & set(encoded)  # the block took the frame
+        assert cli._frames[15] is frame
 
     def test_a_dict_of_seven_floats_builds_no_frame_and_no_cut_table(self, encoded):
         row = {key: 0.125 * i for i, key in enumerate("abcdefg")}

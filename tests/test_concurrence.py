@@ -28,7 +28,7 @@ from gmepyramid import (
     w_state,
 )
 from gmepyramid.bipartitions import split
-from gmepyramid.catalog import phi_biseparable, psi_a
+from gmepyramid.catalog import benchmark_states
 from gmepyramid.cli import dumps_report, report_document
 from gmepyramid.measures import DEFAULT_ZERO_TOL, evaluate
 from gmepyramid.verify import random_product_state
@@ -277,14 +277,14 @@ class TestFullSpectrum:
         assert all(abs(c - 1.0) < 1e-12 for c in spectrum.entries.values())
 
     def test_psi_a_values(self):
-        spectrum = full_spectrum(psi_a())
+        spectrum = full_spectrum(benchmark_states()["psi_A"])
         singles = spectrum.singletons()
         assert singles[0] == pytest.approx(SQRT3_OVER_2, abs=1e-12)
         assert singles[1:] == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
         assert spectrum.multis() == pytest.approx([SQRT5_OVER_2] * 3, abs=1e-12)
 
     def test_biseparable_fixture_cut_is_zero(self):
-        spectrum = full_spectrum(phi_biseparable())
+        spectrum = full_spectrum(benchmark_states()["phi_12345"])
         assert spectrum.entries[Bipartition((1, 3), 5)] == pytest.approx(0.0, abs=1e-7)
 
     def test_entry_count_matches_n(self):

@@ -25,7 +25,7 @@ from gmepyramid import (
     volume,
     w_state,
 )
-from gmepyramid.catalog import benchmark_states, phi_biseparable, psi_a, psi_b, psi_c
+from gmepyramid.catalog import benchmark_states
 from gmepyramid.measures import check_tolerance
 
 SQRT3_OVER_2 = math.sqrt(3) / 2
@@ -75,7 +75,7 @@ class TestHeight:
         assert height(full_spectrum(ghz_state(5))) == pytest.approx(1.0, abs=1e-14)
 
     def test_biseparable_fixture_is_zero(self):
-        assert height(full_spectrum(phi_biseparable())) == 0.0
+        assert height(full_spectrum(benchmark_states()["phi_12345"])) == 0.0
 
     def test_three_parties_fixed_to_one(self):
         assert height(full_spectrum(ghz_state(3))) == 1.0
@@ -132,7 +132,7 @@ class TestVolume:
         assert volume(full_spectrum(ghz_state(5))).volume == pytest.approx(expected, abs=1e-9)
 
     def test_biseparable_fixture_is_exactly_zero(self):
-        assert volume(full_spectrum(phi_biseparable())).volume == 0.0
+        assert volume(full_spectrum(benchmark_states()["phi_12345"])).volume == 0.0
 
     def test_two_parties_rejected(self):
         with pytest.raises(ValueError, match="3 or more"):
@@ -169,10 +169,10 @@ class TestTriangleMeasure:
 
 class TestCGme:
     def test_psi_a(self):
-        assert c_gme(full_spectrum(psi_a())) == pytest.approx(SQRT3_OVER_2, abs=1e-12)
+        assert c_gme(full_spectrum(benchmark_states()["psi_A"])) == pytest.approx(SQRT3_OVER_2, abs=1e-12)
 
     def test_psi_c_exact(self):
-        assert c_gme(full_spectrum(psi_c())) == pytest.approx(0.8, abs=1e-12)
+        assert c_gme(full_spectrum(benchmark_states()["psi_C"])) == pytest.approx(0.8, abs=1e-12)
 
     def test_ghz4(self):
         assert c_gme(full_spectrum(ghz_state(4))) == pytest.approx(1.0, abs=1e-12)
@@ -187,7 +187,7 @@ class TestClassify:
         assert len(zero_cuts) == 7
 
     def test_biseparable_fixture(self):
-        label, zero_cuts = classify(full_spectrum(phi_biseparable()))
+        label, zero_cuts = classify(full_spectrum(benchmark_states()["phi_12345"]))
         assert label == "biseparable"
         assert (1, 3) in [cut.subset for cut in zero_cuts]
 
@@ -285,7 +285,7 @@ class TestProperties:
 
 class TestEvaluate:
     def test_report_fields(self):
-        report = evaluate(psi_b(), state_id="psi_B")
+        report = evaluate(benchmark_states()["psi_B"], state_id="psi_B")
         assert report.state_id == "psi_B"
         assert report.spectrum.n == 4
         assert report.volume == pytest.approx(ORACLE_VOLUMES["psi_B"], abs=1e-12)
@@ -318,18 +318,18 @@ class TestEvaluate:
         message = "finite and >= 0" + {10**400: ", got inf$", -(10**400): ", got -inf$"}.get(tol, "")
         with pytest.raises(ValueError, match=message):
             evaluate(ghz_state(4), zero_tol=tol)
-        spectrum = full_spectrum(phi_biseparable())
+        spectrum = full_spectrum(benchmark_states()["phi_12345"])
         with pytest.raises(ValueError, match=message):
             volume(spectrum, zero_tol=tol)
         with pytest.raises(ValueError, match=message):
             classify(spectrum, zero_tol=tol)
 
     ENTRIES = {
-        "evaluate": lambda tol: evaluate(phi_biseparable(), zero_tol=tol),
-        "classify": lambda tol: classify(full_spectrum(phi_biseparable()), zero_tol=tol),
-        "volume": lambda tol: volume(full_spectrum(phi_biseparable()), zero_tol=tol),
-        "base_edge": lambda tol: base_edge(full_spectrum(phi_biseparable()), zero_tol=tol),
-        "height": lambda tol: height(full_spectrum(phi_biseparable()), zero_tol=tol),
+        "evaluate": lambda tol: evaluate(benchmark_states()["phi_12345"], zero_tol=tol),
+        "classify": lambda tol: classify(full_spectrum(benchmark_states()["phi_12345"]), zero_tol=tol),
+        "volume": lambda tol: volume(full_spectrum(benchmark_states()["phi_12345"]), zero_tol=tol),
+        "base_edge": lambda tol: base_edge(full_spectrum(benchmark_states()["phi_12345"]), zero_tol=tol),
+        "height": lambda tol: height(full_spectrum(benchmark_states()["phi_12345"]), zero_tol=tol),
     }
 
     @pytest.mark.parametrize(
@@ -343,7 +343,7 @@ class TestEvaluate:
             self.ENTRIES[entry](tol)
 
     # The helpers behind the entries take the checked value: one check per
-    # call, also where a state has zero cuts, as phi_biseparable does.
+    # call, also where a state has zero cuts, as phi_12345 does.
     @pytest.mark.parametrize("entry", list(ENTRIES))
     def test_each_public_entry_checks_the_tolerance_once(self, monkeypatch, entry):
         module = sys.modules["gmepyramid.measures"]
@@ -358,9 +358,9 @@ class TestEvaluate:
         assert calls == ["1e-7", 1e-7]
 
     @pytest.mark.parametrize("measure", [classify, volume, base_edge, height])
-    @pytest.mark.parametrize("build", [phi_biseparable, psi_a])
-    def test_a_tolerance_given_as_text_is_used_as_its_float(self, measure, build):
-        spectrum = full_spectrum(build())
+    @pytest.mark.parametrize("state_id", ["phi_12345", "psi_A"])
+    def test_a_tolerance_given_as_text_is_used_as_its_float(self, measure, state_id):
+        spectrum = full_spectrum(benchmark_states()[state_id])
         assert measure(spectrum, zero_tol="1e-7") == measure(spectrum, zero_tol=1e-7)
 
     def test_two_party_report_skips_volume(self):

@@ -22,6 +22,7 @@ from gmepyramid import (
     serialize_state,
     w_state,
 )
+from gmepyramid.catalog import PAPER_STATES, PUBLISHED_TOL, benchmark_states
 from gmepyramid.states import flat_index
 from gmepyramid.verify import TrialConfig, random_product_state
 
@@ -245,6 +246,53 @@ def test_catalog_refuses_a_huge_qubit_count_in_constant_memory(build, n):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# An independent copy of the paper's states, to pin catalog.PAPER_STATES against:
+# the kets of each state past GHZ4 and W4, psi_D's radical as the paper's
+# construction writes it, and the published values in report order.
+_T = math.sqrt((5.0 * math.sqrt(113.0) + 51.0) / 32.0)
+PINNED_KETS = {
+    "psi_A": {"0000": 1.0, "1011": 1.0, "1101": 1.0, "1110": 1.0},
+    "psi_B": {"0000": 1.0, "0101": 1.0, "1000": 1.0, "1110": 1.0},
+    "psi_C": {"0000": 1.0, "1111": 1.0, "0011": 1.0, "0101": 1.0, "0110": 1.0},
+    "psi_D": {"0000": _T, "0101": _T, "1010": _T, "1111": _T, "0001": 1j, "0110": 1.0, "1011": -1j},
+    "phi_12345": {"00000": 1.0, "01010": 1.0, "10100": 1.0, "11110": 1.0},
+}
+PINNED_VALUES = [
+    ("GHZ4", {"volume": 0.3333}),
+    ("W4", {"volume": 0.1875}),
+    ("psi_A", {"volume": 0.3468, "c_gme": 0.8660}),
+    ("psi_B", {"volume": 0.2788, "c_gme": 0.8660}),
+    ("psi_C", {"volume": 0.1487, "c_gme": 0.8000}),
+    ("psi_D", {"volume": 0.3407, "c_gme": 0.8000}),
+    ("phi_12345", {"volume": 0.0}),
+]
+
+
+def _pinned_state(kets):
+    n = len(next(iter(kets)))
+    amps = np.zeros(2**n, dtype=complex)
+    for bits, value in kets.items():
+        amps[int(bits, 2)] = value
+    return PureState((2,) * n, amps, normalize=True)
+
+
+def test_paper_states_are_bit_identical_to_their_pinned_construction():
+    expected = {"GHZ4": ghz_state(4), "W4": w_state(4)}
+    expected.update((state_id, _pinned_state(kets)) for state_id, kets in PINNED_KETS.items())
+    states = benchmark_states()
+    assert list(states) == [state_id for state_id, _ in PINNED_VALUES]
+    for state_id, state in states.items():
+        pinned = expected[state_id]
+        assert state.dims == pinned.dims, state_id
+        assert state.amplitudes.tobytes() == pinned.amplitudes.tobytes(), state_id
+        assert state._tensor.dtype == pinned._tensor.dtype, state_id
+
+
+def test_paper_table_keeps_its_order_and_published_values():
+    assert [(state_id, row[1]) for state_id, row in PAPER_STATES.items()] == PINNED_VALUES
+    assert PUBLISHED_TOL == {"volume": 2e-3, "c_gme": 1e-4}
 
 
 class TestRoundTrip:
