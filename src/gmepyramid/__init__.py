@@ -11,7 +11,6 @@ from .bipartitions import Bipartition, canonical_bipartitions
 from .catalog import benchmark_states, ghz_state, w_state
 from .concurrence import (
     ConcurrenceSpectrum,
-    concurrence,
     dense_oracle_purity,
     full_spectrum,
     reduced_purity,
@@ -21,11 +20,9 @@ from .measures import (
     MeasureReport,
     PyramidGeometry,
     base_area,
-    base_edge,
     c_gme,
     classify,
     evaluate,
-    height,
     triangle_measure,
     volume,
 )
@@ -63,18 +60,15 @@ __all__ = [
     "TrialOutcome",
     "apply_local_unitary",
     "base_area",
-    "base_edge",
     "benchmark_states",
     "c_gme",
     "canonical_bipartitions",
     "classify",
-    "concurrence",
     "dense_oracle_purity",
     "evaluate",
     "full_spectrum",
     "ghz_state",
     "haar_random_state",
-    "height",
     "load_state",
     "parse_state",
     "permute_subsystems",

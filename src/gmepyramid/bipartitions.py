@@ -3,13 +3,14 @@
 A cut S | rest is stored by its smaller side; when N is even, the half-size
 class keeps the side that contains subsystem 1 (:class:`Bipartition` maps
 any spelling to it). ``_subsets`` yields the 2**(N-1) - 1 canonical subsets
-smallest cardinality first, lexicographic within a group; :func:`iter_bipartitions`
-wraps each in a :class:`Bipartition`. One pass over it builds the per-N table
-entry that every spectrum runs on, with no cut object: the padded subsets,
-their labels, the forest of ``concurrence.full_spectrum``'s partial traces
-(a cut's children drop one site of its trailing run N, N - 1, ..., and at even
-N a half-size cut's children also drop subsystem 1), the index of its first
-root, and its subtree ids, each formed as its cut arrives, after its children.
+smallest cardinality first, lexicographic within a group;
+:func:`canonical_bipartitions` wraps each in a :class:`Bipartition`. One
+pass over it builds the per-N table entry that every spectrum runs on, with
+no cut object: the padded subsets, their labels, the forest of
+``concurrence.full_spectrum``'s partial traces (a cut's children drop one
+site of its trailing run N, N - 1, ..., and at even N a half-size cut's
+children also drop subsystem 1), the index of its first root, and its
+subtree ids, each formed as its cut arrives, after its children.
 At odd N up to 13 a top-size cut R without sites 1 and N is a forest node
 too, whose children hang on its rest, a hub one party larger that holds 1
 and N: every other top-size cut is a child of one hub, found in closed form.
@@ -102,26 +103,22 @@ def _subsets(n: int) -> Iterator[tuple[int, ...]]:
             yield (1,) + rest
 
 
-def iter_bipartitions(n: int) -> Iterator[Bipartition]:
-    """The canonical cuts of ``n`` parties, lazily; ``n`` is checked at the call."""
-    n = check_subsystem_count(as_index(n, "party count"))
-    return (Bipartition(subset, n) for subset in _subsets(n))
-
-
 def canonical_bipartitions(n: int) -> tuple[Bipartition, ...]:
-    """:func:`iter_bipartitions` as one tuple shared per party count, however
-    the integer is spelled (``np.int64(5)`` gets the tuple of ``5``): C(n, k)
-    cuts per size k < n/2, plus C(n, n/2)/2 at the half size. Up to 26 parties
-    (``MAX_PARTIES``, still 2**25 cuts; a refusal by estimated cost is the
-    cost-model item of ROADMAP.md). Built on first use, apart from the table
-    entry that spectra run on; ``cache_info`` reports it. Refusals are not cached.
+    """The canonical cuts of ``n`` parties in canonical order, as one tuple
+    shared per party count, however the integer is spelled (``np.int64(5)``
+    gets the tuple of ``5``): C(n, k) cuts per size k < n/2, plus
+    C(n, n/2)/2 at the half size. Up to 26 parties (``MAX_PARTIES``, still
+    2**25 cuts; a refusal by estimated cost is the cost-model item of
+    ROADMAP.md). Built on first use, apart from the table entry that spectra
+    run on; ``cache_info`` reports it. Refusals are not cached.
     """
     return _cuts(as_index(n, "party count"))
 
 
 @functools.cache
 def _cuts(n: int) -> tuple[Bipartition, ...]:
-    return tuple(iter_bipartitions(n))
+    n = check_subsystem_count(n)
+    return tuple([Bipartition(subset, n) for subset in _subsets(n)])
 
 
 canonical_bipartitions.cache_info = _cuts.cache_info

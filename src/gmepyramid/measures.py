@@ -91,23 +91,6 @@ def _geometric_mean(values: tuple[float, ...], zero_tol: float) -> float:
     return math.exp(math.fsum(map(math.log, values)) / max(len(values), 1))
 
 
-def base_edge(spectrum: ConcurrenceSpectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
-    """Geometric mean of the N one-versus-rest concurrences."""
-    return _geometric_mean(spectrum.singletons(), check_tolerance(zero_tol))
-
-
-def height(spectrum: ConcurrenceSpectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
-    """Geometric mean of all multi-party-cut concurrences.
-
-    The 2**(N-1) - N - 1 canonical cuts of size 2..floor(N/2) enter with
-    equal weight. Three parties have no such cuts and get height 1, the
-    geometric mean of no values; two parties are rejected.
-    """
-    if spectrum.n == 2:
-        raise ValueError("a 2-party system has no multi-party cuts")
-    return _geometric_mean(spectrum.multis(), check_tolerance(zero_tol))
-
-
 def base_area(n: int, edge: float) -> float:
     """Area of the regular n-gon with the given side length: (n e^2/4) cot(pi/n)."""
     n = as_index(n, "vertex count")
@@ -128,16 +111,15 @@ def volume(spectrum: ConcurrenceSpectrum, zero_tol: float = DEFAULT_ZERO_TOL) ->
     """
     if spectrum.n < 3:
         raise ValueError("the pyramid measure is defined for 3 or more parties")
-    return PyramidGeometry(*_pyramid(spectrum, check_tolerance(zero_tol)))
+    return _pyramid(spectrum, check_tolerance(zero_tol))
 
 
-def _pyramid(spectrum: ConcurrenceSpectrum, zero_tol: float) -> tuple:
-    """``volume``'s fields (n, a, h, area, V) for N >= 3 and a checked tolerance."""
-    n = spectrum.n
+def _pyramid(spectrum: ConcurrenceSpectrum, zero_tol: float) -> PyramidGeometry:
+    """``volume`` for N >= 3 parties and a checked tolerance."""
     a = _geometric_mean(spectrum.singletons(), zero_tol)
     h = _geometric_mean(spectrum.multis(), zero_tol)
-    area = base_area(n, a)
-    return n, a, h, area, area * h / 3.0
+    area = base_area(spectrum.n, a)
+    return PyramidGeometry(spectrum.n, a, h, area, area * h / 3.0)
 
 
 def triangle_measure(spectrum: ConcurrenceSpectrum) -> float:
@@ -198,7 +180,7 @@ def evaluate(
     spectrum = full_spectrum(state)
     classification, zero_cuts = _classify(spectrum, zero_tol)
     notes: list[str] = []
-    vol = _pyramid(spectrum, zero_tol)[-1] if spectrum.n >= 3 else None
+    vol = _pyramid(spectrum, zero_tol).volume if spectrum.n >= 3 else None
     tri = None
     if spectrum.n == 3:
         tri = triangle_measure(spectrum)

@@ -220,8 +220,6 @@ _CHECKS = {
     "n4-formula-equivalence": _Check(_n4_formula_equivalence, 1e-12, parties=4, exact=True),
 }
 
-DEFAULT_TOLERANCES = {name: check.tolerance for name, check in _CHECKS.items()}
-
 CHECK_NAMES = tuple(sorted(_CHECKS))
 
 

@@ -1,11 +1,13 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gmepyramid import Bipartition, bipartitions, canonical_bipartitions, concurrence, haar_random_state
-from gmepyramid.bipartitions import _cut_table, iter_bipartitions, split
+from gmepyramid import Bipartition, bipartitions, canonical_bipartitions, haar_random_state
+from gmepyramid.bipartitions import _cut_table, split
+from gmepyramid.concurrence import concurrence
 from gmepyramid.states import MAX_AMPLITUDES, MAX_PARTIES
 
 
@@ -190,23 +192,25 @@ def _refuse_construction(*args):
     raise AssertionError("built a cut")
 
 
-class TestIterBipartitions:
+class TestCanonicalOrder:
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_yields_the_canonical_tuple_in_order(self, n):
-        assert tuple(iter_bipartitions(n)) == canonical_bipartitions(n)
-
-    def test_is_lazy_and_leaves_the_cache_alone(self):
-        size = canonical_bipartitions.cache_info().currsize
-        cuts = iter_bipartitions(26)
-        assert next(cuts) == Bipartition((1,), 26)
-        assert next(cuts) == Bipartition((2,), 26)
-        assert canonical_bipartitions.cache_info().currsize == size
+    def test_the_tuple_holds_the_canonical_cuts_in_order(self, n):
+        # Smallest side first, lexicographic within a size; at even n the
+        # half-size cuts keep the side that holds subsystem 1.
+        sites = range(1, n + 1)
+        expected = [
+            subset
+            for k in range(1, n // 2 + 1)
+            for subset in itertools.combinations(sites, k)
+            if 2 * k < n or subset[0] == 1
+        ]
+        assert [cut.subset for cut in canonical_bipartitions(n)] == expected
 
     @pytest.mark.parametrize("n", [1, 27])
-    def test_checks_the_count_when_called(self, monkeypatch, n):
+    def test_checks_the_count_before_building_a_cut(self, monkeypatch, n):
         monkeypatch.setattr(bipartitions, "Bipartition", _refuse_enumeration)
         with pytest.raises(ValueError, match="subsystem"):
-            iter_bipartitions(n)
+            canonical_bipartitions(n)
 
 
 def _refuse_enumeration(*args):

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import itertools
 import json
 import math
@@ -12,12 +11,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gmepyramid.bipartitions
+import gmepyramid.concurrence
 from gmepyramid import (
     Bipartition,
     PureState,
     apply_local_unitary,
     canonical_bipartitions,
-    concurrence,
     dense_oracle_purity,
     full_spectrum,
     ghz_state,
@@ -30,6 +30,7 @@ from gmepyramid import (
 from gmepyramid.bipartitions import split
 from gmepyramid.catalog import benchmark_states
 from gmepyramid.cli import dumps_report, report_document
+from gmepyramid.concurrence import concurrence
 from gmepyramid.measures import DEFAULT_ZERO_TOL, evaluate
 from gmepyramid.verify import random_product_state
 from minors import minor_concurrence, minor_purity
@@ -338,7 +339,7 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("dims", [(2, 2, 2, 2, 3, 3), (3, 2, 2, 3)], ids=str)
     def test_kept_offsets_give_the_uncached_purities_bit_for_bit(self, dims):
-        offsets = importlib.import_module("gmepyramid.concurrence")._oracle_offsets
+        offsets = gmepyramid.concurrence._oracle_offsets
         n = len(dims)
         states = [haar_random_state(dims, seed=[125, n, trial]) for trial in range(3)]
         states.append(real_gaussian_state(dims, seed=[126, n]))
@@ -369,7 +370,7 @@ class TestDenseOracle:
         ids=["empty", "range", "repeat", "whole", "parties", "cap"],
     )
     def test_a_refused_cut_keeps_nothing(self, dims, cut, message):
-        offsets = importlib.import_module("gmepyramid.concurrence")._oracle_offsets
+        offsets = gmepyramid.concurrence._oracle_offsets
         amps = np.zeros(math.prod(dims))
         amps[0] = 1.0
         state = PureState(dims, amps)
@@ -381,14 +382,14 @@ class TestDenseOracle:
         assert offsets.cache_info().currsize == size
 
     def test_the_offsets_are_emptied_with_the_shape_caches(self):
-        offsets = importlib.import_module("gmepyramid.concurrence")._oracle_offsets
+        offsets = gmepyramid.concurrence._oracle_offsets
         dense_oracle_purity(haar_random_state((2, 3, 2), seed=127), (1,))
         assert offsets.cache_info().currsize > 0
         canonical_bipartitions.cache_clear()
         assert offsets.cache_info().currsize == 0
 
     def test_every_cut_of_a_13_party_shape_fits_the_bound(self):
-        module = importlib.import_module("gmepyramid.concurrence")
+        module = gmepyramid.concurrence
         offsets = module._oracle_offsets
         assert offsets.cache_info().maxsize == module._ORACLE_CACHE_SIZE == 4095
         sides = [split(cut, 13) for cut in canonical_bipartitions(13)]
@@ -575,19 +576,18 @@ def test_spectrum_names_the_first_of_two_faults(values, message):
 def test_spectrum_cuts_are_read_from_the_table_entry(monkeypatch):
     from gmepyramid import ConcurrenceSpectrum
 
-    bipartitions_module = importlib.import_module("gmepyramid.bipartitions")
-    concurrence_module = importlib.import_module("gmepyramid.concurrence")
     cuts = canonical_bipartitions(5)
     state = haar_random_state((2, 3, 2, 2, 2), seed=[92])
 
     def refuse_enumeration(*args):
         raise AssertionError("enumerated the cuts")
 
-    monkeypatch.setattr(bipartitions_module, "iter_bipartitions", refuse_enumeration)
-    # The forest comes from the warm entry too.
+    # Every Bipartition construction goes through bipartitions.split; the
+    # forest comes from the table entry, with no cut object.
+    monkeypatch.setattr(gmepyramid.bipartitions, "split", refuse_enumeration)
     values = full_spectrum(state).values
     assert values == pytest.approx([concurrence(state, cut) for cut in cuts], abs=1e-12)
-    monkeypatch.setattr(concurrence_module, "canonical_bipartitions", refuse_enumeration)
+    monkeypatch.setattr(gmepyramid.concurrence, "canonical_bipartitions", refuse_enumeration)
     spectrum = ConcurrenceSpectrum((2, 3, 2, 2, 2), (0.5,) * 15)
     assert spectrum.cuts is cuts
     assert list(spectrum.entries) == list(cuts)
@@ -684,7 +684,7 @@ class TestBatchedSpectrum:
 
     @pytest.mark.parametrize("dims", BATCH_DIMS, ids=str)
     def test_from_four_parties_no_cut_takes_a_call_of_its_own(self, monkeypatch, dims):
-        module = importlib.import_module("gmepyramid.concurrence")
+        module = gmepyramid.concurrence
         calls = []
         for name in ("reduced_purity", "concurrence"):
             original = getattr(module, name)
@@ -709,7 +709,7 @@ class TestBatchedSpectrum:
     # boundaries.
     @pytest.mark.parametrize("dims", BATCH_DIMS, ids=str)
     def test_the_plan_reduces_one_purity_per_cut(self, monkeypatch, dims):
-        module = importlib.import_module("gmepyramid.concurrence")
+        module = gmepyramid.concurrence
         cuts = list(range(2 ** (len(dims) - 1) - 1))
         for floor in (module._CHUNK_FLOOR, 1):
             monkeypatch.setattr(module, "_CHUNK_FLOOR", floor)
@@ -747,7 +747,7 @@ class TestBatchedSpectrum:
     @pytest.mark.parametrize("kind", ["haar", "real", "product", "real-product"])
     @pytest.mark.parametrize("dims", [dims for dims in BATCH_DIMS if sorted(dims)[-2] > 2], ids=str)
     def test_every_flipped_root_matches_the_dense_oracle(self, monkeypatch, dims, kind):
-        module = importlib.import_module("gmepyramid.concurrence")
+        module = gmepyramid.concurrence
         state = batch_state(dims, kind)
         total = math.prod(dims)
         for floor in (module._CHUNK_FLOOR, 1):
@@ -767,7 +767,7 @@ class TestBatchedSpectrum:
 
     @pytest.mark.parametrize("kind", ["haar", "real"])
     def test_a_group_over_several_chunks_gives_the_row_of_one_chunk(self, monkeypatch, kind):
-        module = importlib.import_module("gmepyramid.concurrence")
+        module = gmepyramid.concurrence
         dims = (2,) * 9
         state = batch_state(dims, kind)
         # The 126 roots, with children or without, share one own-side shape,
@@ -813,7 +813,7 @@ class TestBatchedSpectrum:
         ids=["2^11", "mixed11"],
     )
     def test_a_plan_above_2_to_the_10_amplitudes_is_unchanged(self, monkeypatch, dims, digest):
-        module = importlib.import_module("gmepyramid.concurrence")
+        module = gmepyramid.concurrence
 
         def record(plan):
             h = hashlib.sha256()
@@ -851,7 +851,7 @@ class TestBatchedSpectrum:
         ids=str,
     )
     def test_odd_n_takes_one_gram_product_per_hub(self, dims, grams, hubs):
-        module = importlib.import_module("gmepyramid.concurrence")
+        module = gmepyramid.concurrence
         n, total, k = len(dims), math.prod(dims), len(dims) // 2 + 1
         chunks = module._plan(dims).chunks
         assert len(chunks) == grams
@@ -877,7 +877,7 @@ class TestBatchedSpectrum:
         ids=str,
     )
     def test_a_lopsided_hub_root_of_a_small_state_traces_nothing(self, dims, grams):
-        module = importlib.import_module("gmepyramid.concurrence")
+        module = gmepyramid.concurrence
         chunks = module._plan(dims).chunks
         assert sum(1 if isinstance(source, tuple) else len(source) for source, *_ in chunks) == grams
 
@@ -891,7 +891,7 @@ class TestBatchedSpectrum:
         ids=str,
     )
     def test_no_child_of_a_hub_that_fits_is_lopsided(self, dims, fit):
-        module = importlib.import_module("gmepyramid.concurrence")
+        module = gmepyramid.concurrence
         table = module._cut_table(len(dims))
         total = math.prod(dims)
         size = [math.prod([dims[s - 1] for s in subset if s]) for subset in table.subsets.tolist()]
@@ -905,8 +905,8 @@ class TestBatchedSpectrum:
         assert fits == fit
 
     def test_the_plan_cache_is_bounded_and_cleared_with_the_cut_tables(self):
-        module = importlib.import_module("gmepyramid.concurrence")
-        table = importlib.import_module("gmepyramid.bipartitions")._cut_table
+        module = gmepyramid.concurrence
+        table = gmepyramid.bipartitions._cut_table
         size = module._plan.cache_info().maxsize
         assert size == module._PLAN_CACHE_SIZE
         for d in range(2, size + 5):

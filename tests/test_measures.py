@@ -10,7 +10,6 @@ from gmepyramid import (
     DEFAULT_ZERO_TOL,
     PureState,
     base_area,
-    base_edge,
     c_gme,
     canonical_bipartitions,
     classify,
@@ -18,7 +17,6 @@ from gmepyramid import (
     full_spectrum,
     ghz_state,
     haar_random_state,
-    height,
     permute_subsystems,
     random_product_state,
     triangle_measure,
@@ -57,37 +55,33 @@ def real_product_state(dims, sites, seed):
 
 class TestBaseEdge:
     def test_ghz4_is_one(self):
-        assert base_edge(full_spectrum(ghz_state(4))) == pytest.approx(1.0, abs=1e-14)
+        assert volume(full_spectrum(ghz_state(4))).base_edge == pytest.approx(1.0, abs=1e-14)
 
     def test_w4_equal_factors(self):
-        assert base_edge(full_spectrum(w_state(4))) == pytest.approx(SQRT3_OVER_2, abs=1e-12)
+        assert volume(full_spectrum(w_state(4))).base_edge == pytest.approx(SQRT3_OVER_2, abs=1e-12)
 
     def test_zero_factor_short_circuits(self):
         spectrum = full_spectrum(random_product_state((2, 2, 2, 2), (2,), seed=3))
-        assert base_edge(spectrum) == 0.0
+        assert volume(spectrum).base_edge == 0.0
 
 
 class TestHeight:
     def test_ghz4(self):
-        assert height(full_spectrum(ghz_state(4))) == pytest.approx(1.0, abs=1e-14)
+        assert volume(full_spectrum(ghz_state(4))).height == pytest.approx(1.0, abs=1e-14)
 
     def test_ghz5(self):
-        assert height(full_spectrum(ghz_state(5))) == pytest.approx(1.0, abs=1e-14)
+        assert volume(full_spectrum(ghz_state(5))).height == pytest.approx(1.0, abs=1e-14)
 
     def test_biseparable_fixture_is_zero(self):
-        assert height(full_spectrum(benchmark_states()["phi_12345"])) == 0.0
+        assert volume(full_spectrum(benchmark_states()["phi_12345"])).height == 0.0
 
     def test_three_parties_fixed_to_one(self):
-        assert height(full_spectrum(ghz_state(3))) == 1.0
-
-    def test_two_parties_rejected(self):
-        with pytest.raises(ValueError, match="2-party"):
-            height(full_spectrum(ghz_state(2)))
+        assert volume(full_spectrum(ghz_state(3))).height == 1.0
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_refuses_a_negative_tolerance(self, n):
         with pytest.raises(ValueError, match="^tolerance must be finite and >= 0, got -1.0$"):
-            height(full_spectrum(ghz_state(n)), zero_tol=-1.0)
+            volume(full_spectrum(ghz_state(n)), zero_tol=-1.0)
 
 
 class TestBaseArea:
@@ -328,8 +322,6 @@ class TestEvaluate:
         "evaluate": lambda tol: evaluate(benchmark_states()["phi_12345"], zero_tol=tol),
         "classify": lambda tol: classify(full_spectrum(benchmark_states()["phi_12345"]), zero_tol=tol),
         "volume": lambda tol: volume(full_spectrum(benchmark_states()["phi_12345"]), zero_tol=tol),
-        "base_edge": lambda tol: base_edge(full_spectrum(benchmark_states()["phi_12345"]), zero_tol=tol),
-        "height": lambda tol: height(full_spectrum(benchmark_states()["phi_12345"]), zero_tol=tol),
     }
 
     @pytest.mark.parametrize(
@@ -357,7 +349,7 @@ class TestEvaluate:
         assert self.ENTRIES[entry]("1e-7") == self.ENTRIES[entry](1e-7)
         assert calls == ["1e-7", 1e-7]
 
-    @pytest.mark.parametrize("measure", [classify, volume, base_edge, height])
+    @pytest.mark.parametrize("measure", [classify, volume])
     @pytest.mark.parametrize("state_id", ["phi_12345", "psi_A"])
     def test_a_tolerance_given_as_text_is_used_as_its_float(self, measure, state_id):
         spectrum = full_spectrum(benchmark_states()[state_id])

@@ -1,0 +1,80 @@
+"""The package's public names, and the README example that uses them."""
+
+import re
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import gmepyramid
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC = [
+    "Bipartition",
+    "CHECK_NAMES",
+    "ConcurrenceSpectrum",
+    "DEFAULT_ZERO_TOL",
+    "MeasureReport",
+    "PureState",
+    "PyramidGeometry",
+    "StateFormatError",
+    "TrialConfig",
+    "TrialOutcome",
+    "apply_local_unitary",
+    "base_area",
+    "benchmark_states",
+    "c_gme",
+    "canonical_bipartitions",
+    "classify",
+    "dense_oracle_purity",
+    "evaluate",
+    "full_spectrum",
+    "ghz_state",
+    "haar_random_state",
+    "load_state",
+    "parse_state",
+    "permute_subsystems",
+    "random_local_unitary",
+    "random_product_state",
+    "reduced_purity",
+    "run_check",
+    "serialize_state",
+    "triangle_measure",
+    "volume",
+    "w_state",
+]
+
+
+def test_each_name_is_one_thing():
+    # A submodule's name on the package is the module, never a function of it.
+    for name in ["bipartitions", "catalog", "concurrence", "measures", "states", "verify"]:
+        assert getattr(gmepyramid, name) is sys.modules[f"gmepyramid.{name}"], name
+    assert gmepyramid.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert not isinstance(getattr(gmepyramid, name), types.ModuleType), name
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (gmepyramid, "base_edge"),
+        (gmepyramid, "height"),
+        (gmepyramid.measures, "base_edge"),
+        (gmepyramid.measures, "height"),
+        (gmepyramid.bipartitions, "iter_bipartitions"),
+        (gmepyramid.verify, "DEFAULT_TOLERANCES"),
+    ],
+)
+def test_a_second_path_to_a_value_is_gone(module, name):
+    with pytest.raises(AttributeError):
+        getattr(module, name)
+
+
+def test_the_readme_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## Library\n") :]
+    block = re.search(r"^```python\n(.*?)^```$", section, re.M | re.S)
+    exec(compile(block.group(1), f"{README}:Library", "exec"), {})
+    assert capsys.readouterr().out

@@ -12,7 +12,6 @@ from gmepyramid import (
     apply_local_unitary,
     base_area,
     canonical_bipartitions,
-    concurrence,
     ghz_state,
     haar_random_state,
     parse_state,
@@ -23,6 +22,7 @@ from gmepyramid import (
     w_state,
 )
 from gmepyramid.catalog import PAPER_STATES, PUBLISHED_TOL, benchmark_states
+from gmepyramid.concurrence import concurrence
 from gmepyramid.states import flat_index
 from gmepyramid.verify import TrialConfig, random_product_state
 

@@ -14,8 +14,9 @@ from gmepyramid import (
     run_check,
 )
 from gmepyramid import verify
+from gmepyramid.concurrence import concurrence
 from gmepyramid.states import apply_local_unitaries
-from gmepyramid.verify import CHECK_NAMES, DEFAULT_TOLERANCES
+from gmepyramid.verify import CHECK_NAMES
 
 
 class TestHaarRandomState:
@@ -176,8 +177,6 @@ def test_volume_nonnegative_on_1000_draws():
 
 class TestRandomProductState:
     def test_factorized_cut_reads_as_zero(self):
-        from gmepyramid import concurrence
-
         state = random_product_state((2, 3, 2, 2), (2, 4), seed=17)
         assert concurrence(state, (2, 4)) < 1e-7
 
@@ -209,6 +208,18 @@ PARTY_RULES = {
     "biseparable-nullity": ("at least 3", [2]),
     "ghz-closed-form": (None, []),
     "n4-formula-equivalence": ("exactly 4", [3, 5]),
+}
+
+
+# Per check: its default tolerance, stated here so that a changed default
+# shows in a test.
+DEFAULT_TOLERANCES = {
+    "lu-invariance": 1e-9,
+    "permutation-invariance": 1e-10,
+    "oracle-agreement": 1e-12,
+    "biseparable-nullity": 1e-9,
+    "ghz-closed-form": 1e-9,
+    "n4-formula-equivalence": 1e-12,
 }
 
 
