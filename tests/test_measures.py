@@ -143,6 +143,34 @@ class TestVolume:
             )
             assert min(geometry.base_edge, geometry.height, geometry.volume) >= 0.0
 
+    @pytest.mark.parametrize(
+        "make",
+        [pytest.param(lambda name=name: benchmark_states()[name], id=name) for name in benchmark_states()]
+        + [
+            pytest.param(lambda n=n: haar_random_state((2,) * n, [73, n]), id=f"haar-{n}")
+            for n in range(3, 8)
+        ]
+        + [pytest.param(lambda: haar_random_state((3, 2, 2, 2, 3), [73, 5, 1]), id="haar-3,2,2,2,3")],
+    )
+    def test_edge_and_height_are_the_cut_means_bit_for_bit(self, make):
+        # a and h recomputed from the cut-keyed view, split by side size, with
+        # the zero short-circuit and fsum of logs that the measure documents.
+        def mean(values):
+            if min(values, default=1.0) <= DEFAULT_ZERO_TOL:
+                return 0.0
+            return math.exp(math.fsum(map(math.log, values)) / max(len(values), 1))
+
+        spectrum = full_spectrum(make())
+        entries = spectrum.entries
+        ones = [c for cut, c in entries.items() if len(cut.subset) == 1]
+        multis = [c for cut, c in entries.items() if len(cut.subset) > 1]
+        geometry = volume(spectrum)
+        assert len(ones) == geometry.n == spectrum.n
+        assert geometry.base_edge == mean(ones)
+        assert geometry.height == mean(multis)
+        area = base_area(geometry.n, geometry.base_edge)
+        assert (geometry.base_area, geometry.volume) == (area, area * geometry.height / 3.0)
+
 
 class TestTriangleMeasure:
     def test_ghz3(self):
