@@ -10,7 +10,9 @@ no cut object: the padded subsets, their labels, the forest of
 ``concurrence.full_spectrum``'s partial traces (a cut's children drop one
 site of its trailing run N, N - 1, ..., and at even N a half-size cut's
 children also drop subsystem 1), the index of its first root, and its
-subtree ids, each formed as its cut arrives, after its children.
+subtree ids, each formed as its cut arrives, after its children; the
+report renderer's frame of a concurrence block is built on the entry's
+first read of it.
 At odd N up to 13 a top-size cut R without sites 1 and N is a forest node
 too, whose children hang on its rest, a hub one party larger that holds 1
 and N: every other top-size cut is a child of one hub, found in closed form.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -110,7 +113,8 @@ def canonical_bipartitions(n: int) -> tuple[Bipartition, ...]:
     C(n, n/2)/2 at the half size. Up to 26 parties (``MAX_PARTIES``, still
     2**25 cuts; a refusal by estimated cost is the cost-model item of
     ROADMAP.md). Built on first use, apart from the table entry that spectra
-    run on; ``cache_info`` reports it. Refusals are not cached.
+    run on, and kept in ``_cuts`` until ``concurrence.clear_shape_caches``.
+    Refusals are not cached.
     """
     return _cuts(as_index(n, "party count"))
 
@@ -121,7 +125,6 @@ def _cuts(n: int) -> tuple[Bipartition, ...]:
     return tuple([Bipartition(subset, n) for subset in _subsets(n)])
 
 
-canonical_bipartitions.cache_info = _cuts.cache_info
 # A hub's rho holds at most this many amplitudes (256 KiB of complex128);
 # ``concurrence._plan`` also keeps it within twice the state's. Without it
 # (64, 64, 2, 2, 2) would take hubs of 2^16 amplitudes, and the spectrum's
@@ -129,7 +132,19 @@ canonical_bipartitions.cache_info = _cuts.cache_info
 # test allows 1.25x. A hub of n parties holds (n + 1) / 2 sites, so its rho
 # holds at least 2^(n + 1) amplitudes: the table forms hubs up to n = 13 only.
 _HUB_CAP = 2**14
-_CutTable = namedtuple("_CutTable", "subsets labels first kids roots subtree keys hubs")
+
+
+class _CutTable(namedtuple("_CutTable", "subsets labels first kids roots subtree keys hubs")):
+    @functools.cached_property
+    def frame(self) -> tuple:
+        """The renderer's frame of a concurrence block of these cuts, built on
+        first read: the label-sorted order of the row (``tuple`` for one cut:
+        an itemgetter of one index returns the value itself), the
+        ``"label": %r`` keys (labels hold no % and nothing json escapes) and
+        the block's %-template per indent, filled by ``cli._render``."""
+        order = sorted(range(len(self.labels)), key=self.labels.__getitem__)
+        getter = operator.itemgetter(*order) if len(order) > 1 else tuple
+        return getter, [f'"{self.labels[i]}": %r' for i in order], {}
 
 
 @functools.cache
@@ -138,8 +153,9 @@ def _cut_table(n: int) -> _CutTable:
     tuple and built in one pass over ``_subsets(n)``: each subset padded with
     0s to n // 2 sites (``subsets``, uint8), its label, the forest ``(first,
     kids)``, ``roots``, each cut's ``subtree`` id, the ``keys`` of the ids
-    and, at odd n up to 13, the ``hubs``. Every cut below the top size
-    n // 2 hangs under one canonical cut P one party larger, whose children
+    and, at odd n up to 13, the ``hubs``; the renderer's ``frame`` is
+    built on first read. Every cut below the top size n // 2 hangs under
+    one canonical cut P one party larger, whose children
     drop one site of its trailing run n, n - 1, ... and, for a half-size P
     at even n, subsystem 1. The children of cut i are the
     ``len(keys[subtree[i]])`` cuts from ``kids[first[i]]`` on, in

@@ -15,7 +15,6 @@ import dataclasses
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 
@@ -23,7 +22,7 @@ from . import __version__
 from .bipartitions import _cut_table, _label, _subsets
 from .catalog import PAPER_STATES, PUBLISHED_TOL, benchmark_states
 from .measures import DEFAULT_ZERO_TOL, MeasureReport, check_tolerance, evaluate
-from .states import StateFormatError, _plain, check_subsystem_count, load_state
+from .states import MAX_PARTIES, StateFormatError, _plain, check_subsystem_count, load_state
 from .verify import CHECK_NAMES, TrialConfig, TrialOutcome, run_check
 
 REPORT_SCHEMA = "gme-pyramid-report/1"
@@ -36,10 +35,6 @@ def _fmt(value: float | None) -> str:
 def _state_json(report: MeasureReport) -> dict:
     spectrum = report.spectrum
     labels = _cut_table(spectrum.n).labels
-    if len(labels) not in _frames:
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        keys = [_encode_str(labels[i]) + ": %r" for i in order]  # labels hold no %
-        _frames[len(labels)] = (labels, operator.itemgetter(*order) if len(order) > 1 else tuple, keys, {})
     return {
         "id": report.state_id,
         "dims": list(spectrum.dims),
@@ -73,11 +68,6 @@ def report_document(
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-# The concurrence block's frame of each party count reported, by its cut count:
-# the key tuple, the label-sorted order of the row (``tuple`` for one cut: an
-# itemgetter of one index returns the value itself), the "label": %r keys and
-# the block's %-template per indent.
-_frames: dict[int, tuple] = {}
 
 
 def _render(value, indent: str) -> str:
@@ -91,15 +81,17 @@ def _render(value, indent: str) -> str:
         if not value:
             return "{}"
         inner = indent + "  "
-        frame = _frames.get(len(value)) if type(value) is dict else None
-        if frame is not None and tuple(value) == frame[0]:
-            # A concurrence block; a float sum is finite only if every term is.
-            _, order, keys, templates = frame
-            row = order(tuple(value.values()))
-            if set(map(type, row)) == {float} and math.isfinite(sum(row)):
-                if indent not in templates:
-                    templates[indent] = f"{{\n{inner}" + (",\n" + inner).join(keys) + f"\n{indent}}}"
-                return templates[indent] % row
+        # A concurrence block of n parties holds its table's 2^(n-1) - 1 labels
+        # in order, "1" first. A float sum is finite only if every term is.
+        if type(value) is dict and next(iter(value)) == "1" and (n := len(value).bit_length() + 1) <= MAX_PARTIES:
+            table = _cut_table(n)
+            if tuple(value) == table.labels:
+                order, keys, templates = table.frame
+                row = order(tuple(value.values()))
+                if set(map(type, row)) == {float} and math.isfinite(sum(row)):
+                    if indent not in templates:
+                        templates[indent] = f"{{\n{inner}" + (",\n" + inner).join(keys) + f"\n{indent}}}"
+                    return templates[indent] % row
         body = (",\n" + inner).join(
             [f"{_encode_str(k)}: {_render(v, inner)}" for k, v in sorted(value.items())]
         )
@@ -125,8 +117,9 @@ def dumps_report(doc: dict) -> str:
     to their names and every other scalar through ``json.dumps``; ``indent``
     alone would select json's pure-Python encoder. A plain dict whose key
     tuple is a report's concurrence block, and whose values are all finite
-    floats of type ``float``, is rendered from the frame that
-    :func:`report_document` built for its party count: one %-format.
+    floats of type ``float``, is rendered from the frame of its party
+    count's cut table (``bipartitions._CutTable.frame``): one %-format.
+    Only a plain dict whose first key is ``"1"`` reads the table.
     """
     return _render(doc, "")
 

@@ -20,8 +20,7 @@ It never reshapes or transposes the state tensor, and so cross-checks the
 indexing of the other two routes. The offsets of a
 side's digit tuples are computed once per (dims, side) and kept, at most
 ``_ORACLE_CACHE_SIZE`` pairs, every cut of one 13-party shape;
-``canonical_bipartitions.cache_clear`` empties them with the other shape
-caches.
+:func:`clear_shape_caches` empties them with the other shape caches.
 
 :func:`full_spectrum` holds a state's spectrum as one row, ``(dims, values)``:
 the concurrences in the order of the shared ``canonical_bipartitions`` tuple,
@@ -53,8 +52,8 @@ larger than the state is formed, apart from a taken hub's, which holds at
 most twice the state and at most 2^14 amplitudes. The forest becomes a
 plan once per dims tuple (:func:`_plan`; at most ``_PLAN_CACHE_SIZE``
 plans are kept), which adds to the table entry only what depends on dims;
-``canonical_bipartitions.cache_clear`` empties the plans with the table
-entries and the cut tuples. The plan groups the roots by their Gram
+:func:`clear_shape_caches` empties the plans with the table entries and
+the cut tuples. The plan groups the roots by their Gram
 side's dimension and cuts each group into chunks of q^2 roots, q = 2^11 // D
 the number of states that fit in the floor ``_CHUNK_FLOOR``: a chunk gathers
 2^13 amplitudes at D = 2^9 and 2^12 at 2^10, and a state above 2^10
@@ -441,13 +440,11 @@ def _oracle_offsets(
     return tuple(sides)
 
 
-def _clear_shape_caches() -> None:
-    """Empty the table entries, the cut tuples, the spectrum plans built on
-    the tables and the dense oracle's offsets."""
+def clear_shape_caches() -> None:
+    """Empty every shape cache: the per-N table entries with their render
+    frames, the cut tuples, the spectrum plans built on the tables and the
+    dense oracle's offsets. Every output is the same before and after."""
     _cut_table.cache_clear()
     _cuts.cache_clear()
     _plan.cache_clear()
     _oracle_offsets.cache_clear()
-
-
-canonical_bipartitions.cache_clear = _clear_shape_caches  # the one place that sets it

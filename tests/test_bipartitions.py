@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gmepyramid import Bipartition, bipartitions, canonical_bipartitions, haar_random_state
-from gmepyramid.bipartitions import _cut_table, split
+from gmepyramid.bipartitions import _cut_table, _cuts, split
 from gmepyramid.concurrence import concurrence
 from gmepyramid.states import MAX_AMPLITUDES, MAX_PARTIES
 
@@ -78,10 +78,10 @@ def test_every_call_returns_the_shared_tuple():
 @pytest.mark.parametrize("spelling", [np.int64, np.int32])
 def test_every_integer_spelling_shares_the_tuple(spelling):
     assert canonical_bipartitions(spelling(5)) is canonical_bipartitions(5)
-    size = canonical_bipartitions.cache_info().currsize
+    size = _cuts.cache_info().currsize
     with pytest.raises(ValueError, match="^party count must be an integer, got 5.0$"):
         canonical_bipartitions(5.0)
-    assert canonical_bipartitions.cache_info().currsize == size
+    assert _cuts.cache_info().currsize == size
 
 
 def test_label():

@@ -1,6 +1,8 @@
+import gc
 import json
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -14,9 +16,12 @@ from gmepyramid import (
     bipartitions,
     canonical_bipartitions,
     cli,
+    concurrence,
+    dense_oracle_purity,
     evaluate,
 )
 from gmepyramid.cli import dumps_report, main, report_document
+from gmepyramid.concurrence import clear_shape_caches
 from gmepyramid.states import serialize_state
 from gmepyramid.verify import haar_random_state, random_product_state
 
@@ -255,9 +260,9 @@ class TestBipartitions:
         assert captured.err.endswith(f"error: argument n: invalid int value: {n!r}\n")
 
     def test_streams_without_filling_the_cut_cache(self, capsys):
-        size = canonical_bipartitions.cache_info().currsize
+        size = bipartitions._cuts.cache_info().currsize
         assert main(["bipartitions", "16"]) == 0
-        assert canonical_bipartitions.cache_info().currsize == size
+        assert bipartitions._cuts.cache_info().currsize == size
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("#")] == [f"# k={k}" for k in range(1, 9)]
         assert len(lines) == 2**15 - 1 + 8
@@ -292,7 +297,7 @@ class TestCutObjects:
 
     @pytest.mark.parametrize("dims", [(2,) * 5, (2, 3, 2, 2, 2, 2)], ids=str)
     def test_a_report_without_zero_cuts_builds_no_cut(self, monkeypatch, capsys, dims):
-        canonical_bipartitions.cache_clear()
+        clear_shape_caches()
         # Every Bipartition construction goes through split.
         monkeypatch.setattr(bipartitions, "split", _refuse_construction)
         report = evaluate(haar_random_state(dims, seed=[96]))
@@ -306,7 +311,7 @@ class TestCutObjects:
         assert [line.split()[0] for line in printed if line.startswith("  ")] == labels
 
     def test_zero_cuts_are_the_shared_cut_objects(self):
-        canonical_bipartitions.cache_clear()
+        clear_shape_caches()
         report = evaluate(random_product_state((2, 3, 2, 2, 2), (1, 3), seed=[97]))
         cuts = canonical_bipartitions(5)
         assert report.zero_cuts
@@ -567,8 +572,16 @@ class TestRenderer:
             lambda d: {**d, "1": "0.5"},
             lambda d: {**d, "1": np.float64(0.5)},
             lambda d: type("Row", (dict,), {})(d),
+            # "1" first, so the table of len(d).bit_length() + 1 parties is
+            # read, but the keys are not its labels in canonical order.
+            lambda d: {"1": d["1"], "x": 0.25, "y": 0.125},
+            lambda d: dict(list(d.items())[:-1]),
+            lambda d: {**d, "5": 0.25},
+            lambda d: {("2,3" if k == "1,4" else k): v for k, v in d.items()},
+            lambda d: {**dict(list(d.items())[:-1]), "1,4 ": 0.25},
         ],
-        ids=["reordered", "nan", "inf", "-inf", "int", "bool", "str", "np.float64", "dict-subclass"],
+        ids=["reordered", "nan", "inf", "-inf", "int", "bool", "str", "np.float64", "dict-subclass",
+             "first-key-only", "a-cut-short", "a-key-more", "other-side", "renamed-last"],
     )
     def test_a_block_that_only_looks_like_a_report_takes_the_generic_path(self, encoded, change):
         _, block = self.block((2, 2, 2, 2), [132])
@@ -577,21 +590,31 @@ class TestRenderer:
         assert dumps_report(lookalike) == _reference_dump(lookalike)
         assert [text for text in encoded if text != "0.5"] == sorted(lookalike)
 
-    def test_a_frame_outlives_a_cache_clear(self, encoded):
-        """After ``canonical_bipartitions.cache_clear`` the rebuilt cut table
-        holds new label strings; the kept frame matches them by value."""
-        report = evaluate(haar_random_state((2,) * 5, seed=[133]))
+    def test_a_cache_clear_keeps_no_frame_and_renders_the_same_bytes(self, encoded):
+        """``clear_shape_caches`` empties every shape cache, and a frame lives
+        only on its cut table, so none outlives the clear; the next render
+        builds the table and its frame again and gives the same bytes."""
+        state = haar_random_state((2,) * 5, seed=[133])
+        report = evaluate(state)  # fills the table and the plan
+        canonical_bipartitions(5)
+        dense_oracle_purity(state, (1, 2))
         doc = report_document([report], DEFAULT_ZERO_TOL)
         text = dumps_report(doc)
-        frame = cli._frames[15]
-        canonical_bipartitions.cache_clear()
-        again = report_document([report], DEFAULT_ZERO_TOL)
-        labels = tuple(again["states"][0]["concurrences"])
-        assert labels == frame[0] and any(a is not b for a, b in zip(labels, frame[0]))
+        frame = bipartitions._cut_table(5).frame
+        caches = [bipartitions._cut_table, bipartitions._cuts, concurrence._plan, concurrence._oracle_offsets]
+        assert all(cache.cache_info().currsize for cache in caches)
+        clear_shape_caches()
+        gc.collect()
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0, 0]
+        # Nothing but this test's running stack frame refers to the old render frame.
+        assert [r for r in gc.get_referrers(frame) if not isinstance(r, types.FrameType)] == []
         encoded.clear()
-        assert dumps_report(again) == text == _reference_dump(doc) == _reference_dump(again)
-        assert not set(labels) & set(encoded)  # the block took the frame
-        assert cli._frames[15] is frame
+        assert dumps_report(doc) == text == _reference_dump(doc)
+        assert not set(doc["states"][0]["concurrences"]) & set(encoded)  # the block took a frame
+        # It took the rebuilt table's frame, whose one template is the block's indent.
+        rebuilt = bipartitions._cut_table(5).frame
+        assert rebuilt is not frame and list(rebuilt[2]) == [" " * 6]
+        assert dumps_report(report_document([report], DEFAULT_ZERO_TOL)) == text
 
     def test_a_dict_of_seven_floats_builds_no_frame_and_no_cut_table(self, encoded):
         row = {key: 0.125 * i for i, key in enumerate("abcdefg")}

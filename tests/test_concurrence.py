@@ -30,7 +30,7 @@ from gmepyramid import (
 from gmepyramid.bipartitions import split
 from gmepyramid.catalog import benchmark_states
 from gmepyramid.cli import dumps_report, report_document
-from gmepyramid.concurrence import concurrence
+from gmepyramid.concurrence import clear_shape_caches, concurrence
 from gmepyramid.measures import DEFAULT_ZERO_TOL, evaluate
 from gmepyramid.verify import random_product_state
 from minors import minor_concurrence, minor_purity
@@ -239,14 +239,14 @@ class TestShapeCaches:
             reports = [evaluate(state, f"s{i}") for i, state in enumerate(states)]
             return dumps_report(report_document(reports, DEFAULT_ZERO_TOL))
 
-        canonical_bipartitions.cache_clear()
+        clear_shape_caches()
         cold = render()
         assert render() == cold
 
     def test_sizes_are_the_documented_bounds(self):
         # Only admitted party counts get a table; refusals are not cached.
         canonical_bipartitions(4)
-        size = canonical_bipartitions.cache_info().currsize
+        size = gmepyramid.bipartitions._cuts.cache_info().currsize
         refusals = {
             1: "a multipartite state needs at least 2 subsystems",
             27: "subsystem count 27 exceeds the supported maximum 26",
@@ -255,7 +255,7 @@ class TestShapeCaches:
         for n, message in refusals.items():
             with pytest.raises(ValueError, match=f"^{message}$"):
                 canonical_bipartitions(n)
-        assert canonical_bipartitions.cache_info().currsize == size
+        assert gmepyramid.bipartitions._cuts.cache_info().currsize == size
 
 
 class TestConcurrence:
@@ -385,7 +385,7 @@ class TestDenseOracle:
         offsets = gmepyramid.concurrence._oracle_offsets
         dense_oracle_purity(haar_random_state((2, 3, 2), seed=127), (1,))
         assert offsets.cache_info().currsize > 0
-        canonical_bipartitions.cache_clear()
+        clear_shape_caches()
         assert offsets.cache_info().currsize == 0
 
     def test_every_cut_of_a_13_party_shape_fits_the_bound(self):
@@ -913,11 +913,11 @@ class TestBatchedSpectrum:
             full_spectrum(haar_random_state((d, 2, 2), seed=[108, d]))
         assert module._plan.cache_info().currsize == size
         assert table.cache_info().currsize > 0
-        assert canonical_bipartitions.cache_info().currsize > 0
-        canonical_bipartitions.cache_clear()
+        assert gmepyramid.bipartitions._cuts.cache_info().currsize > 0
+        clear_shape_caches()
         assert module._plan.cache_info().currsize == 0
         assert table.cache_info().currsize == 0
-        assert canonical_bipartitions.cache_info().currsize == 0
+        assert gmepyramid.bipartitions._cuts.cache_info().currsize == 0
 
 
 class TestExactSpectra:

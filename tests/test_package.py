@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gmepyramid
+import gmepyramid.cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -65,6 +66,9 @@ def test_each_name_is_one_thing():
         (gmepyramid.measures, "height"),
         (gmepyramid.bipartitions, "iter_bipartitions"),
         (gmepyramid.verify, "DEFAULT_TOLERANCES"),
+        (gmepyramid.canonical_bipartitions, "cache_clear"),
+        (gmepyramid.canonical_bipartitions, "cache_info"),
+        (gmepyramid.cli, "_frames"),
     ],
 )
 def test_a_second_path_to_a_value_is_gone(module, name):
