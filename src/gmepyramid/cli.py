@@ -28,10 +28,6 @@ from .verify import CHECK_NAMES, TrialConfig, TrialOutcome, run_check
 REPORT_SCHEMA = "gme-pyramid-report/1"
 
 
-def _fmt(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.4f}"
-
-
 def _state_json(report: MeasureReport) -> dict:
     spectrum = report.spectrum
     labels = _cut_table(spectrum.n).labels
@@ -129,10 +125,10 @@ def _print_report(report: MeasureReport) -> None:
     print(f"state: {report.state_id} (dims {'x'.join(str(d) for d in spectrum.dims)})")
     print(f"classification: {report.classification}")
     if report.volume is not None:
-        print(f"volume: {_fmt(report.volume)}")
-    print(f"c_gme: {_fmt(report.c_gme)}")
+        print(f"volume: {report.volume:.4f}")
+    print(f"c_gme: {report.c_gme:.4f}")
     if report.triangle is not None:
-        print(f"triangle: {_fmt(report.triangle)}")
+        print(f"triangle: {report.triangle:.4f}")
     print("concurrences:")
     for label, value in zip(_cut_table(spectrum.n).labels, spectrum.values):
         print(f"  {label:<12} {value:.4f}")
@@ -145,6 +141,11 @@ def _print_report(report: MeasureReport) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    """Evaluate first, then print a view of the report. A measure the
+    state's party count lacks is ``None`` in the report (the volume below 3
+    parties, the triangle at other than 3): ``--json`` prints it as null,
+    the text of ``--measure all`` leaves it out, and a single ``--measure``
+    that asks for it exits 2 with nothing on stdout."""
     try:
         state = load_state(args.file, normalize=args.normalize)
     except OSError as exc:
@@ -153,28 +154,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except StateFormatError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
-    # --json prints the full report, whose undefined measures are null.
-    if not args.json and state.n == 2 and args.measure in ("volume", "all"):
-        print(
-            "error: no pyramid volume is defined for 2 parties; "
-            "rerun with --measure cgme for the single-cut concurrence",
-            file=sys.stderr,
-        )
-        return 2
-    if not args.json and state.n != 3 and args.measure == "triangle":
-        print("error: the triangle measure needs exactly 3 parties", file=sys.stderr)
-        return 2
     report = evaluate(state, state_id=str(args.file), zero_tol=args.tol)
     if args.json:
         print(dumps_report(report_document([report], args.tol)))
-    elif args.measure == "volume":
-        print(_fmt(report.volume))
-    elif args.measure == "cgme":
-        print(_fmt(report.c_gme))
-    elif args.measure == "triangle":
-        print(_fmt(report.triangle))
-    else:
+        return 0
+    if args.measure == "all":
         _print_report(report)
+        return 0
+    value = {"volume": report.volume, "cgme": report.c_gme, "triangle": report.triangle}[args.measure]
+    if value is None:
+        print(
+            "error: no pyramid volume is defined for 2 parties; rerun with --measure cgme for the single-cut concurrence"
+            if args.measure == "volume"
+            else "error: the triangle measure needs exactly 3 parties",
+            file=sys.stderr,
+        )
+        return 2
+    print(f"{value:.4f}")
     return 0
 
 

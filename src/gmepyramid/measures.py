@@ -31,7 +31,7 @@ import numpy as np
 
 from .bipartitions import Bipartition
 from .concurrence import ConcurrenceSpectrum, full_spectrum
-from .states import PureState, as_index
+from .states import PureState, _plain, as_index
 
 # A cut that factorizes exactly still evaluates to a concurrence of order
 # sqrt(machine epsilon) ~ 1e-8 (the square root amplifies the ~1e-16 purity
@@ -71,13 +71,19 @@ class MeasureReport:
 
 
 def check_tolerance(value: float | str) -> float:
-    """``value`` as a float; ValueError unless it is finite and >= 0. A bool
-    is refused, not converted, as ``as_index`` refuses it for an integer, and
-    an integer too large for a float reads as ``inf`` of its sign."""
+    """``value`` as a float; ValueError unless it is finite and >= 0. Text
+    takes the one form of every number read from text (``states._plain``:
+    ASCII, no ``_``). A bool is refused, not converted, as ``as_index``
+    refuses it for an integer, and an integer too large for a float reads
+    as ``inf`` of its sign."""
     try:
+        if isinstance(value, str):
+            _plain([value])
         tol = value if isinstance(value, (bool, np.bool_)) else float(value)
     except OverflowError:
         tol = -math.inf if value < 0 else math.inf
+    except ValueError:
+        raise ValueError(f"tolerance must be a plain ASCII number, got {value!r}") from None
     if not (type(tol) is float and math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     return tol

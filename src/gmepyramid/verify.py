@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -237,14 +238,15 @@ def run_check(name: str, config: TrialConfig) -> TrialOutcome:
     if (n != check.parties) if check.exact else (n < check.parties):
         rule = "exactly" if check.exact else "at least"
         raise ValueError(f"{name} needs {rule} {check.parties} parties, got {n}")
-    devs = [check.trial(config, t) for t in range(check.trials or config.trials)]
-    worst = max(range(len(devs)), key=devs.__getitem__)
+    trials = check.trials or config.trials
+    # One pass; max keeps the first of several equal largest deviations.
+    worst, deviation = max(enumerate(check.trial(config, t) for t in range(trials)), key=itemgetter(1))
     tolerance = config.tol if config.tol is not None else check.tolerance
     return TrialOutcome(
         check=name,
-        trials=len(devs),
-        max_deviation=devs[worst],
+        trials=trials,
+        max_deviation=deviation,
         tolerance=tolerance,
-        passed=devs[worst] <= tolerance,
+        passed=deviation <= tolerance,
         worst_trial=worst,
     )

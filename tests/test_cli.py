@@ -129,11 +129,37 @@ class TestEval:
         assert main(["eval", str(path), "--json"]) == 0
         assert capsys.readouterr().out == plain
 
-    def test_two_parties_rejected_for_volume(self, tmp_path, capsys):
+    # Text eval prints the report at any party count, leaving out what it lacks.
+    def test_two_parties_print_the_report_without_a_volume(self, tmp_path, capsys):
         path = tmp_path / "bell.txt"
         path.write_text(BELL_TEXT)
-        assert main(["eval", str(path)]) == 2
-        assert "cgme" in capsys.readouterr().err
+        assert main(["eval", str(path)]) == 0
+        assert capsys.readouterr() == (
+            f"state: {path} (dims 2x2)\n"
+            "classification: GME\n"
+            "c_gme: 1.0000\n"
+            "concurrences:\n"
+            "  1            1.0000\n"
+            "zero cuts: none\n",
+            "",
+        )
+
+    # Only a single measure the report leaves out is refused; a 4-party
+    # triangle is refused in test_triangle_needs_three_parties.
+    @pytest.mark.parametrize(
+        "text, measure, message",
+        [
+            (BELL_TEXT, "volume", "no pyramid volume is defined for 2 parties; "
+             "rerun with --measure cgme for the single-cut concurrence"),
+            (BELL_TEXT, "triangle", "the triangle measure needs exactly 3 parties"),
+        ],
+        ids=["2-volume", "2-triangle"],
+    )
+    def test_a_single_measure_the_state_lacks_is_refused(self, tmp_path, capsys, text, measure, message):
+        path = tmp_path / "state.txt"
+        path.write_text(text)
+        assert main(["eval", str(path), "--measure", measure]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     # --json prints the full report, a measure the state lacks null, whatever --measure asks.
     @pytest.mark.parametrize(
@@ -430,7 +456,8 @@ class TestRandom:
 
 
 class TestTolerance:
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    # Text takes the one form of every number read from text: ASCII, no "_".
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "1_0", "1e-3_0", "\uff11e-7", "\u0661"])
     @pytest.mark.parametrize("command", ["eval", "paper", "random"])
     def test_refused_as_usage_error(self, tmp_path, capsys, command, tol):
         path = tmp_path / "prod.txt"
@@ -443,7 +470,10 @@ class TestTolerance:
         with pytest.raises(SystemExit) as exc:
             main(args + ["--tol", tol])
         assert exc.value.code == 2
-        assert "--tol: tolerance must be finite and >= 0" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = "finite and >= 0" if tol in ("-1", "nan", "inf") else f"a plain ASCII number, got {tol!r}"
+        assert f"error: argument --tol: tolerance must be {reason}" in captured.err
 
     def test_zero_is_accepted(self, tmp_path, capsys):
         path = tmp_path / "prod.txt"

@@ -352,14 +352,28 @@ class TestEvaluate:
         "volume": lambda tol: volume(full_spectrum(benchmark_states()["phi_12345"]), zero_tol=tol),
     }
 
+    # Text takes the one form of every number read from text: ASCII, no "_".
     @pytest.mark.parametrize(
-        "tol, shown",
-        [(float("nan"), "nan"), (-1.0, "-1.0"), (float("inf"), "inf"), (True, "True"), (10**400, "inf"), (-(10**400), "-inf")],
-        ids=["nan", "negative", "inf", "bool", "huge", "huge-negative"],
+        "tol, message",
+        [
+            (float("nan"), "finite and >= 0, got nan"),
+            (-1.0, "finite and >= 0, got -1.0"),
+            (float("inf"), "finite and >= 0, got inf"),
+            (True, "finite and >= 0, got True"),
+            (10**400, "finite and >= 0, got inf"),
+            (-(10**400), "finite and >= 0, got -inf"),
+            ("1e-3_0", "a plain ASCII number, got '1e-3_0'"),
+            ("1_0", "a plain ASCII number, got '1_0'"),
+            ("\uff11e-7", "a plain ASCII number, got '\uff11e-7'"),
+            ("\u0661", "a plain ASCII number, got '\u0661'"),
+            ("abc", "a plain ASCII number, got 'abc'"),
+        ],
+        ids=["nan", "negative", "inf", "bool", "huge", "huge-negative",
+             "exponent-underscore", "underscore", "fullwidth", "arabic", "not-a-number"],
     )
     @pytest.mark.parametrize("entry", list(ENTRIES))
-    def test_each_public_entry_refuses_a_bad_tolerance(self, entry, tol, shown):
-        with pytest.raises(ValueError, match=f"^tolerance must be finite and >= 0, got {re.escape(shown)}$"):
+    def test_each_public_entry_refuses_a_bad_tolerance(self, entry, tol, message):
+        with pytest.raises(ValueError, match=f"^tolerance must be {re.escape(message)}$"):
             self.ENTRIES[entry](tol)
 
     # The helpers behind the entries take the checked value: one check per

@@ -11,6 +11,7 @@ import gmepyramid
 import gmepyramid.cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 
 PUBLIC = [
     "Bipartition",
@@ -69,6 +70,7 @@ def test_each_name_is_one_thing():
         (gmepyramid.canonical_bipartitions, "cache_clear"),
         (gmepyramid.canonical_bipartitions, "cache_info"),
         (gmepyramid.cli, "_frames"),
+        (gmepyramid.cli, "_fmt"),
     ],
 )
 def test_a_second_path_to_a_value_is_gone(module, name):
@@ -82,3 +84,25 @@ def test_the_readme_library_example_runs(capsys):
     block = re.search(r"^```python\n(.*?)^```$", section, re.M | re.S)
     exec(compile(block.group(1), f"{README}:Library", "exec"), {})
     assert capsys.readouterr().out
+
+
+def _toml_tables(text: str) -> dict[str, list[str]]:
+    """The nonblank lines under each ``[table]`` header of a TOML file, read
+    as text: Python 3.10 has no tomllib."""
+    tables: dict[str, list[str]] = {}
+    name = ""
+    for line in text.splitlines():
+        if header := re.fullmatch(r"\[([\w.-]+)\]\s*", line):
+            name = header.group(1)
+        elif line.strip():
+            tables.setdefault(name, []).append(line)
+    return tables
+
+
+def test_the_version_is_stated_once():
+    # pyproject.toml reads the version from the package, which states it.
+    tables = _toml_tables(PYPROJECT.read_text(encoding="utf-8"))
+    assert not [line for line in tables["project"] if re.match(r"\s*version\s*=", line)]
+    assert 'dynamic = ["version"]' in tables["project"]
+    assert tables["tool.setuptools.dynamic"] == ['version = {attr = "gmepyramid.__version__"}']
+    assert re.fullmatch(r"\d+\.\d+\.\d+", gmepyramid.__version__)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,9 +294,30 @@ class TestRunCheck:
         for tol in (-1.0, float("nan"), float("inf"), True, np.True_, 10**400, -(10**400)):
             with pytest.raises(ValueError, match="finite and >= 0"):
                 TrialConfig(dims=(2, 2, 2), tol=tol)
+        # A tolerance given as text takes the one form of every number read from text.
+        for tol in ("1e-3_0", "1_0", "\uff11e-7"):
+            with pytest.raises(ValueError, match="^tolerance must be a plain ASCII number"):
+                TrialConfig(dims=(2, 2, 2), tol=tol)
+        assert TrialConfig(dims=(2, 2, 2), tol="1e-3").tol == 1e-3
 
     def test_outcome_shape(self):
         outcome = run_check("ghz-closed-form", TrialConfig(dims=(2, 2, 2, 2), trials=1))
         assert isinstance(outcome, TrialOutcome)
         assert outcome.trials == 5  # fixed sweep N = 4..8
         assert outcome.max_deviation < 1e-9
+
+    # run_check reads the trials in one pass: a list of every deviation
+    # would hold 10^5 floats, about 3 MiB.
+    def test_the_trial_loop_keeps_no_list_of_deviations(self, monkeypatch):
+        stub = verify._Check(lambda config, t: float(t % 1000), 1e9)
+        monkeypatch.setitem(verify._CHECKS, "stub", stub)
+        config = TrialConfig(dims=(2, 2), trials=10**5)
+        tracemalloc.start()
+        try:
+            outcome = run_check("stub", config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        # The first of the 100 trials whose deviation is the largest, 999.
+        assert outcome == TrialOutcome("stub", 10**5, 999.0, 1e9, True, 999)
