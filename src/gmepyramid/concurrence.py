@@ -12,15 +12,14 @@ is constructed, and its Gram products run on a float64 view (a real
 symmetric rank-k update) instead of complex128. Every spelling of a cut is
 mapped by ``Bipartition`` to one canonical cut, which carries its
 transpose order, so all spellings give a bit-identical purity.
-The oracle, a deliberately naive route, rebuilds the reduced density
-matrix of the given side from flat indices built by explicit digit-stride
-arithmetic: it gathers the cut-by-rest amplitude matrix A in one step (one
-transient copy of the state), forms rho_S = A A^dag and takes Tr(rho_S^2).
-It never reshapes or transposes the state tensor, and so cross-checks the
-indexing of the other two routes. The offsets of a
-side's digit tuples are computed once per (dims, side) and kept, at most
-``_ORACLE_CACHE_SIZE`` pairs, every cut of one 13-party shape;
-:func:`clear_shape_caches` empties them with the other shape caches.
+The oracle, a deliberately naive route that keeps no per-shape state,
+forms the reduced density matrix of the side it is given, even when the
+other side is smaller: it takes that side's sites from :func:`split`, transposes the complex
+amplitudes once into the cut-by-rest matrix A (one transient copy of the
+state), forms rho_S = A A^dag and takes Tr(rho_S^2). Its transpose order
+is the two sides in turn, not one read from the cut table or a plan, and it
+reads ``amplitudes`` rather than the real view the other two routes take of
+a real state.
 
 :func:`full_spectrum` holds a state's spectrum as one row, ``(dims, values)``:
 the concurrences in the order of the shared ``canonical_bipartitions`` tuple,
@@ -101,9 +100,6 @@ DENSE_ORACLE_CAP = 4096
 _CHUNK_FLOOR = 2**11
 # Plans kept, one per dims tuple; a permuted dims tuple is another key.
 _PLAN_CACHE_SIZE = 64
-# Dense-oracle offsets kept, one pair per (dims, side): every cut of one
-# 13-party shape fits, about 12.7 MB at 13 qubits.
-_ORACLE_CACHE_SIZE = 4095
 
 
 def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
@@ -397,54 +393,27 @@ def _chunks(sources: list, d_root: int, runs: list, table) -> tuple[list, np.nda
 def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     """Purity via explicit reconstruction of the reduced density matrix.
 
-    Flat indices are assembled from digit grids and site strides,
-    independent of the reshape/transpose machinery of
-    :func:`reduced_purity`: the d_S x d_rest amplitude matrix A of the
-    given side is gathered from the flat vector in one indexing step, and
-    rho_S = A A^dag is one product whose Tr(rho_S^2) is returned. The
-    row and column offsets of A are computed once per (dims, side) and
-    kept (:func:`_oracle_offsets`); the gather holds one transient copy of
-    the state plus its index array. Intended for verification; refuses
-    reduced dimensions above ``DENSE_ORACLE_CAP``.
+    The d_S x d_rest amplitude matrix A of the given side, whose sites
+    :func:`split` names, is one transpose of the complex amplitude tensor,
+    and rho_S = A A^dag is one product whose Tr(rho_S^2) is returned. No
+    route of :func:`reduced_purity` or :func:`full_spectrum` is shared and
+    nothing is kept between calls; A is one transient copy of the state.
+    Intended for verification; refuses reduced dimensions above
+    ``DENSE_ORACLE_CAP``.
     """
     subset, comp = split(cut, state.n)
     d_s = math.prod(state.dims[i - 1] for i in subset)
     if d_s > DENSE_ORACLE_CAP:
         raise ValueError(f"reduced dimension {d_s} exceeds the dense cap {DENSE_ORACLE_CAP}")
-    rows, cols = _oracle_offsets(state.dims, subset, comp)
-    a = state.amplitudes[rows[:, None] + cols]
+    a = state.amplitudes.reshape(state.dims).transpose([i - 1 for i in subset + comp]).reshape(d_s, -1)
     rho = a @ a.conj().T
     return float(np.real(np.trace(rho @ rho)))
 
 
-@functools.lru_cache(maxsize=_ORACLE_CACHE_SIZE)
-def _oracle_offsets(
-    dims: tuple[int, ...], subset: tuple[int, ...], comp: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The flat offsets of the digit tuples of ``subset`` and of ``comp``,
-    the two sides of a cut of ``dims``, by digit-stride arithmetic; kept
-    read-only, since every call on that side shares them."""
-    strides = [0] * len(dims)
-    acc = 1
-    for i in range(len(dims) - 1, -1, -1):
-        strides[i] = acc
-        acc *= dims[i]
-    sides = []
-    for sites in (subset, comp):
-        # One column per digit tuple, in row-major order: the first site varies slowest.
-        digits = np.indices([dims[i - 1] for i in sites], dtype=np.intp)
-        site_strides = np.array([strides[i - 1] for i in sites], dtype=np.intp)
-        offsets = site_strides @ digits.reshape(len(sites), -1)
-        offsets.setflags(write=False)
-        sides.append(offsets)
-    return tuple(sides)
-
-
 def clear_shape_caches() -> None:
     """Empty every shape cache: the per-N table entries with their render
-    frames, the cut tuples, the spectrum plans built on the tables and the
-    dense oracle's offsets. Every output is the same before and after."""
+    frames, the cut tuples and the spectrum plans built on the tables.
+    Every output is the same before and after."""
     _cut_table.cache_clear()
     _cuts.cache_clear()
     _plan.cache_clear()
-    _oracle_offsets.cache_clear()

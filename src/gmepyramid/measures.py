@@ -73,10 +73,13 @@ class MeasureReport:
 def check_tolerance(value: float | str) -> float:
     """``value`` as a float; ValueError unless it is finite and >= 0. Text
     takes the one form of every number read from text (``states._plain``:
-    ASCII, no ``_``). A bool is refused, not converted, as ``as_index``
+    ASCII, no ``_``), and bytes are no text here: ``float()`` would read
+    them past that form. A bool is refused, not converted, as ``as_index``
     refuses it for an integer, and an integer too large for a float reads
-    as ``inf`` of its sign."""
+    as ``inf`` of its sign. A negative zero is returned as ``0.0``."""
     try:
+        if isinstance(value, (bytes, bytearray, memoryview)):
+            raise ValueError
         if isinstance(value, str):
             _plain([value])
         tol = value if isinstance(value, (bool, np.bool_)) else float(value)
@@ -86,7 +89,7 @@ def check_tolerance(value: float | str) -> float:
         raise ValueError(f"tolerance must be a plain ASCII number, got {value!r}") from None
     if not (type(tol) is float and math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
-    return tol
+    return abs(tol)  # -0.0 passes the test above; a report states 0.0
 
 
 def _geometric_mean(values: tuple[float, ...], zero_tol: float) -> float:

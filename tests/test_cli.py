@@ -17,7 +17,6 @@ from gmepyramid import (
     canonical_bipartitions,
     cli,
     concurrence,
-    dense_oracle_purity,
     evaluate,
 )
 from gmepyramid.cli import dumps_report, main, report_document
@@ -456,19 +455,22 @@ class TestRandom:
 
 
 class TestTolerance:
-    # Text takes the one form of every number read from text: ASCII, no "_".
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "1_0", "1e-3_0", "\uff11e-7", "\u0661"])
-    @pytest.mark.parametrize("command", ["eval", "paper", "random"])
-    def test_refused_as_usage_error(self, tmp_path, capsys, command, tol):
+    @staticmethod
+    def args(command, tmp_path):
         path = tmp_path / "prod.txt"
         path.write_text(PRODUCT4_TEXT)
-        args = {
+        return {
             "eval": ["eval", str(path)],
             "paper": ["paper"],
             "random": ["random", "--dims", "2,2,2", "--check", "ghz-closed-form"],
         }[command]
+
+    # Text takes the one form of every number read from text: ASCII, no "_".
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "1_0", "1e-3_0", "\uff11e-7", "\u0661"])
+    @pytest.mark.parametrize("command", ["eval", "paper", "random"])
+    def test_refused_as_usage_error(self, tmp_path, capsys, command, tol):
         with pytest.raises(SystemExit) as exc:
-            main(args + ["--tol", tol])
+            main(self.args(command, tmp_path) + ["--tol", tol])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -480,6 +482,17 @@ class TestTolerance:
         path.write_text(PRODUCT4_TEXT)
         assert main(["eval", str(path), "--tol", "0", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["tolerances"]["zero"] == 0.0
+
+    # -0 passes ">= 0", and every report states it as 0.0, not as a signed cutoff.
+    @pytest.mark.parametrize("command", ["eval", "paper", "random"])
+    def test_a_negative_zero_is_stated_as_zero(self, tmp_path, capsys, command):
+        # ghz-closed-form's deviations are a few ulps, above a cutoff of 0.
+        expected = 1 if command == "random" else 0
+        assert main(self.args(command, tmp_path) + ["--tol", "-0", "--json"]) == expected
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        tol = doc["checks"][0]["tolerance"] if command == "random" else doc["tolerances"]["zero"]
+        assert str(tol) == "0.0" and "-0.0" not in out
 
 
 def _reference_dump(doc) -> str:
@@ -627,15 +640,14 @@ class TestRenderer:
         state = haar_random_state((2,) * 5, seed=[133])
         report = evaluate(state)  # fills the table and the plan
         canonical_bipartitions(5)
-        dense_oracle_purity(state, (1, 2))
         doc = report_document([report], DEFAULT_ZERO_TOL)
         text = dumps_report(doc)
         frame = bipartitions._cut_table(5).frame
-        caches = [bipartitions._cut_table, bipartitions._cuts, concurrence._plan, concurrence._oracle_offsets]
+        caches = [bipartitions._cut_table, bipartitions._cuts, concurrence._plan]
         assert all(cache.cache_info().currsize for cache in caches)
         clear_shape_caches()
         gc.collect()
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0, 0]
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
         # Nothing but this test's running stack frame refers to the old render frame.
         assert [r for r in gc.get_referrers(frame) if not isinstance(r, types.FrameType)] == []
         encoded.clear()

@@ -86,8 +86,9 @@ def loop_oracle_purity(state, cut):
 
 
 def uncached_oracle_purity(state, cut):
-    """The dense oracle's arithmetic with its offsets rebuilt on every call:
-    strides, two digit grids, one gather, A A^dag and Tr(rho^2)."""
+    """The dense oracle's cut matrix A by digit-stride arithmetic in place of
+    its transpose: strides, two digit grids and one gather of the flat
+    amplitudes, then the same A A^dag and Tr(rho^2)."""
     subset, comp = split(cut, state.n)
     strides = [0] * state.n
     acc = 1
@@ -337,25 +338,17 @@ class TestDenseOracle:
                 assert abs(gram - dense) < 1e-12
 
 
+    # The transpose and the digit-stride gather build the same A, so the two
+    # products and the trace see the same operands.
     @pytest.mark.parametrize("dims", [(2, 2, 2, 2, 3, 3), (3, 2, 2, 3)], ids=str)
-    def test_kept_offsets_give_the_uncached_purities_bit_for_bit(self, dims):
-        offsets = gmepyramid.concurrence._oracle_offsets
+    def test_equals_the_uncached_oracle_bit_for_bit(self, dims):
         n = len(dims)
         states = [haar_random_state(dims, seed=[125, n, trial]) for trial in range(3)]
         states.append(real_gaussian_state(dims, seed=[126, n]))
-        spellings = [s for cut in canonical_bipartitions(n) for s in (cut, cut.complement())]
-        offsets.cache_clear()
-        for spelling in spellings:  # cold: each side's offsets are built by this call
-            for state in states:
-                offsets.cache_clear()
-                assert dense_oracle_purity(state, spelling) == uncached_oracle_purity(state, spelling)
-        for spelling in spellings:  # warm: every call reads the kept offsets
-            dense_oracle_purity(states[0], spelling)
-        hits = offsets.cache_info().hits
-        for spelling in spellings:
-            for state in states:
-                assert dense_oracle_purity(state, spelling) == uncached_oracle_purity(state, spelling)
-        assert offsets.cache_info().hits == hits + len(spellings) * len(states)
+        for cut in canonical_bipartitions(n):
+            for spelling in (cut, cut.complement()):
+                for state in states:
+                    assert dense_oracle_purity(state, spelling) == uncached_oracle_purity(state, spelling)
 
     @pytest.mark.parametrize(
         "dims, cut, message",
@@ -370,41 +363,29 @@ class TestDenseOracle:
         ids=["empty", "range", "repeat", "whole", "parties", "cap"],
     )
     def test_a_refused_cut_keeps_nothing(self, dims, cut, message):
-        offsets = gmepyramid.concurrence._oracle_offsets
         amps = np.zeros(math.prod(dims))
         amps[0] = 1.0
         state = PureState(dims, amps)
         dense_oracle_purity(state, (1,))
-        size = offsets.cache_info().currsize
         for _ in range(2):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 dense_oracle_purity(state, cut)
-        assert offsets.cache_info().currsize == size
 
-    def test_the_offsets_are_emptied_with_the_shape_caches(self):
-        offsets = gmepyramid.concurrence._oracle_offsets
-        dense_oracle_purity(haar_random_state((2, 3, 2), seed=127), (1,))
-        assert offsets.cache_info().currsize > 0
+    # The oracle keeps no per-shape state: a cold sweep over every cut of 12
+    # qubits leaves behind only what Python's own free lists hold.
+    def test_a_sweep_over_every_cut_retains_nothing(self):
+        state = haar_random_state((2,) * 12, seed=[127])
+        cuts = canonical_bipartitions(12)
         clear_shape_caches()
-        assert offsets.cache_info().currsize == 0
-
-    def test_every_cut_of_a_13_party_shape_fits_the_bound(self):
-        module = gmepyramid.concurrence
-        offsets = module._oracle_offsets
-        assert offsets.cache_info().maxsize == module._ORACLE_CACHE_SIZE == 4095
-        sides = [split(cut, 13) for cut in canonical_bipartitions(13)]
-        assert len(sides) == 4095
-        offsets.cache_clear()
+        tracemalloc.start()
         try:
-            for subset, comp in sides:  # the keys dense_oracle_purity looks up
-                offsets((2,) * 13, subset, comp)
-            assert offsets.cache_info().currsize == 4095
-            misses = offsets.cache_info().misses
-            for subset, comp in sides:  # a second sweep finds every cut kept
-                offsets((2,) * 13, subset, comp)
-            assert offsets.cache_info().misses == misses
+            before = tracemalloc.get_traced_memory()[0]
+            for cut in cuts:
+                dense_oracle_purity(state, cut)
+            retained = tracemalloc.get_traced_memory()[0] - before
         finally:
-            offsets.cache_clear()
+            tracemalloc.stop()
+        assert retained < 2**20
 
 
 class TestInvariances:

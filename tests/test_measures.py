@@ -367,9 +367,12 @@ class TestEvaluate:
             ("\uff11e-7", "a plain ASCII number, got '\uff11e-7'"),
             ("\u0661", "a plain ASCII number, got '\u0661'"),
             ("abc", "a plain ASCII number, got 'abc'"),
+            (b"1_0", "a plain ASCII number, got b'1_0'"),
+            (bytearray(b"1e-7"), "a plain ASCII number, got bytearray(b'1e-7')"),
         ],
         ids=["nan", "negative", "inf", "bool", "huge", "huge-negative",
-             "exponent-underscore", "underscore", "fullwidth", "arabic", "not-a-number"],
+             "exponent-underscore", "underscore", "fullwidth", "arabic", "not-a-number",
+             "bytes", "bytearray"],
     )
     @pytest.mark.parametrize("entry", list(ENTRIES))
     def test_each_public_entry_refuses_a_bad_tolerance(self, entry, tol, message):
@@ -390,6 +393,12 @@ class TestEvaluate:
         monkeypatch.setattr(module, "check_tolerance", counted)
         assert self.ENTRIES[entry]("1e-7") == self.ENTRIES[entry](1e-7)
         assert calls == ["1e-7", 1e-7]
+
+    # -0.0 passes ">= 0"; the checked value is 0.0, so no report states a signed cutoff.
+    @pytest.mark.parametrize("tol", [-0.0, "-0", "-0e-7"])
+    def test_a_negative_zero_reads_as_zero(self, tol):
+        assert str(check_tolerance(tol)) == "0.0"
+        assert str(evaluate(ghz_state(4), zero_tol=tol).zero_tol) == "0.0"
 
     @pytest.mark.parametrize("measure", [classify, volume])
     @pytest.mark.parametrize("state_id", ["phi_12345", "psi_A"])

@@ -71,6 +71,8 @@ def test_each_name_is_one_thing():
         (gmepyramid.canonical_bipartitions, "cache_info"),
         (gmepyramid.cli, "_frames"),
         (gmepyramid.cli, "_fmt"),
+        (gmepyramid.concurrence, "_oracle_offsets"),
+        (gmepyramid.concurrence, "_ORACLE_CACHE_SIZE"),
     ],
 )
 def test_a_second_path_to_a_value_is_gone(module, name):

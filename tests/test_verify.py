@@ -294,11 +294,13 @@ class TestRunCheck:
         for tol in (-1.0, float("nan"), float("inf"), True, np.True_, 10**400, -(10**400)):
             with pytest.raises(ValueError, match="finite and >= 0"):
                 TrialConfig(dims=(2, 2, 2), tol=tol)
-        # A tolerance given as text takes the one form of every number read from text.
-        for tol in ("1e-3_0", "1_0", "\uff11e-7"):
+        # A tolerance given as text takes the one form of every number read
+        # from text, and bytes are no text: float() would read them past it.
+        for tol in ("1e-3_0", "1_0", "\uff11e-7", b"1_0", bytearray(b"1e-7"), memoryview(b"1")):
             with pytest.raises(ValueError, match="^tolerance must be a plain ASCII number"):
                 TrialConfig(dims=(2, 2, 2), tol=tol)
         assert TrialConfig(dims=(2, 2, 2), tol="1e-3").tol == 1e-3
+        assert str(TrialConfig(dims=(2, 2, 2), tol=-0.0).tol) == "0.0"
 
     def test_outcome_shape(self):
         outcome = run_check("ghz-closed-form", TrialConfig(dims=(2, 2, 2, 2), trials=1))
