@@ -60,13 +60,17 @@ amplitudes takes one root per chunk, whose cut matrix is one transposed
 copy of the state, the Gram side's sites first. One builder,
 :func:`_chunks`, walks the runs of a chunk (its roots of one shape and
 subtree, the sites traced level by level) breadth first and makes the
-chunk one flat record: its source, buffer size, state starts and steps. A
-step traces one site out of the states in its parent's buffer slice into
-its own slice, for all of a run's roots at once; a root that is
-childless or traces nothing takes none. A chunk takes one gather, one
-batched Gram product, its steps in turn, and one pass that reduces every
-purity of the chunk from its buffer. The chunks take their buffers in
-turn from one allocation per spectrum, the size of the largest.
+chunk one flat record: its source, buffer size, state starts and levels.
+A level writes every state of one forest depth, across the chunk's runs,
+each one site smaller than its parent: per diagonal slice j of the traced
+site, one gather from the buffer at flat indices the plan holds, read-only,
+and one add, x_0 + x_1, then + x_j while the site's dimension d > j: the
+slices are summed in turn, so no value depends on the buffer's layout. A
+root that is childless or traces nothing reaches no level. A chunk takes
+one gather of its cut matrices, one batched Gram product, its levels in
+turn, and one pass that reduces every purity of the chunk from its buffer.
+The chunks take their buffers in turn from one allocation per spectrum,
+the size of the largest.
 
 At n <= 3 :func:`full_spectrum` runs no plan and still takes one
 :func:`concurrence` call per cut: the benchmark counts the spectrum's work
@@ -183,10 +187,11 @@ class ConcurrenceSpectrum:
 def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
     """Evaluate every canonical cut of ``state`` by its dims' plan
     (:func:`_plan`): per chunk of roots one stack of cut matrices, one
-    batched Gram product, the chunk's steps, each one partial trace from
-    one slice of the chunk's buffer into the next, and one reduction of the
-    purities. Every cut of four or more parties is reached so; at n <= 3
-    each cut takes one :func:`concurrence` call instead.
+    batched Gram product, the chunk's levels, each one partial trace of
+    every state of a forest depth by gathers from the chunk's buffer, and
+    one reduction of the purities. Every cut of four or more parties is
+    reached so; at n <= 3 each cut takes one :func:`concurrence` call
+    instead.
 
     Each value depends only on the state and its cut's path in the forest,
     not on the other roots of its chunk.
@@ -213,13 +218,13 @@ def _chunk_purities(
     d_root: int,
     size: int,
     starts,
-    steps,
+    levels,
 ) -> np.ndarray:
     """Purities of one chunk's reduced states in the order of its buffer,
     the first ``size`` amplitudes of ``buffer``, which the chunk overwrites.
     ``source`` is one root's transpose order, its Gram side's sites first,
     or the chunk's gathered flat indices (:func:`_plan`). The cut matrices
-    go before the traces."""
+    go before the traces, which run one forest level at a time."""
     if isinstance(source, tuple):  # one root: its transpose order, Gram side first
         m = state._tensor.transpose(source).reshape(1, d_root, -1)
     else:
@@ -228,13 +233,14 @@ def _chunk_purities(
     roots = rhos[: len(m) * d_root * d_root].reshape(-1, d_root, d_root)
     np.matmul(m, m.conj().transpose(0, 2, 1), out=roots)
     del m
-    for parent, a, d, b, out in steps:
-        # Trace out the parent's middle site: the sum of its d diagonal slices.
-        x = rhos[parent].reshape(-1, a, d, b, a, d, b)
-        y = rhos[out].reshape(-1, a, b, a, b)
-        np.add(x[:, :, 0, :, :, 0], x[:, :, 1, :, :, 1], out=y)
-        for j in range(2, d):
-            y += x[:, :, j, :, :, j]
+    for out, gathers in levels:
+        # Each state of the level is the sum of its parent's d diagonal
+        # slices, term by term in order: x_0 + x_1, then + x_j while d > j.
+        y = rhos[out]
+        np.add(rhos.take(gathers[0]), rhos.take(gathers[1]), out=y)
+        for gather in gathers[2:]:
+            part = y[: len(gather)]
+            part += rhos.take(gather)
     flat = rhos.view(np.float64)
     if starts is None:  # one state: one dot product, as cheap as reduced_purity's
         return np.array([flat @ flat])
@@ -244,11 +250,11 @@ def _chunk_purities(
 class _Plan(NamedTuple):
     """What :func:`full_spectrum` does for one dims tuple, and the bounds
     that :class:`ConcurrenceSpectrum` checks. Each chunk is one flat record
-    ``(source, d_root, size, starts, steps)`` made by :func:`_chunks`; see
+    ``(source, d_root, size, starts, levels)`` made by :func:`_chunks`; see
     :func:`_plan` for the sources. :func:`full_spectrum` does not run the
     chunks at n <= 3."""
 
-    chunks: tuple[tuple, ...]  # (source, d_root, size, starts, steps) each
+    chunks: tuple[tuple, ...]  # (source, d_root, size, starts, levels) each
     buffer: int  # the largest chunk's buffer size, in amplitudes
     order: np.ndarray  # the cut of each purity that the chunks return, in turn
     bounds: tuple[float, ...]  # per cut, sqrt(2 (m - 1) / m) and a rounding slack
@@ -272,12 +278,13 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     Otherwise the source is the (B, d_root, D / d_root) flat indices of its
     roots' matrices in that order. A chunk's members fall into runs of one
     Gram-side shape and one subtree id, and :func:`_chunks` builds the chunk
-    from its runs; a root that traces nothing runs as id 0, with no steps,
-    as a childless one does. A run's one-root chunks are built at once
-    and share all but their sources. Built from the table entry of
-    ``len(dims)`` parties, whose subsets give every root's transpose order
-    at once, with Python per root and per step, none per trace or hub; no
-    cut object is built.
+    from its runs; a root that traces nothing runs as id 0, with no
+    levels, as a childless one does. A run's one-root chunks are built at
+    once and share all but their sources: their levels and index arrays
+    are one object. Built from the table entry of ``len(dims)`` parties,
+    whose subsets give every root's transpose order at once, with Python
+    per root and per traced state and numpy per level, none per traced
+    entry or hub; no cut object is built.
     """
     n, total = len(dims), math.prod(dims)
     table = _cut_table(n)
@@ -314,7 +321,7 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
     orders = np.argsort(~gram, axis=1, kind="stable").tolist()
 
     # Roots by Gram-side dimension, then by Gram-side shape and subtree: a run
-    # of like roots shares its steps, and a chunk may hold runs of any shape.
+    # of like roots shares its levels, and a chunk may hold runs of any shape.
     groups, axes = {}, {}
     for r, ax, k in zip(roots, orders, gram.sum(axis=1).tolist()):
         axes[r], shape = tuple(ax), tuple([dims[a] for a in ax[:k]])
@@ -345,49 +352,76 @@ def _plan(dims: tuple[int, ...]) -> _Plan:
 
 
 def _chunks(sources: list, d_root: int, runs: list, table) -> tuple[list, np.ndarray]:
-    """The chunks ``(source, d_root, size, starts, steps)`` of ``sources``,
+    """The chunks ``(source, d_root, size, starts, levels)`` of ``sources``,
     one each, and the cut of every state in their buffers, chunk by chunk.
 
     A run ``((shape, tree), roots)`` lists like roots: their Gram side has
     ``shape`` and their subtree id is ``tree``, whose traced positions lie
     in that side (a hub's, in H, for a taken hub's root). One source takes
     all the roots of ``runs``; several share one layout, and each takes one
-    root, source j the run's ``roots[j]``. Each run is walked once, breadth
-    first.
+    root, source j the run's ``roots[j]``.
     A chunk's buffer of ``size`` amplitudes holds its d_root x d_root root
-    states, run by run, then run by run and level by level the states below
-    them, root by root. A step ``(parent, a, d, b, out)`` traces the site
-    of dimension d between a and b others out of the states in the buffer
-    slice ``parent`` into the slice ``out``, which lies after it.
+    states, run by run, then level by level the states one site smaller
+    than the level before, across all runs. Within a level the states go by
+    the traced site's dimension d, largest first, then by the dimensions a
+    and b of the sites before and after it, so that like traces sit side by
+    side. A level ``(out, gathers)`` writes the buffer slice ``out``, which
+    lies after every state it reads: ``gathers[j]`` holds, for each entry
+    of the first ``len(gathers[j])`` entries of ``out``, the buffer index of
+    its parent's entry in diagonal slice j, and covers exactly the states
+    with d > j. The index arrays are read-only and built per level, with
+    numpy per run of like traces.
     ``starts[itemsize]`` holds where each state begins in the buffer's
     float64 view (1 float per float64 amplitude, 2 per complex128), and
     ``starts`` is None when the buffer holds one state.
     """
     keys, first, kids = table.keys, table.first, table.kids
     block, share = d_root * d_root, len(sources)
-    size = block * sum(len(roots) for _, roots in runs) // share
-    starts, steps, cuts, at = [range(0, size, block)], [], [roots for _, roots in runs], 0
+    slots, size = [], 0
     for (shape, tree), roots in runs:
         count = len(roots) // share
-        slots = [(shape, tree, slice(at, at + count * block), roots)]
-        at += count * block
-        for sites, node, parent, nodes in slots:  # breadth first: each slot appends its children
-            for rank, (pos, child) in enumerate(keys[node]):
-                a, b = math.prod(sites[:pos]), math.prod(sites[pos + 1 :])
-                length = (a * b) ** 2
-                out = slice(size, size + count * length)
-                steps.append((parent, a, sites[pos], b, out))
-                starts.append(range(size, out.stop, length))
-                cuts.append([kids[first[i] + rank] for i in nodes])
-                slots.append((sites[:pos] + sites[pos + 1 :], child, out, cuts[-1]))
-                size = out.stop
+        slots.append((shape, tree, size, count, roots))
+        size += count * block
+    starts, cuts, levels, offsets = [range(0, size, block)], [roots for _, roots in runs], [], {}
+    while True:
+        traces = [
+            ((-sites[pos], math.prod(sites[:pos]), math.prod(sites[pos + 1 :])), slot, pos, child, rank)
+            for slot in slots
+            for sites in slot[:1]
+            for rank, (pos, child) in enumerate(keys[slot[1]])
+        ]
+        if not traces:
+            break
+        traces.sort(key=operator.itemgetter(0))
+        lo, slots, terms = size, [], []
+        for (minus_d, a, b), like in itertools.groupby(traces, operator.itemgetter(0)):
+            d, length = -minus_d, (a * b) ** 2
+            parent_size, heads = length * d * d, []
+            for _, (sites, _, at, count, nodes), pos, child, rank in like:
+                heads += range(at, at + count * parent_size, parent_size)
+                nodes = [kids[first[i] + rank] for i in nodes]
+                slots.append((sites[:pos] + sites[pos + 1 :], child, size, count, nodes))
+                starts.append(range(size, size + count * length, length))
+                cuts.append(nodes)
+                size += count * length
+            if (a, d, b) not in offsets:
+                # Entry ((i, t, j), (k, t, l)) of a parent of side w = a d b
+                # for the output entry ((i, j), (k, l)) and the term t.
+                w, rows = a * d * b, (np.arange(a)[:, None] * (d * b) + np.arange(b)).ravel()
+                offsets[a, d, b] = (rows[:, None] * w + rows).ravel() + np.arange(d)[:, None] * (b * w + b)
+            terms.append((offsets[a, d, b][:, None] + np.array(heads)[:, None]).reshape(d, -1))
+        gathers = tuple(np.concatenate([t[j] for t in terms if len(t) > j]) for j in range(len(terms[0])))
+        for gather in gathers:
+            gather.flags.writeable = False
+        levels.append((slice(lo, size), gathers))
     if size == block:
         starts = None
     else:
         at = np.fromiter(itertools.chain.from_iterable(starts), dtype=np.intp)
         starts = {8: at, 16: 2 * at}
     cuts = np.fromiter(itertools.chain.from_iterable(cuts), np.intp).reshape(-1, share).T.ravel()
-    return [(source, d_root, size, starts, tuple(steps)) for source in sources], cuts
+    levels = tuple(levels)
+    return [(source, d_root, size, starts, levels) for source in sources], cuts
 
 
 def dense_oracle_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:

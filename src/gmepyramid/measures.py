@@ -73,15 +73,17 @@ class MeasureReport:
 def check_tolerance(value: float | str) -> float:
     """``value`` as a float; ValueError unless it is finite and >= 0. Text
     takes the one form of every number read from text (``states._plain``:
-    ASCII, no ``_``), and bytes are no text here: ``float()`` would read
-    them past that form. A bool is refused, not converted, as ``as_index``
-    refuses it for an integer, and an integer too large for a float reads
-    as ``inf`` of its sign. A negative zero is returned as ``0.0``."""
+    ASCII, no ``_``). Any other value whose type has neither ``__float__``
+    nor ``__index__`` is refused, ``None`` and buffers such as bytes
+    included: ``float()`` would read a buffer as text past that form. A
+    bool is refused, not converted, as ``as_index`` refuses it for an
+    integer, and an integer too large for a float reads as ``inf`` of its
+    sign. A negative zero is returned as ``0.0``."""
     try:
-        if isinstance(value, (bytes, bytearray, memoryview)):
-            raise ValueError
         if isinstance(value, str):
             _plain([value])
+        elif not (hasattr(type(value), "__float__") or hasattr(type(value), "__index__")):
+            raise ValueError  # float() would read a buffer as text, past _plain
         tol = value if isinstance(value, (bool, np.bool_)) else float(value)
     except OverflowError:
         tol = -math.inf if value < 0 else math.inf

@@ -648,6 +648,66 @@ def batch_state(dims, kind):
     return PureState(dims, np.kron(first, rest), normalize=True)
 
 
+def stepwise_purities(state, plan):
+    """Every purity of ``plan`` (a ``_plan`` of the state's dims), cut by
+    cut, with the chunks' own Gram products and, below them, one partial
+    trace per state as a sum of the d diagonal slices of a 7-d view of its
+    parent. Each traced cut's parent and site come from the table's forest,
+    not from the plan's levels; the purities are reduced per chunk as the
+    plan's are."""
+    dims, n = state.dims, state.n
+    table = gmepyramid.concurrence._cut_table(n)
+    side = [[s - 1 for s in subset if s] for subset in table.subsets.tolist()]
+    parent_of = {}
+    for i in range(len(side)):
+        for child in table.kids[table.first[i] : table.first[i] + len(table.keys[table.subtree[i]])]:
+            parent_of[child] = i
+    total = math.prod(dims)
+    purities = np.empty(len(side))
+    buffer = np.empty(plan.buffer, state._tensor.dtype)
+    at = 0
+    for source, d_root, size, starts, _ in plan.chunks:
+        count = 1 if starts is None else len(starts[8])
+        cuts = plan.order[at : at + count].tolist()
+        at += count
+        if isinstance(source, tuple):
+            m = state._tensor.transpose(source).reshape(1, d_root, -1)
+        else:
+            m = state._tensor.reshape(-1).take(source)
+        roots = buffer[: len(m) * d_root * d_root].reshape(-1, d_root, d_root)
+        np.matmul(m, m.conj().transpose(0, 2, 1), out=roots)
+        rhos, gram = {}, {}
+        for r, rho in zip(cuts, roots):
+            own = math.prod([dims[s] for s in side[r]])
+            if isinstance(source, tuple):
+                k = next(k for k in range(1, n + 1) if math.prod([dims[a] for a in source[:k]]) == d_root)
+                gram[r] = sorted(source[:k])
+            else:  # no hub is taken below 2^10 amplitudes: only a lopsided root flips
+                flipped = min(own, total // own) < own
+                gram[r] = sorted(set(range(n)) - set(side[r])) if flipped else side[r]
+            rhos[r] = rho
+        for cut in cuts[len(m) :]:
+            p = parent_of[cut]
+            sites = gram.get(p, side[p])
+            pos = next(i for i, s in enumerate(sites) if s not in side[cut])
+            a, d = math.prod([dims[s] for s in sites[:pos]]), dims[sites[pos]]
+            b = math.prod([dims[s] for s in sites[pos + 1 :]])
+            x = rhos[p].reshape(-1, a, d, b, a, d, b)
+            y = np.empty((1, a, b, a, b), buffer.dtype)
+            np.add(x[:, :, 0, :, :, 0], x[:, :, 1, :, :, 1], out=y)
+            for j in range(2, d):
+                y += x[:, :, j, :, :, j]
+            rhos[cut] = y.reshape(a * b, a * b)
+        flat = np.concatenate([rhos[cut].reshape(-1) for cut in cuts]).view(np.float64)
+        if count == 1:
+            purities[cuts] = flat @ flat
+        else:
+            per = 2 if buffer.dtype.kind == "c" else 1  # floats per amplitude
+            heads = np.cumsum([0] + [rhos[cut].size * per for cut in cuts[:-1]])
+            purities[cuts] = np.add.reduceat(np.square(flat), heads)
+    return purities
+
+
 class TestBatchedSpectrum:
     """``full_spectrum`` runs its dims' plan: chunks of like forest roots, each
     one gathered Gram product and one partial trace per step below it."""
@@ -683,12 +743,12 @@ class TestBatchedSpectrum:
             assert calls == ["concurrence", "reduced_purity"] * cuts
 
     # Under a floor of 1 every root is a chunk of its own, as above 2^10
-    # amplitudes. A chunk's root block and its steps' outputs tile its buffer
-    # in order; each step reads states written before its own, as many as it
-    # writes: an earlier step's output or one run's disjoint share of the
-    # root block; and the state starts are exactly those blocks' state
-    # boundaries.
-    @pytest.mark.parametrize("dims", BATCH_DIMS, ids=str)
+    # amplitudes. A chunk's root block and its levels' outputs tile its
+    # buffer in order; each level reads only states written before its own,
+    # through read-only index arrays that cover a prefix of its output, one
+    # per diagonal slice; the state starts are exactly the states'
+    # boundaries, and each state reads one earlier state, d times its side.
+    @pytest.mark.parametrize("dims", BATCH_DIMS + [(2, 3, 4, 2, 2)], ids=str)
     def test_the_plan_reduces_one_purity_per_cut(self, monkeypatch, dims):
         module = gmepyramid.concurrence
         cuts = list(range(2 ** (len(dims) - 1) - 1))
@@ -700,26 +760,31 @@ class TestBatchedSpectrum:
             finally:
                 module._plan.cache_clear()
             assert sorted(plan.order.tolist()) == cuts
-            for source, d_root, size, starts, steps in plan.chunks:
+            for source, d_root, size, starts, levels in plan.chunks:
                 block = (1 if isinstance(source, tuple) else len(source)) * d_root * d_root
-                at, bounds, heads, outs = block, list(range(0, block, d_root * d_root)), [], set()
-                for parent, a, d, b, out in steps:
-                    assert out.start == at and parent.stop <= out.start
-                    assert (parent.stop - parent.start) * (a * b) ** 2 == (out.stop - out.start) * (a * d * b) ** 2
-                    if parent.stop <= block:
-                        heads.append((parent.start, parent.stop))
-                    else:
-                        assert (parent.start, parent.stop) in outs
-                    outs.add((out.start, out.stop))
-                    bounds += range(out.start, out.stop, (a * b) ** 2)
+                if starts is None:
+                    assert size == block == d_root * d_root and levels == ()
+                    continue
+                bounds = starts[8].tolist() + [size]
+                assert starts[16].tolist() == [2 * x for x in bounds[:-1]]
+                assert bounds[: block // (d_root * d_root) + 1] == list(range(0, block + 1, d_root * d_root))
+                at = block
+                for out, gathers in levels:
+                    assert out.start == at and out.start in bounds
+                    lengths = [len(gather) for gather in gathers]
+                    assert lengths[0] == lengths[1] == out.stop - out.start and lengths == sorted(lengths, reverse=True)
+                    for gather in gathers:
+                        assert not gather.flags.writeable
+                        assert gather.dtype == np.intp and 0 <= gather.min() and gather.max() < out.start
+                    for lo, hi in zip(bounds, bounds[1:]):
+                        if out.start <= lo < out.stop:
+                            d = sum(length > lo - out.start for length in lengths)
+                            heads = np.searchsorted(bounds, gathers[0][lo - out.start : hi - out.start], "right") - 1
+                            assert heads.min() == heads.max()
+                            parent = bounds[heads[0] + 1] - bounds[heads[0]]
+                            assert math.isqrt(hi - lo) ** 2 == hi - lo and (hi - lo) * d * d == parent
                     at = out.stop
                 assert at == size
-                heads = sorted(set(heads))
-                assert all(lo[1] <= hi[0] for lo, hi in zip(heads, heads[1:]))
-                if starts is None:
-                    assert bounds == [0] and steps == ()
-                else:
-                    assert starts[8].tolist() == bounds and starts[16].tolist() == [2 * x for x in bounds]
 
     # A lopsided root, d_S^2 > D, takes the Gram product of its other side;
     # every such cut is a root, since its parent is lopsided too. Each of
@@ -779,40 +844,90 @@ class TestBatchedSpectrum:
             assert abs(0.5 * a * a - 0.5 * c * c) <= 1e-15
             assert abs(1.0 - 0.5 * a * a - p) <= 1e-15
 
-    # Above 2^10 amplitudes a chunk holds one root, as under a floor of 1,
-    # and the plan is the one these digests were recorded from before the
-    # chunk size came to depend on D: its chunks, order and bounds. mixed11's
-    # was recorded again once hub roots became forest nodes: its roots start
-    # from the hub roots, so the same chunks, each with the same cuts, come
-    # in another order, and every value is bit-identical.
+    # Above 2^10 amplitudes a chunk holds one root, as under a floor of 1.
+    # The first digest holds what no buffer layout moves: each chunk's source,
+    # d_root and set of cuts, and the bounds; it was recorded from the plan of
+    # per-step traces, whose chunks come in the same order. The second holds
+    # the layout of levels: buffer sizes, state starts, the levels' slices
+    # and index arrays, the largest buffer and the purity order.
     @pytest.mark.parametrize(
-        "dims, digest",
+        "dims, kept, layout",
         [
-            ((2,) * 11, "1d9b81dc92f9cb9336ad204e4cfeb963f515da980e978674bd694674394ed3bb"),
-            ((3, 3) + (2,) * 9, "a0308d6a31fd06b13ae7d87df68454850138a9d8a2578fc51cafd3edc541c242"),
+            ((2,) * 11, "b301384116f5bffcabbafa130dba9a0056aae2fa432aea23f5bda98e1e42f065",
+             "9631b0dd969a2bbb34cc79ddd21e390d28de31f13a99a64a0eb6cdf1379f7064"),
+            ((3, 3) + (2,) * 9, "6467fb666e85a6b6045bbf81267b1af9488774835db8a5ffd9bf6531a70d8203",
+             "bf0b8cc072d0d8988baf7e77a7bca011aa056ead19ebc60b68e711ecac556781"),
         ],
         ids=["2^11", "mixed11"],
     )
-    def test_a_plan_above_2_to_the_10_amplitudes_is_unchanged(self, monkeypatch, dims, digest):
+    def test_a_plan_above_2_to_the_10_amplitudes_is_unchanged(self, monkeypatch, dims, kept, layout):
         module = gmepyramid.concurrence
 
         def record(plan):
-            h = hashlib.sha256()
-            for source, d_root, size, starts, steps in plan.chunks:
+            fixed, levels, at = hashlib.sha256(), hashlib.sha256(), 0
+            for source, d_root, size, starts, chunk_levels in plan.chunks:
                 assert isinstance(source, tuple)
-                steps = [(p.start, p.stop, a, d, b, o.start, o.stop) for p, a, d, b, o in steps]
-                starts = None if starts is None else starts[8].tolist()
-                h.update(repr((source, d_root, size, starts, steps)).encode())
-            h.update(repr((plan.buffer, plan.order.tolist(), plan.bounds)).encode())
-            return h.hexdigest()
+                count = 1 if starts is None else len(starts[8])
+                fixed.update(repr((source, d_root, sorted(plan.order[at : at + count].tolist()))).encode())
+                at += count
+                levels.update(repr((size, None if starts is None else starts[8].tolist())).encode())
+                for out, gathers in chunk_levels:
+                    levels.update(repr((out.start, out.stop, [gather.tolist() for gather in gathers])).encode())
+            fixed.update(repr(plan.bounds).encode())
+            levels.update(repr((plan.buffer, plan.order.tolist())).encode())
+            return fixed.hexdigest(), levels.hexdigest()
 
-        assert record(module._plan(dims)) == digest
+        assert record(module._plan(dims)) == (kept, layout)
         monkeypatch.setattr(module, "_CHUNK_FLOOR", 1)
         module._plan.cache_clear()
         try:
-            assert record(module._plan(dims)) == digest
+            assert record(module._plan(dims)) == (kept, layout)
         finally:
             module._plan.cache_clear()
+
+    # The levels' gathers add the diagonal slices in the order the per-step
+    # views did, x_0 + x_1, then + x_j, so every value is bit-identical to
+    # theirs: under the floor and under a floor of 1, on shapes with hubs and
+    # on a level whose traced sites have dimensions 2, 3 and 4.
+    @pytest.mark.parametrize("kind", ["haar", "real", "product", "real-product"])
+    @pytest.mark.parametrize(
+        "dims",
+        [dims for dims in BATCH_DIMS if len(dims) >= 4]
+        + [(2,) * 11, (3, 3) + (2,) * 9, (2,) * 13, (2,) * 5 + (8,) + (2,) * 5, (2, 3, 4, 2, 2)],
+        ids=str,
+    )
+    def test_every_value_is_the_stepwise_value_bit_for_bit(self, monkeypatch, dims, kind):
+        module = gmepyramid.concurrence
+        state = batch_state(dims, kind)
+        # Above 2^10 amplitudes the floor gives one root per chunk as 1 does.
+        for floor in (module._CHUNK_FLOOR, 1) if math.prod(dims) <= 2**10 else (1,):
+            monkeypatch.setattr(module, "_CHUNK_FLOOR", floor)
+            module._plan.cache_clear()
+            try:
+                purities = stepwise_purities(state, module._plan(dims))
+                values = full_spectrum(state).values
+            finally:
+                module._plan.cache_clear()
+            assert values == tuple(np.sqrt(2.0 * (1.0 - np.clip(purities, 0.0, 1.0))).tolist())
+
+    # The index arrays of a plan grow with its traced states: a cold 13-qubit
+    # plan, 462 one-root chunks over 21 layouts of levels, retains about
+    # 7.6 MiB (intp indices; 0.31 MiB with per-step views). A CLI op at 13
+    # qubits builds it in a fresh process.
+    def test_a_cold_13_qubit_plan_retains_a_bounded_size(self):
+        module = gmepyramid.concurrence
+        dims = (2,) * 13
+        module._cut_table(13)
+        module._plan.cache_clear()
+        tracemalloc.start()
+        try:
+            plan = module._plan(dims)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            module._plan.cache_clear()
+        assert len(plan.chunks) == 462
+        assert retained <= 8.5 * 2**20
 
     # At odd N above 2^10 amplitudes each hub, the rest H of a top-size cut
     # without sites 1 and N, takes one Gram product for its root and every
@@ -837,14 +952,14 @@ class TestBatchedSpectrum:
         chunks = module._plan(dims).chunks
         assert len(chunks) == grams
         taken = 0
-        for source, d_root, _, _, steps in chunks:
+        for source, d_root, _, _, levels in chunks:
             assert isinstance(source, tuple)
             assert d_root * d_root <= min(2 * total, module._HUB_CAP)
             # The Gram side is the leading run of the transpose order whose
             # dimensions multiply to d_root; a taken hub's holds k sites, 1 and N.
             sites = next(source[:g] for g in range(1, n) if math.prod([dims[a] for a in source[:g]]) == d_root)
             if len(sites) == k and {0, n - 1} <= set(sites):
-                assert steps  # it traces its children
+                assert levels  # it traces its children
                 taken += 1
         assert taken == hubs
 

@@ -1,3 +1,4 @@
+import array
 import math
 import re
 import sys
@@ -369,10 +370,13 @@ class TestEvaluate:
             ("abc", "a plain ASCII number, got 'abc'"),
             (b"1_0", "a plain ASCII number, got b'1_0'"),
             (bytearray(b"1e-7"), "a plain ASCII number, got bytearray(b'1e-7')"),
+            (array.array("b", b"12"), "a plain ASCII number, got array('b', [49, 50])"),
+            (None, "a plain ASCII number, got None"),
+            ([1e-7], "a plain ASCII number, got [1e-07]"),
         ],
         ids=["nan", "negative", "inf", "bool", "huge", "huge-negative",
              "exponent-underscore", "underscore", "fullwidth", "arabic", "not-a-number",
-             "bytes", "bytearray"],
+             "bytes", "bytearray", "buffer", "none", "list"],
     )
     @pytest.mark.parametrize("entry", list(ENTRIES))
     def test_each_public_entry_refuses_a_bad_tolerance(self, entry, tol, message):

@@ -1,3 +1,4 @@
+import array
 import math
 import tracemalloc
 
@@ -296,10 +297,15 @@ class TestRunCheck:
                 TrialConfig(dims=(2, 2, 2), tol=tol)
         # A tolerance given as text takes the one form of every number read
         # from text, and bytes are no text: float() would read them past it.
-        for tol in ("1e-3_0", "1_0", "\uff11e-7", b"1_0", bytearray(b"1e-7"), memoryview(b"1")):
+        # Nor is any other value whose type has neither __float__ nor
+        # __index__; None stays the absence of an override.
+        for tol in ("1e-3_0", "1_0", "\uff11e-7", b"1_0", bytearray(b"1e-7"), memoryview(b"1"),
+                    array.array("b", b"12"), [1e-3]):
             with pytest.raises(ValueError, match="^tolerance must be a plain ASCII number"):
                 TrialConfig(dims=(2, 2, 2), tol=tol)
         assert TrialConfig(dims=(2, 2, 2), tol="1e-3").tol == 1e-3
+        assert TrialConfig(dims=(2, 2, 2), tol=np.float64(1e-3)).tol == 1e-3
+        assert TrialConfig(dims=(2, 2, 2), tol=None).tol is None
         assert str(TrialConfig(dims=(2, 2, 2), tol=-0.0).tol) == "0.0"
 
     def test_outcome_shape(self):
