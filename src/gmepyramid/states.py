@@ -13,14 +13,25 @@ State files are UTF-8 text, one record per line ending at ``\\n``, ``\\r\\n`` or
 
 The ``dims`` line must come first. Each ``amp`` line gives 0-based basis
 digits followed by the real and imaginary parts, in ASCII without ``_``.
-Unlisted basis states are zero; repeating a basis tuple is an error.
+Unlisted basis states are zero; repeating a basis tuple is an error, and
+so is a nan or infinite part.
+
+:func:`parse_state` reads a record with one ``split`` into compact buffers:
+the digits as bytes, the parts as float64 through ``float()``. The digit
+ranges, the finiteness of the parts and repeated basis tuples are checked
+once, over those buffers as arrays. A text is refused at its first faulty
+line, as a reader that checks each line in turn would refuse it: a fault
+met while reading line L is reported only once the records before L have
+been checked and found clean.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import InitVar, dataclass, field
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -188,6 +199,18 @@ class PureState:
 def parse_state(text: str, normalize: bool = False) -> PureState:
     """Parse the line-based state format into a :class:`PureState`.
 
+    One pass over the lines finds the ``dims`` line, then reads each record
+    with one ``split``: the field count and ``amp`` are checked, the basis
+    digits go into a byte buffer when each is one ASCII digit, and the real
+    and imaginary parts into float64 buffers, through ``float()``. A record
+    whose digit fields are anything else (a dimension of 11 or more, ``+1``,
+    ``02``, non-ASCII separators) is read field by field with ``int()`` and
+    its digit range checked there. Once, over the buffers as arrays, come
+    the flat indices (a dot of the digits with the strides, a column at a
+    time), the finiteness of every part, the digit ranges and repeated
+    basis tuples; the amplitudes are then written in two assignments, one
+    per part, so a ``-0.0`` part keeps its sign.
+
     Parameters
     ----------
     text : str
@@ -198,56 +221,151 @@ def parse_state(text: str, normalize: bool = False) -> PureState:
     Raises
     ------
     StateFormatError
-        Malformed lines, out-of-range digits, duplicate basis tuples, a
-        missing ``dims`` line, a nan or infinite amplitude or norm, a
-        nonzero norm below 2**-498, or (without ``normalize``) a norm that
-        deviates from 1 by more than 1e-9. Messages carry line numbers.
+        Malformed lines, a nan or infinite part, out-of-range digits,
+        duplicate basis tuples, a missing ``dims`` line, a norm that
+        overflows, a nonzero norm below 2**-498, or (without ``normalize``)
+        a norm that deviates from 1 by more than 1e-9. Messages carry line
+        numbers, apart from the norm's, which belong to the whole vector.
+        The fault of the first faulty line is reported; within a record,
+        its fields and numbers come first, then finiteness, the digit
+        range and repetition.
     """
-    dims: tuple[int, ...] | None = None
-    amps: np.ndarray | None = None
-    seen: set[int] = set()
-
-    records = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(records, start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for start, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             fields = line.split()
-            if dims is None:
-                if fields[0] != "dims":
-                    raise ValueError(f"expected 'dims ...' first, got {fields[0]!r}")
-                try:
-                    dims = tuple(int(f) for f in _plain(fields)[1:])
-                except ValueError:
-                    raise ValueError(f"non-integer dimension in {line!r}") from None
-                dims = check_dims(dims)
-                amps = np.zeros(math.prod(dims), dtype=complex)
-                continue
-            if fields[0] != "amp":
-                raise ValueError(f"expected 'amp ...', got {fields[0]!r}")
-            if len(fields) != 1 + len(dims) + 2:
-                raise ValueError(f"expected {len(dims)} digits plus re/im, got {len(fields) - 1} fields")
+            if fields[0] != "dims":
+                raise ValueError(f"expected 'dims ...' first, got {fields[0]!r}")
             try:
-                digits = [int(f) for f in _plain(fields)[1 : 1 + len(dims)]]
-                re, im = float(fields[-2]), float(fields[-1])
+                dims = tuple(int(f) for f in _plain(fields)[1:])
             except ValueError:
-                raise ValueError(f"malformed number in {line!r}") from None
-            idx = flat_index(dims, digits)
-            if idx in seen:
-                raise ValueError(f"duplicate basis tuple {tuple(digits)}")
-            seen.add(idx)
-            assert amps is not None
-            amps[idx] = complex(re, im)
+                raise ValueError(f"non-integer dimension in {line!r}") from None
+            dims = check_dims(dims)
         except ValueError as exc:
-            raise StateFormatError(f"line {lineno}: {exc}") from None
-
-    if dims is None:
+            raise StateFormatError(f"line {start}: {exc}") from None
+        break
+    else:
         raise StateFormatError("no 'dims' line found")
+
+    n = len(dims)
+    # The _plain test on every field at once; if it fails, a line at a time.
+    plain = text.isascii() and "_" not in text
+    # Per record: n ASCII digits ("0" * n for a record read by int()) and
+    # its two parts; the flat index of each record read by int(), by record.
+    digits = bytearray()
+    reals, imags = array("d"), array("d")
+    read_by_int: dict[int, int] = {}
+    for lineno, raw in enumerate(islice(lines, start, None), start=start + 1):
+        fields = raw.split()
+        if len(fields) == n + 3 and fields[0] == "amp" and (plain or raw.isascii() and "_" not in raw):
+            head = "".join(fields[1:-2])
+            if len(head) == n and head.isdigit():
+                try:
+                    re, im = float(fields[-2]), float(fields[-1])
+                except ValueError:
+                    pass  # _amp_record names the fault
+                else:
+                    reals.append(re)
+                    imags.append(im)
+                    digits += head.encode()
+                    continue
+        if not fields or fields[0].startswith("#"):
+            continue
+        try:
+            idx, re, im = _amp_record(raw.strip(), fields, dims)
+        except ValueError as exc:
+            fault = _check_records(dims, digits, reals, imags, read_by_int, lines, start)[1]
+            raise StateFormatError(fault or f"line {lineno}: {exc}") from None
+        read_by_int[len(reals)] = idx
+        reals.append(re)
+        imags.append(im)
+        digits += b"0" * n
+
+    idx, fault = _check_records(dims, digits, reals, imags, read_by_int, lines, start)
+    if fault:
+        raise StateFormatError(fault)
+    amps = np.zeros(math.prod(dims), dtype=complex)
+    amps.real[idx] = np.frombuffer(reals)
+    amps.imag[idx] = np.frombuffer(imags)
     try:
         return PureState(dims, _Owned(amps), normalize=normalize)
     except ValueError as exc:
         raise StateFormatError(str(exc)) from None
+
+
+def _amp_record(line: str, fields: list[str], dims: tuple[int, ...]) -> tuple[int, float, float]:
+    """Flat index and parts of one ``amp`` record, read field by field, or
+    ValueError naming its first fault; a repeated basis tuple is left to
+    :func:`_check_records`."""
+    if fields[0] != "amp":
+        raise ValueError(f"expected 'amp ...', got {fields[0]!r}")
+    if len(fields) != 1 + len(dims) + 2:
+        raise ValueError(f"expected {len(dims)} digits plus re/im, got {len(fields) - 1} fields")
+    try:
+        digits = [int(f) for f in _plain(fields)[1 : 1 + len(dims)]]
+        re, im = float(fields[-2]), float(fields[-1])
+    except ValueError:
+        raise ValueError(f"malformed number in {line!r}") from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(f"non-finite amplitude in {line!r}")
+    return flat_index(dims, digits), re, im
+
+
+def _check_records(
+    dims: tuple[int, ...],
+    digits: bytearray,
+    reals: array,
+    imags: array,
+    read_by_int: dict[int, int],
+    lines: list[str],
+    start: int,
+) -> tuple[np.ndarray, str | None]:
+    """Flat indices of the records buffered from the lines after ``start``,
+    and the line-numbered text of the first faulty one, or None.
+
+    A record is faulty if a part is nan or infinite, a digit is out of
+    range, or its basis tuple repeats an earlier record's.
+    """
+    codes = np.frombuffer(digits, dtype=np.uint8).reshape(-1, len(dims))
+    strides = [math.prod(dims[j + 1 :]) for j in range(len(dims))]
+    idx = np.full(len(codes), -ord("0") * sum(strides), dtype=np.intp)
+    for j, stride in enumerate(strides):
+        idx += np.multiply(codes[:, j], stride, dtype=np.intp)
+    if read_by_int:
+        idx[np.fromiter(read_by_int, np.intp)] = np.fromiter(read_by_int.values(), np.intp)
+    clean = np.isfinite(np.frombuffer(reals)) & np.isfinite(np.frombuffer(imags))
+    # A buffered digit is one ASCII digit, so a dimension of 10 or more admits them all.
+    limits = np.array([ord("0") + min(d, 10) for d in dims], dtype=np.uint8)
+    in_range = codes < np.tile(limits, (len(codes), 1))
+    if not in_range.all():
+        clean &= in_range.all(axis=1)
+    k = len(codes) if clean.all() else int(np.argmin(clean))
+    # A repeat is sought before k, where every index is that of a record in range.
+    hit = np.zeros(math.prod(dims), dtype=bool)
+    hit[idx[:k]] = True
+    repeat = np.count_nonzero(hit) < k
+    if repeat:
+        _, first = np.unique(idx[:k], return_index=True)
+        later = np.ones(k, dtype=bool)
+        later[first] = False
+        k = int(np.argmax(later))
+    elif k == len(codes):
+        return idx, None
+    # The records are the lines after the dims line that are neither blank nor comments.
+    stripped = (raw.strip() for raw in islice(lines, start, None))
+    records = ((no, line) for no, line in enumerate(stripped, start + 1) if line and not line.startswith("#"))
+    lineno, line = next(islice(records, k, None))
+    if repeat:
+        digits_k = tuple(int(b) for b in np.unravel_index(idx[k], dims))
+        return idx, f"line {lineno}: duplicate basis tuple {digits_k}"
+    try:
+        _amp_record(line, line.split(), dims)  # names the part or the digit
+    except ValueError as exc:
+        return idx, f"line {lineno}: {exc}"
+    raise AssertionError(f"record {k} was found faulty and reads clean")
 
 
 def load_state(path, normalize: bool = False) -> PureState:

@@ -196,8 +196,8 @@ class TestEval:
     @pytest.mark.parametrize(
         "amp_lines, message",
         [
-            ("amp 0 0 0 nan 0.0", "amplitudes must be finite"),
-            ("amp 0 0 0 inf 0.0", "amplitudes must be finite"),
+            ("amp 0 0 0 nan 0.0", "line 2: non-finite amplitude in 'amp 0 0 0 nan 0.0'"),
+            ("amp 0 0 0 inf 0.0", "line 2: non-finite amplitude in 'amp 0 0 0 inf 0.0'"),
             ("amp 0 0 0 1e308 0.0\namp 1 1 1 1e308 0.0", "state norm overflows"),
             ("amp 0 0 0 1e-200 0.0\namp 1 1 1 1e-200 0.0", "state norm 1.41e-200 underflows float64"),
         ],

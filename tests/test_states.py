@@ -23,7 +23,7 @@ from gmepyramid import (
 )
 from gmepyramid.catalog import PAPER_STATES, PUBLISHED_TOL, benchmark_states
 from gmepyramid.concurrence import concurrence
-from gmepyramid.states import flat_index
+from gmepyramid.states import _Owned, _plain, check_dims, flat_index
 from gmepyramid.verify import TrialConfig, random_product_state
 
 GHZ4_TEXT = """\
@@ -39,6 +39,58 @@ def basis_state(dims, digits):
     amps = np.zeros(math.prod(dims), dtype=complex)
     amps[flat_index(dims, digits)] = 1.0
     return PureState(tuple(dims), amps)
+
+
+def loop_parse_state(text, normalize=False):
+    """The record-at-a-time parser that ``parse_state`` replaced, kept as its
+    reference: each check runs on its line as the line is read, so the
+    first faulty line is the one reported."""
+    dims = None
+    amps = None
+    seen = set()
+
+    records = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(records, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            fields = line.split()
+            if dims is None:
+                if fields[0] != "dims":
+                    raise ValueError(f"expected 'dims ...' first, got {fields[0]!r}")
+                try:
+                    dims = tuple(int(f) for f in _plain(fields)[1:])
+                except ValueError:
+                    raise ValueError(f"non-integer dimension in {line!r}") from None
+                dims = check_dims(dims)
+                amps = np.zeros(math.prod(dims), dtype=complex)
+                continue
+            if fields[0] != "amp":
+                raise ValueError(f"expected 'amp ...', got {fields[0]!r}")
+            if len(fields) != 1 + len(dims) + 2:
+                raise ValueError(f"expected {len(dims)} digits plus re/im, got {len(fields) - 1} fields")
+            try:
+                digits = [int(f) for f in _plain(fields)[1 : 1 + len(dims)]]
+                re, im = float(fields[-2]), float(fields[-1])
+            except ValueError:
+                raise ValueError(f"malformed number in {line!r}") from None
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError(f"non-finite amplitude in {line!r}")
+            idx = flat_index(dims, digits)
+            if idx in seen:
+                raise ValueError(f"duplicate basis tuple {tuple(digits)}")
+            seen.add(idx)
+            amps[idx] = complex(re, im)
+        except ValueError as exc:
+            raise StateFormatError(f"line {lineno}: {exc}") from None
+
+    if dims is None:
+        raise StateFormatError("no 'dims' line found")
+    try:
+        return PureState(dims, _Owned(amps), normalize=normalize)
+    except ValueError as exc:
+        raise StateFormatError(str(exc)) from None
 
 
 class TestParse:
@@ -112,9 +164,10 @@ class TestParse:
     @pytest.mark.parametrize(
         "amp_lines, message",
         [
-            pytest.param("amp 0 0 0 nan 0.0", "finite", id="nan"),
-            pytest.param("amp 0 0 0 0.0 nan", "finite", id="imag-nan"),
-            pytest.param("amp 0 0 0 inf 0.0", "finite", id="inf"),
+            pytest.param("amp 0 0 0 nan 0.0", "^line 2: non-finite amplitude", id="nan"),
+            pytest.param("amp 0 0 0 0.0 nan", "^line 2: non-finite amplitude", id="imag-nan"),
+            pytest.param("amp 0 0 0 inf 0.0", "^line 2: non-finite amplitude", id="inf"),
+            pytest.param("amp 0 0 0 1e400 0.0", "^line 2: non-finite amplitude", id="1e400"),
             pytest.param("amp 0 0 0 1e308 0.0\namp 1 1 1 1e308 0.0", "overflows", id="overflow"),
             pytest.param("amp 0 0 0 1e-200 0.0\namp 1 1 1 1e-200 0.0", "underflows", id="underflow"),
         ],
@@ -293,6 +346,198 @@ def test_paper_states_are_bit_identical_to_their_pinned_construction():
 def test_paper_table_keeps_its_order_and_published_values():
     assert [(state_id, row[1]) for state_id, row in PAPER_STATES.items()] == PINNED_VALUES
     assert PUBLISHED_TOL == {"volume": 2e-3, "c_gme": 1e-4}
+
+
+def ghz_like(dims):
+    """sum_k |k ... k> over the levels every subsystem has."""
+    amps = np.zeros(math.prod(dims))
+    for k in range(min(dims)):
+        amps[flat_index(dims, [k] * len(dims))] = 1.0
+    return PureState(dims, amps, normalize=True)
+
+
+def w_like(dims):
+    """Every basis state with exactly one nonzero digit, equally weighted."""
+    amps = np.zeros(math.prod(dims))
+    for site, d in enumerate(dims):
+        for k in range(1, d):
+            amps[flat_index(dims, [k if s == site else 0 for s in range(len(dims))])] = 1.0
+    return PureState(dims, amps, normalize=True)
+
+
+def real_state(dims, seed):
+    """Real Gaussian amplitudes; every other one is negated as a complex
+    number, so its imaginary part is -0.0."""
+    amps = np.random.default_rng(seed).standard_normal(math.prod(dims)).astype(complex)
+    amps[::2] *= -1
+    return PureState(dims, amps, normalize=True)
+
+
+STATE_KINDS = {
+    "haar": lambda dims: haar_random_state(dims, seed=[3, *dims]),
+    "real": lambda dims: real_state(dims, [4, *dims]),
+    "ghz": ghz_like,
+    "w": w_like,
+    "product": lambda dims: random_product_state(dims, (1, len(dims)), [5, *dims]),
+}
+
+
+PARSE_FAULTS = ("out-of-range", "non-digit", "malformed", "nan", "duplicate")
+
+
+def put_fault(lines, i, fault, dims, rng):
+    """Put ``fault`` into record ``i`` of ``lines`` (the dims line and the
+    records as ``serialize_state`` writes them), drawing its field from ``rng``."""
+    fields = lines[i].split(" ")
+    if fault == "out-of-range":
+        j = int(rng.integers(len(dims)))
+        fields[1 + j] = str(dims[j])
+    elif fault == "non-digit":
+        fields[1 + int(rng.integers(len(dims)))] = str(rng.choice(["x", "+", "-", "."]))
+    elif fault == "malformed":
+        fields[-2] = "0.1.2"
+    elif fault == "nan":
+        fields[-1] = "nan"
+    else:  # a copy of an earlier record goes in at record i (at record 2 if i is 1)
+        earlier = int(rng.integers(1, i)) if i > 1 else 1
+        lines.insert(i + (i == 1), lines[earlier])
+        return
+    lines[i] = " ".join(fields)
+
+
+def parse_mutants(text, dims, seed):
+    """(name, text, faulty) cases: the serialized ``text`` under format
+    changes and faults, at places drawn from ``seed``. Faults go in before
+    format changes, which move the records."""
+    rng = np.random.default_rng(seed)
+    base = text.splitlines()
+
+    def records(lines, k):
+        return sorted(rng.choice(np.arange(1, len(lines)), size=k, replace=False).tolist())
+
+    def insert(lines, line):
+        lines.insert(int(rng.integers(len(lines) + 1)), line)
+
+    def tabs(lines):
+        for i in range(len(lines)):
+            if rng.random() < 0.5:
+                lines[i] = lines[i].replace(" ", "\t")
+
+    def unicode_space(lines):
+        (i,) = records(lines, 1)
+        lines[i] = lines[i].replace(" ", "\u3000", 2)
+
+    def signed_digits(lines):
+        for i in records(lines, min(3, len(lines) - 1)):
+            j = int(rng.integers(len(dims)))
+            fields = lines[i].split(" ")
+            fields[1 + j] = rng.choice(["+", "0"] + ["-"] * (fields[1 + j] == "0")) + fields[1 + j]
+            lines[i] = " ".join(fields)
+
+    formats = {
+        "ascii-comment": lambda lines: insert(lines, "# exported by a tool"),
+        "unicode-comment": lambda lines: insert(lines, "# psi_\u00e9 \u0662"),
+        "blank-line": lambda lines: insert(lines, " \t "),
+        "tabs": tabs,
+        "unicode-space": unicode_space,
+        "signed-digits": signed_digits,
+    }
+    newlines = ["\n", "\r\n", "\r"]
+    cases = []
+
+    def case(name, faults, fmt=None, newline="\n", one_record=False):
+        lines = list(base)
+        at = records(lines, 1) * len(faults) if one_record else records(lines, len(faults))
+        # The later record first, so the earlier index still points at its record.
+        for i, fault in reversed(list(zip(at, faults))):
+            put_fault(lines, i, fault, dims, rng)
+        if fmt:
+            formats[fmt](lines)
+        cases.append((name, newline.join(lines) + newline, bool(faults)))
+
+    for newline in newlines:
+        case(repr(newline), ())
+    for fmt in formats:
+        case(fmt, (), fmt, rng.choice(newlines))
+    for fault in PARSE_FAULTS:
+        case(fault, (fault,))
+        fmt = rng.choice(list(formats))
+        case(f"{fault} {fmt}", (fault,), fmt, rng.choice(newlines))
+        for second in PARSE_FAULTS:
+            case(f"{fault} then {second}", (fault, second))
+    case("nan and out-of-range in one record", ("nan", "out-of-range"), one_record=True)
+    return cases
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # a refusal of any type is compared
+        return exc
+
+
+def assert_parses_as_the_loop(text):
+    """``parse_state`` gives the reference's dims and amplitudes bit for bit,
+    or its refusal's type and text; returns the reference's outcome."""
+    expected, got = parse_outcome(loop_parse_state, text), parse_outcome(parse_state, text)
+    if isinstance(expected, Exception):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+    else:
+        assert isinstance(got, PureState), got
+        assert got.dims == expected.dims
+        assert np.array_equal(got.amplitudes.view(np.uint64), expected.amplitudes.view(np.uint64))
+    return expected
+
+
+class TestParseAgainstTheLoop:
+    @pytest.mark.parametrize(
+        "dims, kind",
+        [
+            pytest.param(dims, kind, id=f"{kind}-{'x'.join(map(str, dims))}")
+            for dims in [(2,) * 4, (2, 3, 2, 2, 3), (3, 3) + (2,) * 9, (64, 64, 2, 2, 2), (2,) * 13]
+            for kind in STATE_KINDS
+            # The real and product states stand for the dense two-digit file.
+            if (dims, kind) != ((64, 64, 2, 2, 2), "haar")
+        ],
+    )
+    def test_serialized_states_parse_as_the_loop(self, dims, kind):
+        assert isinstance(assert_parses_as_the_loop(serialize_state(STATE_KINDS[kind](dims))), PureState)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "dims, kind",
+        [
+            pytest.param(dims, kind, id=f"{kind}-{'x'.join(map(str, dims))}")
+            for dims, kind in [
+                ((2,) * 4, "haar"),
+                ((2,) * 4, "real"),
+                ((2, 3, 2, 2, 3), "haar"),
+                ((2, 3, 2, 2, 3), "product"),
+                ((64, 64, 2, 2, 2), "w"),
+                ((3, 3) + (2,) * 9, "ghz"),
+            ]
+        ],
+    )
+    def test_mutated_texts_parse_or_are_refused_as_by_the_loop(self, dims, kind, seed):
+        text = serialize_state(STATE_KINDS[kind](dims))
+        for name, mutant, faulty in parse_mutants(text, dims, [seed, *dims]):
+            expected = assert_parses_as_the_loop(mutant)
+            # Each fault refuses the text, at a line; no format change does.
+            if faulty:
+                assert isinstance(expected, StateFormatError) and str(expected).startswith("line "), name
+            else:
+                assert isinstance(expected, PureState), (name, expected)
+
+    def test_a_13_qubit_parse_peaks_within_2_mib(self):
+        # Lists of the fields as strings would take about twice this.
+        text = serialize_state(haar_random_state((2,) * 13, 9))
+        tracemalloc.start()
+        try:
+            parse_state(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestRoundTrip:
