@@ -13,7 +13,6 @@ from .concurrence import (
     ConcurrenceSpectrum,
     dense_oracle_purity,
     full_spectrum,
-    reduced_purity,
 )
 from .measures import (
     DEFAULT_ZERO_TOL,
@@ -29,7 +28,6 @@ from .measures import (
 from .states import (
     PureState,
     StateFormatError,
-    apply_local_unitary,
     load_state,
     parse_state,
     permute_subsystems,
@@ -40,7 +38,6 @@ from .verify import (
     TrialConfig,
     TrialOutcome,
     haar_random_state,
-    random_local_unitary,
     random_product_state,
     run_check,
 )
@@ -58,7 +55,6 @@ __all__ = [
     "StateFormatError",
     "TrialConfig",
     "TrialOutcome",
-    "apply_local_unitary",
     "base_area",
     "benchmark_states",
     "c_gme",
@@ -72,9 +68,7 @@ __all__ = [
     "load_state",
     "parse_state",
     "permute_subsystems",
-    "random_local_unitary",
     "random_product_state",
-    "reduced_purity",
     "run_check",
     "serialize_state",
     "triangle_measure",

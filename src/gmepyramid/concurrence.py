@@ -2,10 +2,10 @@
 
 Three purity routes are kept. The spectrum plan of
 :func:`full_spectrum`, described below, serves every cut of a state of four
-or more parties. :func:`reduced_purity` serves each cut at n <= 3 and every
-single-cut call (:func:`concurrence`): it reshapes the amplitude tensor into
-a cut-by-rest matrix M and takes the squared Frobenius norm of the Gram
-matrix M M^dag, which equals Tr(rho_S^2) without any eigendecomposition.
+or more parties. :func:`reduced_purity` serves each cut at n <= 3, one call
+per cut: it reshapes the amplitude tensor into a cut-by-rest matrix M and
+takes the squared Frobenius norm of the Gram matrix M M^dag, which equals
+Tr(rho_S^2) without any eigendecomposition.
 :func:`dense_oracle_purity` is the cross-check of both. A state whose
 amplitudes all have an exactly zero imaginary part is decided real when it
 is constructed, and its Gram products run on a float64 view (a real
@@ -73,8 +73,8 @@ The chunks take their buffers in turn from one allocation per spectrum,
 the size of the largest.
 
 At n <= 3 :func:`full_spectrum` runs no plan and still takes one
-:func:`concurrence` call per cut: the benchmark counts the spectrum's work
-by the ``reduced_purity`` calls and pins three on GHZ3 (ROADMAP item 1).
+:func:`reduced_purity` call per cut: the benchmark counts the spectrum's
+work by those calls and pins three on GHZ3 (ROADMAP item 1).
 Real states stay on float64 throughout. Summation orders differ from the
 per-cut route, so values agree with it to a few ulps. The plan also holds
 each cut's bound sqrt(2 (m - 1) / m), m = min(d_S, D / d_S), which
@@ -107,7 +107,12 @@ _PLAN_CACHE_SIZE = 64
 
 
 def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
-    """Tr(rho_S^2) of the reduced state across ``cut``, clamped to [0, 1]."""
+    """Tr(rho_S^2) of the reduced state across ``cut``, clamped to [0, 1].
+
+    Not exported by the package: it stays only for the benchmark's span,
+    which counts the spectrum's work by these calls, until ROADMAP items 1
+    and 21 move that span and remove this route.
+    """
     if not (isinstance(cut, Bipartition) and cut.n == state.n):  # a table cut skips the rebuild
         cut = Bipartition(cut, state.n)
     t = state._tensor.transpose(cut.axes)
@@ -115,11 +120,6 @@ def reduced_purity(state: PureState, cut: Bipartition | Iterable[int]) -> float:
     # Gram matrix of the smaller side; its squared Frobenius norm is the purity.
     rho = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
     return min(max(float(np.vdot(rho, rho).real), 0.0), 1.0)
-
-
-def concurrence(state: PureState, cut: Bipartition | Iterable[int]) -> float:
-    """sqrt(2 [1 - Tr(rho_S^2)]) across ``cut``; symmetric under cut <-> complement."""
-    return math.sqrt(2.0 * (1.0 - reduced_purity(state, cut)))
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,9 @@ def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
     batched Gram product, the chunk's levels, each one partial trace of
     every state of a forest depth by gathers from the chunk's buffer, and
     one reduction of the purities. Every cut of four or more parties is
-    reached so; at n <= 3 each cut takes one :func:`concurrence` call
-    instead.
+    reached so; at n <= 3 each cut takes one :func:`reduced_purity` call
+    instead, looked up as a module global, so a tracer that swaps it sees
+    every call.
 
     Each value depends only on the state and its cut's path in the forest,
     not on the other roots of its chunk.
@@ -200,7 +201,8 @@ def full_spectrum(state: PureState) -> ConcurrenceSpectrum:
         # Per cut until ROADMAP item 1: bench/test_bench.py counts the three
         # reduced_purity calls of GHZ3's spectrum.
         cuts = canonical_bipartitions(state.n)
-        return ConcurrenceSpectrum(state.dims, tuple([concurrence(state, cut) for cut in cuts]))
+        values = [math.sqrt(2.0 * (1.0 - reduced_purity(state, cut))) for cut in cuts]
+        return ConcurrenceSpectrum(state.dims, tuple(values))
     plan = _plan(state.dims)
     # One buffer serves every chunk in turn: a fresh one per chunk, once it
     # outgrows malloc's mmap threshold, faults in all its pages again.

@@ -397,7 +397,11 @@ def serialize_state(state: PureState) -> str:
 
 def apply_local_unitary(state: PureState, site: int, u: np.ndarray) -> PureState:
     """Apply a unitary on one subsystem (1-based ``site``); the one-site
-    case of :func:`apply_local_unitaries`."""
+    case of :func:`apply_local_unitaries`.
+
+    Not exported by the package: it stays only for the benchmark's span,
+    which wraps it by module and name, until ROADMAP items 1 and 21.
+    """
     return apply_local_unitaries(state, [site], [u])
 
 

@@ -80,11 +80,6 @@ def random_product_state(dims: Sequence[int], cut_sites: Sequence[int], seed) ->
     return PureState(dims, joint.ravel())
 
 
-def random_local_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed d x d unitary; the one-matrix case of :func:`_haar_unitaries`."""
-    return _haar_unitaries(d, [seed])[0]
-
-
 def _haar_unitaries(d: int, seeds: Sequence) -> np.ndarray:
     """Haar-distributed d x d unitaries, one per seed, as one stack.
 

@@ -9,6 +9,10 @@ Every term is nonnegative. A minor that is zero in exact arithmetic computes
 to about eps |M_ik M_jl|, so a zero cut reads near eps, not near sqrt(eps)
 as ``1 - Tr rho^2`` does. The cost grows as D^2 / 2 per cut, so the oracle
 refuses states above ``MINORS_CAP`` amplitudes.
+
+``gram_concurrence`` is the other per-cut reference: the value of one cut
+by the Gram route ``reduced_purity``, which does cancel, for the tests that
+hold the row or a cut's spellings to that route.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 import numpy as np
 
 from gmepyramid import Bipartition
+from gmepyramid.concurrence import reduced_purity
 
 MINORS_CAP = 2**8
 
@@ -46,3 +51,8 @@ def minor_concurrence(state, cut) -> float:
 def minor_purity(state, cut) -> float:
     """Tr rho_S^2 = 1 - 2 sum |minor|^2, to compare with the purity routes."""
     return 1.0 - 2.0 * minor_sum(state, cut)
+
+
+def gram_concurrence(state, cut) -> float:
+    """sqrt(2 (1 - Tr rho_S^2)) across ``cut``, Tr rho_S^2 by ``reduced_purity``."""
+    return math.sqrt(2.0 * (1.0 - reduced_purity(state, cut)))

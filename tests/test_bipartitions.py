@@ -7,8 +7,8 @@ import pytest
 
 from gmepyramid import Bipartition, bipartitions, canonical_bipartitions, haar_random_state
 from gmepyramid.bipartitions import _cut_table, _cuts, split
-from gmepyramid.concurrence import concurrence
 from gmepyramid.states import MAX_AMPLITUDES, MAX_PARTIES
+from minors import gram_concurrence
 
 
 def test_n4_exact_list():
@@ -174,18 +174,18 @@ class TestOneConstructor:
     def test_every_spelling_gives_a_bit_identical_concurrence(self):
         state = haar_random_state((3, 2, 2, 2, 2), seed=7)
         for cut in canonical_bipartitions(5):
-            values = {concurrence(state, spelling) for spelling in _spellings(cut)}
-            assert values == {concurrence(state, cut)}
+            values = {gram_concurrence(state, spelling) for spelling in _spellings(cut)}
+            assert values == {gram_concurrence(state, cut)}
 
     def test_a_table_cut_is_used_without_building_a_cut(self, monkeypatch):
         state = haar_random_state((2, 2, 2, 2), seed=3)
         cuts = canonical_bipartitions(4)
-        expected = [concurrence(state, cut) for cut in cuts]
+        expected = [gram_concurrence(state, cut) for cut in cuts]
         # Every Bipartition construction goes through split.
         monkeypatch.setattr(bipartitions, "split", _refuse_construction)
-        assert [concurrence(state, cut) for cut in cuts] == expected
+        assert [gram_concurrence(state, cut) for cut in cuts] == expected
         with pytest.raises(AssertionError, match="built a cut"):
-            concurrence(state, (1,))
+            gram_concurrence(state, (1,))
 
 
 def _refuse_construction(*args):

@@ -16,24 +16,22 @@ import gmepyramid.concurrence
 from gmepyramid import (
     Bipartition,
     PureState,
-    apply_local_unitary,
     canonical_bipartitions,
     dense_oracle_purity,
     full_spectrum,
     ghz_state,
     haar_random_state,
-    random_local_unitary,
-    reduced_purity,
     serialize_state,
     w_state,
 )
 from gmepyramid.bipartitions import split
 from gmepyramid.catalog import benchmark_states
 from gmepyramid.cli import dumps_report, report_document
-from gmepyramid.concurrence import clear_shape_caches, concurrence
+from gmepyramid.concurrence import clear_shape_caches, reduced_purity
 from gmepyramid.measures import DEFAULT_ZERO_TOL, evaluate
-from gmepyramid.verify import random_product_state
-from minors import minor_concurrence, minor_purity
+from gmepyramid.states import apply_local_unitary
+from gmepyramid.verify import _haar_unitaries, random_product_state
+from minors import gram_concurrence, minor_concurrence, minor_purity
 
 SQRT3_OVER_2 = math.sqrt(3) / 2
 SQRT5_OVER_2 = math.sqrt(5) / 2
@@ -260,16 +258,20 @@ class TestShapeCaches:
 
 
 class TestConcurrence:
+    """One cut's value is its entry in the row, keyed by either side."""
+
     def test_ghz4_every_cut_is_one(self):
-        state = ghz_state(4)
+        entries = full_spectrum(ghz_state(4)).entries
         for cut in canonical_bipartitions(4):
-            assert abs(concurrence(state, cut) - 1.0) < 1e-12
+            assert abs(entries[Bipartition(cut.complement(), 4)] - 1.0) < 1e-12
 
     def test_uncorrelated_leading_site(self):
-        assert concurrence(zero_tensor_ghz3(), (1,)) == pytest.approx(0.0, abs=1e-7)
+        entries = full_spectrum(zero_tensor_ghz3()).entries
+        assert entries[Bipartition((2, 3, 4), 4)] == pytest.approx(0.0, abs=1e-7)
 
     def test_w4_single_site(self):
-        assert concurrence(w_state(4), (1,)) == pytest.approx(SQRT3_OVER_2, abs=1e-14)
+        entries = full_spectrum(w_state(4)).entries
+        assert entries[Bipartition((1,), 4)] == pytest.approx(SQRT3_OVER_2, abs=1e-14)
 
 
 class TestFullSpectrum:
@@ -389,13 +391,16 @@ class TestDenseOracle:
 
 
 class TestInvariances:
+    # The oracle forms the reduced state of the side it is given, so each
+    # side of a cut gives the row's one value.
     def test_cut_complement_symmetry(self):
         for dims in [(2, 2, 2, 2), (3, 2, 2, 2), (2, 2, 2, 2, 2)]:
             state = haar_random_state(dims, seed=[41, len(dims)])
-            for cut in canonical_bipartitions(len(dims)):
-                direct = concurrence(state, cut)
-                mirrored = concurrence(state, cut.complement())
-                assert abs(direct - mirrored) < 1e-12
+            spectrum = full_spectrum(state)
+            for cut, direct in zip(spectrum.cuts, spectrum.values):
+                for side in (cut, cut.complement()):
+                    mirrored = math.sqrt(2.0 * (1.0 - dense_oracle_purity(state, side)))
+                    assert abs(direct - mirrored) < 1e-12
 
     @pytest.mark.parametrize(
         "state",
@@ -406,41 +411,41 @@ class TestInvariances:
         phased = PureState(state.dims, np.exp(0.7j) * state.amplitudes)
         assert state._tensor.dtype == np.float64
         assert phased._tensor.dtype == np.complex128
-        for cut in canonical_bipartitions(state.n):
-            assert abs(concurrence(state, cut) - concurrence(phased, cut)) < 1e-14
+        for real, complex_ in zip(full_spectrum(state).values, full_spectrum(phased).values):
+            assert abs(real - complex_) < 1e-14
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3)])
     def test_local_unitary_invariance_per_cut(self, dims):
         for trial in range(100):
             state = haar_random_state(dims, seed=[51, dims[0], trial])
-            before = [concurrence(state, cut) for cut in canonical_bipartitions(len(dims))]
+            before = full_spectrum(state).values
             rotated = state
             for site in range(1, len(dims) + 1):
-                u = random_local_unitary(dims[site - 1], seed=[52, dims[0], trial, site])
+                u = _haar_unitaries(dims[site - 1], [[52, dims[0], trial, site]])[0]
                 rotated = apply_local_unitary(rotated, site, u)
-            after = [concurrence(rotated, cut) for cut in canonical_bipartitions(len(dims))]
+            after = full_spectrum(rotated).values
             assert max(abs(a - b) for a, b in zip(after, before)) < 1e-10
 
     def test_haar_unitary_on_ghz4_checked_against_oracle(self):
         state = ghz_state(4)
-        u = random_local_unitary(2, seed=99)
+        u = _haar_unitaries(2, [99])[0]
         rotated = apply_local_unitary(state, 2, u)
         assert abs(np.linalg.norm(rotated.amplitudes) - 1.0) < 1e-12
-        for cut in canonical_bipartitions(4):
+        spectrum = full_spectrum(rotated)
+        for cut, c in zip(spectrum.cuts, spectrum.values):
             oracle_c = math.sqrt(max(0.0, 2.0 * (1.0 - dense_oracle_purity(rotated, cut))))
             assert abs(oracle_c - 1.0) < 1e-10
-            assert abs(concurrence(rotated, cut) - 1.0) < 1e-10
+            assert abs(c - 1.0) < 1e-10
 
     def test_upper_bound(self):
         for dims in [(2, 2, 2, 2), (3, 2, 2), (3, 3, 2, 2), (4, 2, 3)]:
             n = len(dims)
             for trial in range(25):
-                state = haar_random_state(dims, seed=[61, n, trial])
-                for cut in canonical_bipartitions(n):
+                spectrum = full_spectrum(haar_random_state(dims, seed=[61, n, trial]))
+                for cut, c in zip(spectrum.cuts, spectrum.values):
                     d_cut = math.prod(dims[i - 1] for i in cut.subset)
                     m = min(d_cut, math.prod(dims) // d_cut)
                     bound = math.sqrt(2.0 * (m - 1) / m)
-                    c = concurrence(state, cut)
                     assert 0.0 <= c <= bound + 1e-10
 
 
@@ -567,7 +572,7 @@ def test_spectrum_cuts_are_read_from_the_table_entry(monkeypatch):
     # forest comes from the table entry, with no cut object.
     monkeypatch.setattr(gmepyramid.bipartitions, "split", refuse_enumeration)
     values = full_spectrum(state).values
-    assert values == pytest.approx([concurrence(state, cut) for cut in cuts], abs=1e-12)
+    assert values == pytest.approx([gram_concurrence(state, cut) for cut in cuts], abs=1e-12)
     monkeypatch.setattr(gmepyramid.concurrence, "canonical_bipartitions", refuse_enumeration)
     spectrum = ConcurrenceSpectrum((2, 3, 2, 2, 2), (0.5,) * 15)
     assert spectrum.cuts is cuts
@@ -725,22 +730,18 @@ class TestBatchedSpectrum:
 
     @pytest.mark.parametrize("dims", BATCH_DIMS, ids=str)
     def test_from_four_parties_no_cut_takes_a_call_of_its_own(self, monkeypatch, dims):
-        module = gmepyramid.concurrence
-        calls = []
-        for name in ("reduced_purity", "concurrence"):
-            original = getattr(module, name)
+        original, calls = reduced_purity, []
 
-            def counted(*args, _name=name, _original=original):
-                calls.append(_name)
-                return _original(*args)
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
 
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(gmepyramid.concurrence, "reduced_purity", counted)
         full_spectrum(batch_state(dims, "haar"))
         if len(dims) >= 4:
             assert calls == []
-        else:  # three parties and fewer: one concurrence call per cut
-            cuts = 2 ** (len(dims) - 1) - 1
-            assert calls == ["concurrence", "reduced_purity"] * cuts
+        else:  # three parties and fewer: one reduced_purity call per cut
+            assert calls == list(canonical_bipartitions(len(dims)))
 
     # Under a floor of 1 every root is a chunk of its own, as above 2^10
     # amplitudes. A chunk's root block and its levels' outputs tile its
@@ -1030,7 +1031,7 @@ class TestExactSpectra:
         state = graph_state(n, edges)
         if rotated:
             for site in range(1, n + 1):
-                u = random_local_unitary(2, seed=[112, n, site])
+                u = _haar_unitaries(2, [[112, n, site]])[0]
                 state = apply_local_unitary(state, site, u)
         assert state._tensor.dtype == (np.complex128 if rotated else np.float64)
         spectrum = full_spectrum(state)
@@ -1103,7 +1104,7 @@ class TestMinorsOracle:
         state = graph_state(n, edges)
         if rotated:
             for site in range(1, n + 1):
-                state = apply_local_unitary(state, site, random_local_unitary(2, seed=[122, n, site]))
+                state = apply_local_unitary(state, site, _haar_unitaries(2, [[122, n, site]])[0])
         for cut in canonical_bipartitions(n):
             rank = cut_rank(edges, cut.subset)
             oracle = minor_concurrence(state, cut)
@@ -1199,17 +1200,19 @@ def cpu_has(*features):
     return all(__cpu_features__.get(f) for f in features)
 
 
-# Two x86-64 OpenBLAS kernels that sum the Gram products in different orders.
-KERNELS = ("Nehalem", "Haswell")
+# Three x86-64 OpenBLAS kernels that sum the Gram products in different
+# orders; Prescott, without AVX, moves the most values.
+KERNELS = ("Nehalem", "Haswell", "Prescott")
 
 
 @pytest.mark.skipif(
     not (dynamic_openblas() and cpu_has("SSE42", "AVX2", "FMA3")),
-    reason="needs a DYNAMIC_ARCH OpenBLAS and a CPU that runs its Nehalem and Haswell kernels",
+    reason="needs a DYNAMIC_ARCH OpenBLAS and a CPU that runs its Nehalem, Haswell and Prescott kernels",
 )
 class TestBlasKernels:
-    """``eval --json`` under two kernels, each in its own process: byte-identical
-    reports hold per kernel, so values may move by ulps but no decision may."""
+    """``eval --json`` under each kernel, each in its own process: byte-identical
+    reports hold per kernel, so values may move by ulps but no decision may.
+    Every kernel's report is compared with the first's."""
 
     def reports(self, tmp_path, state):
         path = tmp_path / "state.txt"
@@ -1236,13 +1239,15 @@ class TestBlasKernels:
             state = PureState((2,) * 8, np.kron(left, right), normalize=True)
         else:
             state = haar_random_state((2,) * 8, seed=[93])
-        a, b = (json.loads(text)["states"][0] for text in self.reports(tmp_path, state))
-        assert a["classification"] == b["classification"]
-        assert a["zero_cuts"] == b["zero_cuts"] == (["1,2,3,4"] if biseparable else [])
-        # A zero cut sits at the sqrt(eps) floor, where kernels differ by far more than ulps.
-        for label in a["concurrences"].keys() - set(a["zero_cuts"]):
-            assert abs(a["concurrences"][label] - b["concurrences"][label]) <= 4 * 2.0**-52, label
+        a, *others = (json.loads(text)["states"][0] for text in self.reports(tmp_path, state))
+        assert a["zero_cuts"] == (["1,2,3,4"] if biseparable else [])
+        for kernel, b in zip(KERNELS[1:], others):
+            assert a["classification"] == b["classification"], kernel
+            assert a["zero_cuts"] == b["zero_cuts"], kernel
+            # A zero cut sits at the sqrt(eps) floor, where kernels differ by far more than ulps.
+            for label in a["concurrences"].keys() - set(a["zero_cuts"]):
+                assert abs(a["concurrences"][label] - b["concurrences"][label]) <= 4 * 2.0**-52, (kernel, label)
 
     def test_a_report_of_power_of_two_amplitudes_is_byte_identical(self, tmp_path):
-        first, second = self.reports(tmp_path, graph_state(10, TWO_COMPONENTS))
-        assert first == second
+        first, *others = self.reports(tmp_path, graph_state(10, TWO_COMPONENTS))
+        assert others == [first] * len(others)

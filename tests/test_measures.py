@@ -434,7 +434,6 @@ def test_evaluate_enumerates_once_and_takes_one_purity_per_cut(monkeypatch):
     modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "gmepyramid"]
     targets = (("bipartitions", "canonical_bipartitions"), ("concurrence", "reduced_purity"))
     for owner, attr in targets:
-        # The package exports a function named ``concurrence``; look the module up.
         original = getattr(sys.modules[f"gmepyramid.{owner}"], attr)
 
         def counted(*args, _attr=attr, _original=original, **kwargs):

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,22 +10,19 @@ from gmepyramid import (
     Bipartition,
     PureState,
     StateFormatError,
-    apply_local_unitary,
     base_area,
     canonical_bipartitions,
     ghz_state,
     haar_random_state,
     parse_state,
     permute_subsystems,
-    random_local_unitary,
-    reduced_purity,
     serialize_state,
     w_state,
 )
 from gmepyramid.catalog import PAPER_STATES, PUBLISHED_TOL, benchmark_states
-from gmepyramid.concurrence import concurrence
-from gmepyramid.states import _Owned, _plain, check_dims, flat_index
-from gmepyramid.verify import TrialConfig, random_product_state
+from gmepyramid.concurrence import full_spectrum, reduced_purity
+from gmepyramid.states import _Owned, _plain, apply_local_unitary, check_dims, flat_index
+from gmepyramid.verify import TrialConfig, _haar_unitaries, random_product_state
 
 GHZ4_TEXT = """\
 # four-qubit GHZ
@@ -243,7 +241,7 @@ class TestParse:
         pytest.param(
             lambda: apply_local_unitary(ghz_state(3), 1.5, np.eye(2)), "1.5", id="unitary-site"
         ),
-        pytest.param(lambda: random_local_unitary(2.5, 1), "2.5", id="unitary-dimension"),
+        pytest.param(lambda: _haar_unitaries(2.5, [1]), "2.5", id="unitary-dimension"),
         pytest.param(lambda: Bipartition((1,), 4.5), "4.5", id="bipartition-parties"),
         pytest.param(lambda: canonical_bipartitions(4.0), "4.0", id="canonical-parties"),
         pytest.param(lambda: ghz_state(3.0), "3.0", id="ghz-qubits"),
@@ -469,6 +467,148 @@ def parse_mutants(text, dims, seed):
     return cases
 
 
+# Every character that str.split() separates fields on. The loop breaks lines
+# only at \n, \r\n and \r, so \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029,
+# which str.splitlines() breaks at, separate fields inside a line.
+SPACES = tuple(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+def edit_record(edit):
+    """A mutation of ``(lines, n, rng)``: one record drawn from ``rng``
+    becomes ``edit(record, n, rng)``."""
+
+    def mutate(lines, n, rng):
+        i = int(rng.integers(1, len(lines)))
+        lines[i] = edit(lines[i], n, rng)
+
+    return mutate
+
+
+def edit_field(pick, spell):
+    """A record mutation that respells field ``pick(n, rng)`` of the record
+    as ``spell(field)``; a record without that field is left alone."""
+
+    def edit(line, n, rng):
+        fields = line.split(" ")
+        j = pick(n, rng)
+        if j < len(fields):
+            fields[j] = spell(fields[j])
+        return " ".join(fields)
+
+    return edit_record(edit)
+
+
+def insert_line(line):
+    def mutate(lines, n, rng):
+        lines.insert(int(rng.integers(1, len(lines) + 1)), line)
+
+    return mutate
+
+
+def a_part(n, rng):
+    return n + 1 + int(rng.integers(2))
+
+
+def a_digit(n, rng):
+    return 1 + int(rng.integers(n))
+
+
+def as_float(field):
+    try:
+        return float(field)
+    except ValueError:
+        return 0.5
+
+
+def in_place_of_a_space(char):
+    def edit(line, n, rng):
+        at = [i for i, c in enumerate(line) if c == " "] or [len(line)]
+        i = at[int(rng.integers(len(at)))]
+        return line[:i] + char + line[i + 1 :]
+
+    return edit
+
+
+def space_mutations():
+    for char in SPACES:
+        name = f"U+{ord(char):04X}"
+        yield f"{name} inside", edit_record(in_place_of_a_space(char))
+        yield f"{name} before", edit_record(lambda line, n, rng, c=char: c + line)
+        yield f"{name} after", edit_record(lambda line, n, rng, c=char: line + c)
+
+
+# A part respelled: the same value in another form, a non-finite value, or
+# a form float() refuses.
+PART_SPELLINGS = {
+    "exponent": lambda f: f"{as_float(f):.17e}",
+    "signed upper exponent": lambda f: f"{as_float(f):+.17E}",
+    "exponent zero": lambda f: f + "e0",
+    "padded exponent": lambda f: f + "e-000",
+    "leading dot": lambda f: re.sub(r"^([+-]?)0\.", r"\1.", f),
+    "trailing e": lambda f: f + "e",
+    "hex": lambda f: as_float(f).hex(),
+    "underflow": lambda f: "1e-400",
+    "fullwidth digit": lambda f: "\uff11",
+    **{spelling: lambda f, s=spelling: s for spelling in ["nan", "NaN", "-nan", "+NAN"]},
+    **{
+        spelling: lambda f, s=spelling: s
+        for spelling in ["inf", "-Inf", "+INF", "infinity", "-Infinity", "iNfInItY", "1e400", "-1e309"]
+    },
+}
+
+# A basis digit respelled: signed, zero-padded to 10-25 digits, or a long
+# number out of every range.
+DIGIT_SPELLINGS = {
+    "plus": lambda f: "+" + f,
+    "minus": lambda f: "-" + f,
+    "zero-padded": lambda f: "0" + f,
+    "10 digits": lambda f: f.zfill(10),
+    "17 digits": lambda f: f.zfill(17),
+    "25 digits": lambda f: f.zfill(25),
+    "signed 25 digits": lambda f: "+" + f.zfill(24),
+    "ten ones": lambda f: "1" * 10,
+    "25 nines": lambda f: "9" * 25,
+    "underscore": lambda f: f + "_0",
+}
+
+BOM = "\ufeff"
+
+
+def first_line(edit):
+    def mutate(lines, n, rng):
+        lines[0] = edit(lines[0])
+
+    return mutate
+
+
+EDGE_MUTATIONS = dict(
+    space_mutations(),
+    **{f"part {name}": edit_field(a_part, spell) for name, spell in PART_SPELLINGS.items()},
+    **{f"digit {name}": edit_field(a_digit, spell) for name, spell in DIGIT_SPELLINGS.items()},
+    **{
+        "BOM first": first_line(lambda line: BOM + line),
+        "BOM before a record": edit_record(lambda line, n, rng: BOM + line),
+        "BOM inside a record": edit_record(in_place_of_a_space(BOM)),
+        "BOM after a record": edit_record(lambda line, n, rng: line + BOM),
+        "BOM line": insert_line(BOM),
+        "BOM comment": insert_line("#" + BOM),
+    },
+    **{
+        "extra part": edit_record(lambda line, n, rng: line + " 0.0"),
+        "missing part": edit_record(lambda line, n, rng: line.rpartition(" ")[0]),
+        "extra digit": edit_record(lambda line, n, rng: line.replace("amp ", "amp 0 ", 1)),
+        "extra dims field": first_line(lambda line: line + " 2"),
+        "non-digit dims field": first_line(lambda line: line + " x"),
+        "trailing comment": edit_record(lambda line, n, rng: line + " # note"),
+        "two records on a line": edit_record(lambda line, n, rng: line + " " + line),
+        "bare amp": insert_line("amp"),
+    },
+)
+
+# Dims with a dimension of 11 or more: two-digit fields leave the array path.
+WIDE_DIMS = [(11, 3), (12, 2, 2), (3, 13, 2)]
+
+
 def parse_outcome(parse, text):
     try:
         return parse(text)
@@ -527,6 +667,33 @@ class TestParseAgainstTheLoop:
                 assert isinstance(expected, StateFormatError) and str(expected).startswith("line "), name
             else:
                 assert isinstance(expected, PureState), (name, expected)
+
+    # Pins today's agreement; it decides no grammar.
+    @pytest.mark.parametrize("dims", WIDE_DIMS, ids=str)
+    def test_each_edge_mutation_parses_or_is_refused_as_by_the_loop(self, dims):
+        lines = serialize_state(haar_random_state(dims, [6, *dims])).splitlines()
+        for i, (name, mutate) in enumerate(EDGE_MUTATIONS.items()):
+            mutant = list(lines)
+            mutate(mutant, len(dims), np.random.default_rng([7, i, *dims]))
+            try:
+                assert_parses_as_the_loop("\n".join(mutant) + "\n")
+            except AssertionError as exc:
+                raise AssertionError(name) from exc
+
+    # One to three edge mutations at a time, drawn with their places from a seed.
+    @pytest.mark.parametrize("dims", WIDE_DIMS, ids=str)
+    def test_seeded_edge_mutations_parse_or_are_refused_as_by_the_loop(self, dims):
+        lines = serialize_state(haar_random_state(dims, [8, *dims])).splitlines()
+        names = list(EDGE_MUTATIONS)
+        rng = np.random.default_rng([9, *dims])
+        for _ in range(1000):
+            mutant, drawn = list(lines), rng.choice(names, size=int(rng.integers(1, 4))).tolist()
+            for name in drawn:
+                EDGE_MUTATIONS[name](mutant, len(dims), rng)
+            try:
+                assert_parses_as_the_loop("\n".join(mutant) + "\n")
+            except AssertionError as exc:
+                raise AssertionError(drawn) from exc
 
     def test_a_13_qubit_parse_peaks_within_2_mib(self):
         # Lists of the fields as strings would take about twice this.
@@ -624,7 +791,7 @@ class TestConstructor:
     def test_amplitudes_just_above_the_norm_floor_normalize_to_unit_norm(self):
         state = PureState((2, 2), [1e-149, 0.0, 0.0, 1e-149], normalize=True)
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 4e-16
-        assert concurrence(state, (1,)) == pytest.approx(1.0, abs=1e-15)
+        assert full_spectrum(state).values == pytest.approx((1.0,), abs=1e-15)
 
     def test_states_compare_and_hash_by_identity(self):
         state, twin = ghz_state(3), ghz_state(3)
@@ -699,7 +866,7 @@ class TestLocalUnitary:
         for trial in range(100):
             state = haar_random_state(dims, seed=[31, trial])
             site = trial % 4 + 1
-            u = random_local_unitary(dims[site - 1], seed=[32, trial])
+            u = _haar_unitaries(dims[site - 1], [[32, trial]])[0]
             out = apply_local_unitary(state, site, u)
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 

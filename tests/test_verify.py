@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 
 from gmepyramid import (
+    Bipartition,
     PureState,
     TrialConfig,
-    apply_local_unitary,
     TrialOutcome,
+    full_spectrum,
     haar_random_state,
-    random_local_unitary,
     random_product_state,
     run_check,
 )
 from gmepyramid import verify
-from gmepyramid.concurrence import concurrence
-from gmepyramid.states import apply_local_unitaries
+from gmepyramid.states import apply_local_unitaries, apply_local_unitary
 from gmepyramid.verify import CHECK_NAMES
 
 
@@ -43,24 +42,26 @@ class TestHaarRandomState:
 
 
 class TestRandomLocalUnitary:
+    """One Haar unitary: a stack of one drawn by ``verify._haar_unitaries``."""
+
     def test_deterministic_per_seed(self):
-        np.testing.assert_array_equal(random_local_unitary(2, 5), random_local_unitary(2, 5))
+        np.testing.assert_array_equal(verify._haar_unitaries(2, [5])[0], verify._haar_unitaries(2, [5])[0])
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_unitarity_defect(self, d):
         for trial in range(100):
-            u = random_local_unitary(d, seed=[13, d, trial])
+            u = verify._haar_unitaries(d, [[13, d, trial]])[0]
             defect = np.max(np.abs(u @ u.conj().T - np.eye(d)))
             assert defect < 1e-12
 
     def test_columns_orthonormal(self):
-        u = random_local_unitary(4, seed=3)
+        u = verify._haar_unitaries(4, [3])[0]
         gram = u.conj().T @ u
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
     def test_rejects_scalar_dimension(self):
         with pytest.raises(ValueError):
-            random_local_unitary(1, seed=0)
+            verify._haar_unitaries(1, [0])
 
 
 def one_site_step(state, site, u):
@@ -106,12 +107,12 @@ class TestStackedLocalUnitaries:
                 stack = verify._haar_unitaries(d, [[seed, t, s] for s in group])
                 assert stack.shape == (len(group), d, d)
                 for u, site in zip(stack, group):
-                    np.testing.assert_array_equal(random_local_unitary(d, [seed, t, site]), u)
+                    np.testing.assert_array_equal(verify._haar_unitaries(d, [[seed, t, site]])[0], u)
 
     def test_one_site_apply_is_bit_identical_to_one_step(self):
         state = haar_random_state((2, 3, 2), seed=130)
         for site, d in enumerate(state.dims, start=1):
-            u = random_local_unitary(d, seed=[131, site])
+            u = verify._haar_unitaries(d, [[131, site]])[0]
             expected = one_site_step(state, site, u).amplitudes
             np.testing.assert_array_equal(apply_local_unitary(state, site, u).amplitudes, expected)
 
@@ -162,7 +163,7 @@ class TestStackedLocalUnitaries:
     @pytest.mark.parametrize("d", [1, 0, -2])
     def test_draw_refuses_a_dimension_below_two(self, d):
         with pytest.raises(ValueError, match="^dimension must be at least 2$"):
-            random_local_unitary(d, seed=0)
+            verify._haar_unitaries(d, [0])
 
     def test_no_sites_leave_the_state(self):
         state = haar_random_state((2, 2), seed=133)
@@ -180,7 +181,7 @@ def test_volume_nonnegative_on_1000_draws():
 class TestRandomProductState:
     def test_factorized_cut_reads_as_zero(self):
         state = random_product_state((2, 3, 2, 2), (2, 4), seed=17)
-        assert concurrence(state, (2, 4)) < 1e-7
+        assert full_spectrum(state).entries[Bipartition((2, 4), 4)] < 1e-7
 
     def test_deterministic(self):
         a = random_product_state((2, 2, 2), (2,), seed=4)
